@@ -110,6 +110,11 @@ func (ni *nodeIntern) intern(b []byte) string {
 type managerWorker struct {
 	in chan managerEvent
 
+	// slots bounds the batches in flight to this worker (see
+	// maxInflightBatches): ProcessLineBatch takes one per batch it sends,
+	// runBatch gives it back.
+	slots chan struct{}
+
 	// mu is held by the worker goroutine while it mutates pred, and by
 	// Stats() while it snapshots pred's counters. It is effectively
 	// uncontended on the hot path (the worker is the only steady holder).
@@ -156,6 +161,18 @@ type batchBuilder struct {
 	shards []*eventBatch
 }
 
+// maxInflightBatches bounds the batches queued to or running on one worker.
+// The 512-event inbox is sized for single-line events; a batch carries
+// hundreds of lines, each pinning the socket chunk it was cut from, so a
+// submitter that outruns the scan workers must be stopped after a few
+// thousand lines, not a few hundred batches (that window held the daemon's
+// RSS at twice its working set). It cannot be much smaller either: with as
+// many workers as cores the submitter shares a core with a worker, and a
+// window that worker drains before the scheduler switches back leaves it
+// idle — 4 and 8 batches cost 2x on a two-core host, 16 and up are within
+// noise of unbounded.
+const maxInflightBatches = 16
+
 // NewManager builds a concurrent predictor with the given worker count
 // (0 → GOMAXPROCS). Each worker holds an independent Predictor over the same
 // chains and inventory; results (predictions and observed failures) arrive
@@ -166,12 +183,11 @@ func NewManager(chains []core.FailureChain, inventory []core.Template, opts Opti
 	}
 	m := &Manager{
 		results: make(chan Output, 256),
-		// Worker in-channels buffer up to 512 events each, and every queued
-		// batch pins a shell: when submitters outrun the scan workers the
-		// whole window is in flight at once. Size the freelist for that
-		// worst case (slots are one pointer each) or steady-state blast
+		// Every in-flight batch pins a shell, and each concurrent submitter
+		// holds up to one per worker while it scatters: size the freelist
+		// for the full window plus two submitters, or steady-state blast
 		// ingest churns a fresh shell per dispatch.
-		batchFree:   make(chan *eventBatch, (512+4)*workers),
+		batchFree:   make(chan *eventBatch, (maxInflightBatches+2)*workers),
 		builderFree: make(chan *batchBuilder, 4),
 	}
 	for i := 0; i < workers; i++ {
@@ -179,7 +195,11 @@ func NewManager(chains []core.FailureChain, inventory []core.Template, opts Opti
 		if err != nil {
 			return nil, fmt.Errorf("predictor: manager worker %d: %w", i, err)
 		}
-		w := &managerWorker{in: make(chan managerEvent, 512), pred: p}
+		w := &managerWorker{
+			in:    make(chan managerEvent, 512),
+			slots: make(chan struct{}, maxInflightBatches),
+			pred:  p,
+		}
 		m.workers = append(m.workers, w)
 		m.wg.Add(1)
 		go m.run(w)
@@ -272,6 +292,7 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch, outBuf []Output) []
 	}
 	w.mu.Unlock()
 	m.putBatch(eb)
+	<-w.slots
 	for i := range outs {
 		m.results <- outs[i]
 		outs[i] = Output{} // drop the Prediction/Failure pointers we retain
@@ -399,7 +420,9 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 			continue
 		}
 		b.shards[i] = nil
-		//aarohi:allow lockblock worker queues are buffered and drained until Close; the RLock only excludes Close's swap, which waits for senders first
+		//aarohi:allow lockblock workers release slots as they drain, until Close; the RLock only excludes Close's swap, which waits for senders first
+		m.workers[i].slots <- struct{}{}
+		//aarohi:allow lockblock worker queues are buffered and drained until Close; see above
 		m.workers[i].in <- managerEvent{batch: eb}
 	}
 	m.mu.RUnlock()

@@ -17,6 +17,7 @@ package predictor
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -211,10 +212,14 @@ func (p *Predictor) Chains() []core.FailureChain {
 	return append([]core.FailureChain(nil), p.chains...)
 }
 
-// driver returns (creating if needed) the per-node parse driver.
+// driver returns (creating if needed) the per-node parse driver. node is
+// usually a substring of an ingest chunk tens of KiB long; the copy stored
+// here — map key, Driver.Node, and through it every Prediction.Node — is the
+// driver's own, so a 20-byte node ID never keeps a whole chunk alive.
 func (p *Predictor) driver(node string) *parser.Driver {
 	d, ok := p.drivers[node]
 	if !ok {
+		node = strings.Clone(node)
 		d = parser.New(p.rules, node)
 		p.drivers[node] = d
 	}
@@ -253,7 +258,9 @@ func (p *Predictor) ProcessToken(tok core.Token) Output {
 func (p *Predictor) processToken(tok core.Token) Output {
 	var out Output
 	if p.terminal[tok.Phrase] {
-		out.Failure = &ObservedFailure{Node: tok.Node, Time: tok.Time, Phrase: tok.Phrase}
+		// Outputs outlive the batch (hub buffers, the recovered list): the
+		// node is copied out of the ingest chunk it may be a substring of.
+		out.Failure = &ObservedFailure{Node: strings.Clone(tok.Node), Time: tok.Time, Phrase: tok.Phrase}
 		// Terminal phrases may also be rule phrases when KeepTerminal is
 		// set; feed them through in that case.
 		if !p.rules.Relevant(tok.Phrase) {

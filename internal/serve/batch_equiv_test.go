@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"net"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +23,9 @@ import (
 // state. These tests drive full servers — pump, WAL, Manager, arbiter —
 // across four dialect families and batch sizes {1, 7, 256}, with chunked
 // feeding and a positive BatchAge forcing partial mid-batch drains, and
-// compare everything against a BatchMax=1 reference run.
+// compare everything against a BatchMax=1 reference run. One row feeds the
+// same stream over the TCP line listener, torn at seeded random write
+// boundaries, so the framer and the chunk hand-off sit inside the comparison.
 
 // pipeRun captures everything externally observable about one server run.
 type pipeRun struct {
@@ -40,19 +45,55 @@ func outNode(out predictor.Output) string {
 	return ""
 }
 
+// feedTCP writes lines to the server's line listener over one connection, in
+// writes of seeded random sizes that tear lines anywhere (a few bytes up to
+// several socket reads' worth), and returns once every line is accepted —
+// the connection handler enqueues asynchronously, and a Shutdown racing it
+// would refuse lines still in the socket.
+func feedTCP(t *testing.T, s *Server, lines []string, seed int64) {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rng := rand.New(rand.NewSource(seed))
+	stream := []byte(strings.Join(lines, "\n") + "\n")
+	for len(stream) > 0 {
+		n := 1 + rng.Intn(1<<uint(rng.Intn(18)))
+		n = min(n, len(stream))
+		if _, err := conn.Write(stream[:n]); err != nil {
+			t.Fatal(err)
+		}
+		stream = stream[n:]
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.pipe.Accepted() < int64(len(lines)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("TCP feed: %d of %d lines accepted after 30s", s.pipe.Accepted(), len(lines))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // runBatchPipe boots a persistent server with the given batching knobs,
 // feeds lines (in chunks with pauses when chunked, so partial batches drain
-// mid-stream), shuts down without a final snapshot (the journal survives
-// untruncated), and captures outputs, WAL records and arbiter state.
-func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int, batchAge time.Duration, chunked bool) pipeRun {
+// mid-stream; over TCP when tcpSeed is non-zero), shuts down without a final
+// snapshot (the journal survives untruncated), and captures outputs, WAL
+// records and arbiter state.
+func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int, batchAge time.Duration, chunked bool, tcpSeed int64) pipeRun {
 	t.Helper()
 	dir := t.TempDir()
 	mgr, err := predictor.NewManager(d.Chains(), d.Inventory(), predictor.Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tcpAddr := "off"
+	if tcpSeed != 0 {
+		tcpAddr = "127.0.0.1:0"
+	}
 	s := New(mgr, Config{
-		TCPAddr: "off", HTTPAddr: "off",
+		TCPAddr: tcpAddr, HTTPAddr: "off",
 		DataDir: dir, Fsync: wal.SyncOff,
 		BatchMax: batchMax, BatchAge: batchAge,
 		Arbiter: &arbiter.Config{AlertThreshold: 1e-9, Horizon: 20 * time.Minute},
@@ -62,18 +103,22 @@ func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int,
 		t.Fatal(err)
 	}
 	sub := s.Subscribe(1 << 17)
-	if !s.beginProduce() {
-		t.Fatal("server draining before any ingest")
-	}
-	for i, line := range lines {
-		s.ingest(line)
-		if chunked && i%37 == 36 {
-			// Let the pump catch up so the next batch starts mid-stream at
-			// an arbitrary boundary — the forced partial-drain case.
-			time.Sleep(200 * time.Microsecond)
+	if tcpSeed != 0 {
+		feedTCP(t, s, lines, tcpSeed)
+	} else {
+		if !s.beginProduce() {
+			t.Fatal("server draining before any ingest")
 		}
+		for i, line := range lines {
+			s.ingest(line)
+			if chunked && i%37 == 36 {
+				// Let the pump catch up so the next batch starts mid-stream at
+				// an arbitrary boundary — the forced partial-drain case.
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+		s.endProduce()
 	}
-	s.endProduce()
 	shutdownServer(t, s)
 
 	run := pipeRun{perNode: map[string][]string{}}
@@ -167,7 +212,7 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			lines := log.Lines()
-			ref := runBatchPipe(t, d, lines, 1, 0, false)
+			ref := runBatchPipe(t, d, lines, 1, 0, false, 0)
 			if len(ref.keys) == 0 {
 				t.Fatalf("reference run produced no outputs; the comparison would be vacuous")
 			}
@@ -175,15 +220,17 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 				batchMax int
 				batchAge time.Duration
 				chunked  bool
+				tcpSeed  int64
 			}{
-				{1, 0, true},                      // per-line path, chunked feed: determinism self-check
-				{7, 0, false},                     // small batches, continuous feed
-				{256, 0, true},                    // large batches with forced opportunistic mid-batch drains
-				{256, 500 * time.Microsecond, true}, // large batches with age-timer mid-batch drains
+				{1, 0, true, 0},                        // per-line path, chunked feed: determinism self-check
+				{7, 0, false, 0},                       // small batches, continuous feed
+				{256, 0, true, 0},                      // large batches with forced opportunistic mid-batch drains
+				{256, 500 * time.Microsecond, true, 0}, // large batches with age-timer mid-batch drains
+				{256, 0, false, seed},                  // framer + chunk hand-off: TCP feed torn at random write boundaries
 			}
 			for _, c := range cases {
-				label := fmt.Sprintf("batch=%d age=%s chunked=%v", c.batchMax, c.batchAge, c.chunked)
-				got := runBatchPipe(t, d, lines, c.batchMax, c.batchAge, c.chunked)
+				label := fmt.Sprintf("batch=%d age=%s chunked=%v tcp=%d", c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
+				got := runBatchPipe(t, d, lines, c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
 				diffRuns(t, label, ref, got)
 			}
 		})

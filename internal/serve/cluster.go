@@ -83,7 +83,7 @@ type ClusterStatus struct {
 	// ShipTarget is the ring successor currently receiving this daemon's
 	// journals; Ship is per-shard shipping progress (acked == last means the
 	// heir could take over with zero loss right now).
-	ShipTarget string         `json:"ship_target,omitempty"`
+	ShipTarget string          `json:"ship_target,omitempty"`
 	Ship       []ship.ShardLag `json:"ship,omitempty"`
 	// Adopted lists dead peers whose shards this daemon has taken over.
 	Adopted []AdoptedStatus `json:"adopted,omitempty"`
@@ -116,7 +116,7 @@ type cluster struct {
 	s   *Server
 	cfg ClusterConfig
 
-	g       *gossip.Gossip        // nil in static mode
+	g       *gossip.Gossip // nil in static mode
 	fwd     *transport.Forwarder
 	recv    *ship.Receiver // nil without DataDir
 	shipper *ship.Shipper  // nil without DataDir or in static mode
@@ -469,21 +469,9 @@ func (c *cluster) hijack(first string) transport.HijackHandler {
 // ingest lane. Producer registration is already held by the accept loop.
 func (c *cluster) handleForwardConn(conn net.Conn, rd *bufio.Reader) {
 	s := c.s
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 64<<10), s.cfg.MaxLineLen)
-	for {
-		if !s.pipe.Draining() {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil && !s.pipe.Draining() {
-				s.cfg.Logf("serve: forwarded stream %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if line := sc.Text(); line != "" {
-			s.pipe.IngestForwarded(line)
-		}
+	err := s.tcp.ReadLines(conn, rd, func(lines []string) { s.pipe.IngestForwardedBatch(lines) })
+	if err != nil && !s.pipe.Draining() {
+		s.cfg.Logf("serve: forwarded stream %s: %v", conn.RemoteAddr(), err)
 	}
 }
 

@@ -153,7 +153,7 @@ func TestClusterStaticForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := log.Lines()
-	ref := runSharded(t, d, lines, 1)
+	ref := runSharded(t, d, lines, 1, 0)
 	if len(ref.keys) == 0 {
 		t.Fatal("single-daemon reference produced no outputs; the comparison would be vacuous")
 	}
@@ -162,7 +162,7 @@ func TestClusterStaticForwarding(t *testing.T) {
 	// names and shard counts — the placement inputs — while only A needs B's
 	// real address: every line enters through A, so B never forwards.
 	b := newClusterServer(t, Config{TCPAddr: "127.0.0.1:0", Cluster: &ClusterConfig{
-		Name: "b",
+		Name:   "b",
 		Static: []StaticPeer{{Name: "a", Shards: 1}, {Name: "b", Shards: 1}},
 	}})
 	a := newClusterServer(t, Config{TCPAddr: "127.0.0.1:0", Cluster: &ClusterConfig{
@@ -219,7 +219,7 @@ func TestClusterGossipTakeover(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := log.Lines()
-	ref := runSharded(t, d, lines, 1)
+	ref := runSharded(t, d, lines, 1, 0)
 	if len(ref.keys) == 0 {
 		t.Fatal("single-daemon reference produced no outputs")
 	}

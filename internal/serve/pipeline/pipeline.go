@@ -1,11 +1,13 @@
 // Package pipeline is the serving daemon's ingest spine: one bounded queue
-// of raw log lines feeding a single pump goroutine that cuts the stream into
-// count/bytes/age-bounded batches and hands each batch to a Sink. The
-// WAL-append-before-parse hot path lives behind the Sink, in the shard layer;
-// this package knows nothing about journals, predictors or shards — only
-// queue discipline (Block backpressure vs Shed drop-and-count), producer
-// registration (so a drain can close the queue with no writer left behind),
-// and batch formation. It imports nothing above the standard library.
+// of raw log lines — filled a chunk (one socket read's worth of lines) at a
+// time, emptied a batch at a time — feeding a single pump goroutine that cuts
+// the stream into count/bytes/age-bounded batches and hands each batch to a
+// Sink. The WAL-append-before-parse hot path lives behind the Sink, in the
+// shard layer; this package knows nothing about journals, predictors or
+// shards — only queue discipline (Block backpressure vs Shed drop-and-count),
+// producer registration (so a drain can close the queue with no writer left
+// behind), and batch formation. It imports nothing above the standard
+// library.
 package pipeline
 
 import (
@@ -38,11 +40,11 @@ type Sink interface {
 	ProcessBatch(batch []string)
 }
 
-// item is one queued line plus its provenance. fwd marks a line that already
+// entry is one queued line plus its provenance. fwd marks a line that already
 // made one cross-daemon hop (it arrived over a peer-forwarded connection):
 // the pump routes those to the forward sink, which must process them locally
 // no matter what the placement table says — a line never travels twice.
-type item struct {
+type entry struct {
 	line string
 	fwd  bool
 }
@@ -51,7 +53,7 @@ type item struct {
 // (the serve layer owns configuration policy); New only guards against
 // outright invalid ones.
 type Config struct {
-	// QueueSize bounds the ingest queue.
+	// QueueSize bounds the ingest queue, in lines.
 	QueueSize int
 	// Overflow is the queue-full policy.
 	Overflow Policy
@@ -81,7 +83,30 @@ type Pipeline struct {
 	cfg     Config
 	sink    Sink
 	fwdSink Sink
-	queue   chan item
+
+	// The queue is a ring of lines under one mutex. A producer copies a whole
+	// chunk of lines in per lock round-trip and the pump copies a whole batch
+	// out, so the per-line cost on either side is a 24-byte move, not a
+	// synchronization.
+	mu     sync.Mutex
+	ring   []entry
+	head   int  // index of the oldest queued line
+	n      int  // queued lines
+	closed bool // CloseQueue was called
+	// room is where Block producers wait for the pump to free space.
+	room sync.Cond
+	// pumpIdle is set by the pump before it sleeps on wake; the producer (or
+	// CloseQueue) that clears it sends the one token that wakes it.
+	pumpIdle bool
+	wake     chan struct{}
+
+	// The batch being cut. Owned by the pump goroutine. batchStarved says the
+	// last take stopped short only because the queue ran empty — waiting
+	// could still grow the batch.
+	batch        []string
+	batchFwd     bool
+	batchBytes   int
+	batchStarved bool
 
 	accepted  atomic.Int64
 	dropped   atomic.Int64
@@ -90,14 +115,15 @@ type Pipeline struct {
 	// prodMu serializes producer registration against drain start, so the
 	// queue can be closed with no writer left behind.
 	prodMu   sync.Mutex
-	draining bool
+	draining atomic.Bool
 	prodWG   sync.WaitGroup
 
 	done chan struct{}
 
-	// TestHookDelay, when non-nil, runs before each dequeued line is handed
-	// onward — tests use it to hold the queue full and exercise the overflow
-	// policies deterministically. Set it before Start.
+	// TestHookDelay, when non-nil, runs after the pump dequeues the first line
+	// of a batch and before it takes any more — tests use it to hold the
+	// queue full and exercise the overflow policies deterministically. Set it
+	// before Start.
 	TestHookDelay func()
 }
 
@@ -120,13 +146,16 @@ func New(cfg Config, sink Sink) *Pipeline {
 	if fwd == nil {
 		fwd = sink
 	}
-	return &Pipeline{
+	p := &Pipeline{
 		cfg:     cfg,
 		sink:    sink,
 		fwdSink: fwd,
-		queue:   make(chan item, cfg.QueueSize),
+		ring:    make([]entry, cfg.QueueSize),
+		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
+	p.room.L = &p.mu
+	return p
 }
 
 // Start launches the pump goroutine.
@@ -138,7 +167,7 @@ func (p *Pipeline) Start() { go p.pump() }
 func (p *Pipeline) BeginProduce() bool {
 	p.prodMu.Lock()
 	defer p.prodMu.Unlock()
-	if p.draining {
+	if p.draining.Load() {
 		return false
 	}
 	p.prodWG.Add(1)
@@ -151,50 +180,90 @@ func (p *Pipeline) EndProduce() { p.prodWG.Done() }
 // Ingest enqueues one raw log line under the configured overflow policy.
 // The caller must hold a producer registration. Reports whether the line
 // was accepted.
+//
+//aarohi:hotpath
 func (p *Pipeline) Ingest(line string) bool {
-	return p.enqueue(item{line: line})
+	one := [1]string{line}
+	return p.enqueue(one[:], false) == 1
+}
+
+// IngestBatch enqueues a chunk of lines in order with one lock round-trip
+// and returns how many were accepted — always a prefix: Block waits for room
+// (splitting the chunk when it is larger than the space left) and accepts
+// them all, Shed accepts what fits and counts the rest in Dropped. lines is
+// not retained.
+//
+//aarohi:hotpath
+func (p *Pipeline) IngestBatch(lines []string) int {
+	return p.enqueue(lines, false)
 }
 
 // IngestForwarded enqueues a line that arrived over a peer-forwarded
 // connection. It flows through the same bounded queue (one backpressure
 // domain) but is dispatched to the Forward sink, which processes it locally —
 // forwarded lines never hop again.
+//
+//aarohi:hotpath
 func (p *Pipeline) IngestForwarded(line string) bool {
-	if p.enqueue(item{line: line, fwd: true}) {
-		p.forwarded.Add(1)
-		return true
-	}
-	return false
+	one := [1]string{line}
+	return p.IngestForwardedBatch(one[:]) == 1
 }
 
-func (p *Pipeline) enqueue(it item) bool {
-	if p.cfg.Overflow == Shed {
-		select {
-		case p.queue <- it:
-			p.accepted.Add(1)
-			return true
-		default:
-			p.dropped.Add(1)
-			return false
+// IngestForwardedBatch is IngestBatch for the forwarded lane.
+//
+//aarohi:hotpath
+func (p *Pipeline) IngestForwardedBatch(lines []string) int {
+	n := p.enqueue(lines, true)
+	p.forwarded.Add(int64(n))
+	return n
+}
+
+//aarohi:hotpath
+func (p *Pipeline) enqueue(lines []string, fwd bool) int {
+	sent := 0
+	p.mu.Lock()
+	for {
+		if p.closed {
+			p.mu.Unlock()
+			panic("pipeline: ingest after CloseQueue")
 		}
+		k := min(len(lines)-sent, len(p.ring)-p.n)
+		tail := p.head + p.n
+		if tail >= len(p.ring) {
+			tail -= len(p.ring)
+		}
+		for _, line := range lines[sent : sent+k] {
+			p.ring[tail] = entry{line: line, fwd: fwd}
+			if tail++; tail == len(p.ring) {
+				tail = 0
+			}
+		}
+		p.n += k
+		sent += k
+		if k > 0 {
+			p.wakePump()
+		}
+		if sent == len(lines) || p.cfg.Overflow == Shed {
+			break
+		}
+		p.room.Wait()
 	}
-	p.queue <- it
-	p.accepted.Add(1)
-	return true
+	p.mu.Unlock()
+	p.accepted.Add(int64(sent))
+	if sent < len(lines) {
+		p.dropped.Add(int64(len(lines) - sent))
+	}
+	return sent
 }
 
 // Draining reports whether StartDrain has been called.
-func (p *Pipeline) Draining() bool {
-	p.prodMu.Lock()
-	defer p.prodMu.Unlock()
-	return p.draining
-}
+func (p *Pipeline) Draining() bool { return p.draining.Load() }
 
 // StartDrain refuses new producers; existing registrations may still finish
 // enqueueing.
 func (p *Pipeline) StartDrain() {
 	p.prodMu.Lock()
-	p.draining = true
+	p.draining.Store(true)
 	p.prodMu.Unlock()
 }
 
@@ -206,19 +275,44 @@ func (p *Pipeline) ProducersIdle() <-chan struct{} {
 	return idle
 }
 
-// CloseQueue closes the ingest queue. Only call after StartDrain and once
-// ProducersIdle has fired — a producer racing a closed channel panics.
-func (p *Pipeline) CloseQueue() { close(p.queue) }
+// CloseQueue closes the ingest queue: the pump drains what is queued and
+// exits. Only call after StartDrain and once ProducersIdle has fired — a
+// producer racing a closed queue panics.
+func (p *Pipeline) CloseQueue() {
+	p.mu.Lock()
+	p.closed = true
+	p.wakePump()
+	p.mu.Unlock()
+}
+
+// wakePump, with p.mu held, sends the pump the one token it asked for if it
+// is asleep. The send cannot block: pumpIdle is set once per sleep and
+// whoever clears it is the only sender until the next.
+//
+//aarohi:hotpath
+func (p *Pipeline) wakePump() {
+	if p.pumpIdle {
+		p.pumpIdle = false
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // Done closes once the pump has exited: the queue is drained, every accepted
 // line has reached the Sink, and OnDrained has returned.
 func (p *Pipeline) Done() <-chan struct{} { return p.done }
 
 // Depth is the number of queued, not-yet-pumped lines.
-func (p *Pipeline) Depth() int { return len(p.queue) }
+func (p *Pipeline) Depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.n
+}
 
-// Capacity is the queue bound.
-func (p *Pipeline) Capacity() int { return cap(p.queue) }
+// Capacity is the queue bound, in lines.
+func (p *Pipeline) Capacity() int { return len(p.ring) }
 
 // Accepted is the number of lines enqueued so far.
 func (p *Pipeline) Accepted() int64 { return p.accepted.Load() }
@@ -253,117 +347,132 @@ func (p *Pipeline) pump() {
 //
 //aarohi:hotpath
 func (p *Pipeline) pumpLines() {
-	for it := range p.queue {
+	for p.next(1) {
 		if p.TestHookDelay != nil {
 			p.TestHookDelay()
 		}
-		if it.fwd {
-			p.fwdSink.ProcessLine(it.line)
+		if p.batchFwd {
+			p.fwdSink.ProcessLine(p.batch[0])
 		} else {
-			p.sink.ProcessLine(it.line)
+			p.sink.ProcessLine(p.batch[0])
 		}
 	}
 }
 
 // pumpBatches is the batched pump: block for the first line, then collect
 // until BatchMax lines, BatchMaxBytes bytes, BatchAge of waiting, or an empty
-// queue (BatchAge 0), and hand the group to the Sink. Collection happens
-// outside any sink-side lock, so snapshots and hot-swaps interleave at batch
-// boundaries exactly as they did at line boundaries.
+// queue (BatchAge 0), and hand the group to the Sink — one lock round-trip
+// per batch when the queue keeps up. Collection happens outside any sink-side
+// lock, so snapshots and hot-swaps interleave at batch boundaries exactly as
+// they did at line boundaries.
 //
 //aarohi:hotpath
 func (p *Pipeline) pumpBatches() {
-	var (
-		batch   []string
-		closed  bool
-		carry   item // first line of the next batch when provenance flips
-		carried bool
-	)
-	// The age timer starts stopped and is armed per batch. go.mod pins the
-	// go 1.22 language version, so classic timer rules apply: Stop and drain
-	// before every Reset.
-	timer := time.NewTimer(time.Hour)
-	stopTimer(timer)
-	defer timer.Stop()
-	for !closed {
-		var it item
-		if carried {
-			it, carried = carry, false
-		} else {
-			var ok bool
-			it, ok = <-p.queue
-			if !ok {
-				return
-			}
-		}
-		// The test hook sits where the per-line pump had it — after the first
+	first := p.cfg.BatchMax
+	if p.TestHookDelay != nil {
+		// The test hook sits where the per-line pump has it — after the first
 		// dequeue, before any further draining — so queue-overflow tests can
-		// still hold the pump with a known queue state.
+		// hold the pump with a known queue state.
+		first = 1
+	}
+	for p.next(first) {
 		if p.TestHookDelay != nil {
 			p.TestHookDelay()
+			p.mu.Lock()
+			p.take(p.cfg.BatchMax)
+			p.mu.Unlock()
 		}
-		batch = append(batch[:0], it.line)
-		fwd := it.fwd
-		nbytes := len(it.line)
-		if p.cfg.BatchAge > 0 {
-			timer.Reset(p.cfg.BatchAge)
+		if p.batchStarved && p.cfg.BatchAge > 0 {
+			p.collectAged()
 		}
-	collect:
-		// Each batch is provenance-uniform: a line whose fwd flag differs
-		// from the batch head's closes the batch and seeds the next one, so
-		// arrival order is preserved across the two sinks.
-		for len(batch) < p.cfg.BatchMax && nbytes < p.cfg.BatchMaxBytes {
-			select {
-			case it, ok := <-p.queue:
-				if !ok {
-					closed = true
-					break collect
-				}
-				if it.fwd != fwd {
-					carry, carried = it, true
-					break collect
-				}
-				batch = append(batch, it.line)
-				nbytes += len(it.line)
-			default:
-				if p.cfg.BatchAge <= 0 {
-					break collect // opportunistic only: queue is empty, go
-				}
-				select {
-				case it, ok := <-p.queue:
-					if !ok {
-						closed = true
-						break collect
-					}
-					if it.fwd != fwd {
-						carry, carried = it, true
-						break collect
-					}
-					batch = append(batch, it.line)
-					nbytes += len(it.line)
-				case <-timer.C:
-					break collect // the partial batch is old enough
-				}
-			}
-		}
-		if p.cfg.BatchAge > 0 {
-			stopTimer(timer)
-		}
-		if fwd {
-			p.fwdSink.ProcessBatch(batch)
+		if p.batchFwd {
+			p.fwdSink.ProcessBatch(p.batch)
 		} else {
-			p.sink.ProcessBatch(batch)
+			p.sink.ProcessBatch(p.batch)
 		}
 	}
 }
 
-// stopTimer stops t and drains a concurrent fire, leaving it safe to Reset
-// (pre-1.23 timer semantics; the module targets go 1.22).
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
+// next starts a new pump batch: it waits until a line is queued and takes up
+// to limit lines. It reports false once the queue is closed and empty.
+//
+//aarohi:hotpath
+func (p *Pipeline) next(limit int) bool {
+	p.batch, p.batchBytes = p.batch[:0], 0
+	p.mu.Lock()
+	for p.n == 0 {
+		if p.closed {
+			p.mu.Unlock()
+			return false
+		}
+		p.pumpIdle = true
+		p.mu.Unlock()
+		<-p.wake
+		p.mu.Lock()
+	}
+	p.take(limit)
+	p.mu.Unlock()
+	return true
+}
+
+// take moves queued lines into the pump batch, with p.mu held: up to limit
+// lines and BatchMaxBytes bytes, all of the provenance of the batch's first
+// line — a line whose fwd flag differs stays queued and heads the next batch,
+// so arrival order is preserved across the two sinks.
+//
+//aarohi:hotpath
+func (p *Pipeline) take(limit int) {
+	took := false
+	for p.n > 0 && len(p.batch) < limit && p.batchBytes < p.cfg.BatchMaxBytes {
+		e := &p.ring[p.head]
+		if len(p.batch) == 0 {
+			p.batchFwd = e.fwd
+		} else if e.fwd != p.batchFwd {
+			break
+		}
+		p.batch = append(p.batch, e.line)
+		p.batchBytes += len(e.line)
+		e.line = "" // the slot must not pin the line's chunk until it is overwritten
+		if p.head++; p.head == len(p.ring) {
+			p.head = 0
+		}
+		p.n--
+		took = true
+	}
+	if took {
+		p.room.Broadcast()
+	}
+	p.batchStarved = p.n == 0 && !p.closed && len(p.batch) < limit && p.batchBytes < p.cfg.BatchMaxBytes
+}
+
+// collectAged is the BatchAge wait: keep adding lines to a partial batch as
+// they arrive until it is full, its provenance flips, the queue closes, or
+// BatchAge has passed. It runs only when the pump has caught up with its
+// producers, so the timer it allocates is not on the saturated path.
+func (p *Pipeline) collectAged() {
+	timer := time.NewTimer(p.cfg.BatchAge)
+	defer timer.Stop()
+	for {
+		p.mu.Lock()
+		if p.take(p.cfg.BatchMax); !p.batchStarved {
+			p.mu.Unlock()
+			return
+		}
+		p.pumpIdle = true
+		p.mu.Unlock()
 		select {
-		case <-t.C:
-		default:
+		case <-p.wake:
+		case <-timer.C:
+			// Withdraw the wake request so the next producer does not send a
+			// token nobody is waiting for; if one already did, consume it.
+			p.mu.Lock()
+			idle := p.pumpIdle
+			p.pumpIdle = false
+			p.mu.Unlock()
+			if !idle {
+				<-p.wake
+			}
+			return
 		}
 	}
 }

@@ -89,7 +89,8 @@ type Config struct {
 	// the connection resp. reject the batch (default 1 MiB).
 	MaxLineLen int
 	// SubscriberBuffer is the per-subscription channel depth; a consumer
-	// lagging behind it loses messages (default 256).
+	// lagging behind it loses messages, counted in subscriber_drops
+	// (default 4096, ≈200 KiB per subscriber).
 	SubscriberBuffer int
 	// BatchMax caps how many queued lines the pump coalesces into one WAL
 	// group-append and one Manager batch submit (default 256). 1 selects the
@@ -185,7 +186,7 @@ func (c Config) withDefaults() Config {
 		c.MaxLineLen = 1 << 20
 	}
 	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 256
+		c.SubscriberBuffer = defaultSubscriberBuffer
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 256
@@ -492,6 +493,7 @@ func (s *Server) Start() error {
 	tcfg := transport.Config{MaxLineLen: s.cfg.MaxLineLen, Logf: s.cfg.Logf}
 	if s.cfg.TCPAddr != "off" {
 		s.tcp = transport.NewTCP(tcfg, s.pipe, s.cfg.ReadTimeout)
+		s.tcp.SetBatchIngest(s.pipe.IngestBatch)
 		if s.cluster != nil {
 			s.tcp.SetHijacker(s.cluster.hijack)
 		}
@@ -510,6 +512,7 @@ func (s *Server) Start() error {
 	}
 	if s.cfg.HTTPAddr != "off" {
 		s.http = transport.NewHTTP(tcfg, s.pipe)
+		s.http.SetBatchIngest(s.pipe.IngestBatch)
 		s.http.Handle("GET /predictions", s.handlePredictions)
 		s.http.Handle("GET /statusz", s.handleStatusz)
 		if s.cluster != nil {

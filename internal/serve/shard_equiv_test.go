@@ -25,16 +25,21 @@ type shardRun struct {
 }
 
 // runSharded boots a model-enabled in-memory server with the given shard
-// count, streams lines through the ingest pipeline, and captures every
-// published output.
-func runSharded(t *testing.T, d *loggen.Dialect, lines []string, shards int) shardRun {
+// count, streams lines through the ingest pipeline (over the TCP line
+// listener, torn at seeded random write boundaries, when tcpSeed is non-zero),
+// and captures every published output.
+func runSharded(t *testing.T, d *loggen.Dialect, lines []string, shards int, tcpSeed int64) shardRun {
 	t.Helper()
 	mgr, err := predictor.NewManager(d.Chains(), d.Inventory(), predictor.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tcpAddr := "off"
+	if tcpSeed != 0 {
+		tcpAddr = "127.0.0.1:0"
+	}
 	s := New(mgr, Config{
-		TCPAddr: "off", HTTPAddr: "off",
+		TCPAddr: tcpAddr, HTTPAddr: "off",
 		Shards: shards,
 		Model: &registry.Model{
 			Chains: d.Chains(), Templates: d.Inventory(), Options: predictor.Options{},
@@ -44,13 +49,17 @@ func runSharded(t *testing.T, d *loggen.Dialect, lines []string, shards int) sha
 		t.Fatal(err)
 	}
 	sub := s.Subscribe(1 << 17)
-	if !s.beginProduce() {
-		t.Fatal("server draining before any ingest")
+	if tcpSeed != 0 {
+		feedTCP(t, s, lines, tcpSeed)
+	} else {
+		if !s.beginProduce() {
+			t.Fatal("server draining before any ingest")
+		}
+		for _, line := range lines {
+			s.ingest(line)
+		}
+		s.endProduce()
 	}
-	for _, line := range lines {
-		s.ingest(line)
-	}
-	s.endProduce()
 	shutdownServer(t, s)
 
 	run := shardRun{perNode: map[string][]string{}}
@@ -92,28 +101,36 @@ func TestShardedPredictionEquivalence(t *testing.T) {
 			}
 			lines := log.Lines()
 
-			ref := runSharded(t, d, lines, 1)
+			ref := runSharded(t, d, lines, 1, 0)
 			if len(ref.keys) == 0 {
 				t.Fatal("single-shard reference produced no outputs; the comparison would be vacuous")
 			}
-			got := runSharded(t, d, lines, 4)
+			for _, c := range []struct {
+				label   string
+				tcpSeed int64
+			}{
+				{"sharded run", 0},
+				{"sharded run fed over TCP", seed},
+			} {
+				got := runSharded(t, d, lines, 4, c.tcpSeed)
 
-			if len(got.keys) != len(ref.keys) {
-				t.Fatalf("sharded run: %d outputs, want %d", len(got.keys), len(ref.keys))
-			}
-			for i := range ref.keys {
-				if got.keys[i] != ref.keys[i] {
-					t.Fatalf("output multiset diverges at %d: %q vs %q", i, got.keys[i], ref.keys[i])
+				if len(got.keys) != len(ref.keys) {
+					t.Fatalf("%s: %d outputs, want %d", c.label, len(got.keys), len(ref.keys))
 				}
-			}
-			for node, seq := range ref.perNode {
-				gs := got.perNode[node]
-				if len(gs) != len(seq) {
-					t.Fatalf("node %s emitted %d outputs, want %d", node, len(gs), len(seq))
+				for i := range ref.keys {
+					if got.keys[i] != ref.keys[i] {
+						t.Fatalf("%s: output multiset diverges at %d: %q vs %q", c.label, i, got.keys[i], ref.keys[i])
+					}
 				}
-				for i := range seq {
-					if gs[i] != seq[i] {
-						t.Fatalf("node %s output order diverges at %d: %q vs %q", node, i, gs[i], seq[i])
+				for node, seq := range ref.perNode {
+					gs := got.perNode[node]
+					if len(gs) != len(seq) {
+						t.Fatalf("%s: node %s emitted %d outputs, want %d", c.label, node, len(gs), len(seq))
+					}
+					for i := range seq {
+						if gs[i] != seq[i] {
+							t.Fatalf("%s: node %s output order diverges at %d: %q vs %q", c.label, node, i, gs[i], seq[i])
+						}
 					}
 				}
 			}

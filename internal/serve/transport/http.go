@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,8 +15,9 @@ import (
 // layers above (predictions stream, statusz, model admin) without this
 // package importing them.
 type HTTP struct {
-	cfg Config
-	ing Ingestor
+	cfg   Config
+	ing   Ingestor
+	batch func(lines []string) int
 
 	mux  *http.ServeMux
 	ln   net.Listener
@@ -45,6 +45,10 @@ func NewHTTP(cfg Config, ing Ingestor) *HTTP {
 func (h *HTTP) Handle(pattern string, handler http.HandlerFunc) {
 	h.mux.HandleFunc(pattern, handler)
 }
+
+// SetBatchIngest wires the chunk path for POST /ingest, as TCP.SetBatchIngest
+// does for the line listener. Call before Start.
+func (h *HTTP) SetBatchIngest(fn func(lines []string) int) { h.batch = fn }
 
 // Start binds addr and begins serving.
 func (h *HTTP) Start(addr string) error {
@@ -98,31 +102,30 @@ func (h *HTTP) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.ing.EndProduce()
 
+	// The body goes through the line listener's framer and chunk path: one
+	// queue operation per 64 KiB read, not per line, and a body of any size
+	// is never held whole.
 	var res IngestResult
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), h.cfg.MaxLineLen)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "{") {
-			var frame struct {
-				Line string `json:"line"`
+	err := readLines(r.Body, make([]byte, readBufSize), 0, h.cfg.MaxLineLen, nil, func(lines []string) {
+		keep := lines[:0]
+		for _, line := range lines {
+			if strings.HasPrefix(line, "{") {
+				var frame struct {
+					Line string `json:"line"`
+				}
+				if err := json.Unmarshal([]byte(line), &frame); err != nil || frame.Line == "" {
+					res.Malformed++
+					continue
+				}
+				line = frame.Line
 			}
-			if err := json.Unmarshal([]byte(line), &frame); err != nil || frame.Line == "" {
-				res.Malformed++
-				continue
-			}
-			line = frame.Line
+			keep = append(keep, line)
 		}
-		if h.ing.Ingest(line) {
-			res.Accepted++
-		} else {
-			res.Dropped++
-		}
-	}
-	if err := sc.Err(); err != nil {
+		accepted := submit(h.ing, h.batch, keep)
+		res.Accepted += accepted
+		res.Dropped += len(keep) - accepted
+	})
+	if err != nil {
 		http.Error(w, fmt.Sprintf("reading batch: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -41,6 +41,7 @@ type TCP struct {
 	ing         Ingestor
 	readTimeout time.Duration
 	hijack      Hijacker
+	batch       func(lines []string) int
 
 	ln         net.Listener
 	acceptDone chan struct{}
@@ -66,6 +67,13 @@ func NewTCP(cfg Config, ing Ingestor, readTimeout time.Duration) *TCP {
 // SetHijacker installs the first-line protocol multiplexer. Call before
 // Start; nil (the default) keeps the pure line-protocol path.
 func (t *TCP) SetHijacker(h Hijacker) { t.hijack = h }
+
+// SetBatchIngest wires the chunk path: every socket read's lines go to fn as
+// one call (the slice is reused — fn must not retain it) instead of one
+// Ingestor.Ingest call per line. Call before Start. The wiring is explicit
+// rather than discovered by type-asserting the Ingestor, so an Ingestor that
+// wraps another to observe Ingest keeps seeing every line.
+func (t *TCP) SetBatchIngest(fn func(lines []string) int) { t.batch = fn }
 
 // Start binds addr and launches the accept loop.
 func (t *TCP) Start(addr string) error {
@@ -161,11 +169,11 @@ func (t *TCP) handleConn(c net.Conn) {
 		t.ing.EndProduce()
 	}()
 
-	var src io.Reader = c
+	var br *bufio.Reader
 	if t.hijack != nil {
 		// Peel the first line off ourselves so a peer protocol can claim the
 		// connection; everything read past it stays in br for whoever wins.
-		br := bufio.NewReaderSize(c, 64<<10)
+		br = bufio.NewReaderSize(c, readBufSize)
 		if !t.ing.Draining() {
 			c.SetReadDeadline(time.Now().Add(t.readTimeout))
 		}
@@ -184,27 +192,36 @@ func (t *TCP) handleConn(c net.Conn) {
 		if first != "" {
 			t.ing.Ingest(first)
 		}
-		src = br
 	}
+	err := t.ReadLines(c, br, func(lines []string) { submit(t.ing, t.batch, lines) })
+	if err != nil && !t.ing.Draining() {
+		t.cfg.Logf("serve: %s: %v", c.RemoteAddr(), err)
+	}
+}
 
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 64<<10), t.cfg.MaxLineLen)
-	for {
-		// Per-read idle deadline — but never extend past a drain deadline
-		// already set by Shutdown.
+// ReadLines frames newline-terminated lines off c until it fails, handing
+// emit the lines of each socket read as one chunk (see readLines for the
+// framing rules and the slice's lifetime). rd, when non-nil, is the hijack
+// peel's reader over c: its unread bytes come first and it is not used
+// again. The idle read deadline is armed once per read — never once a drain
+// has begun, so it cannot extend the drain deadline Shutdown set. io.EOF is
+// a nil return. Both line lanes — this listener's own connections and the
+// serve layer's peer-forwarded ones — read through here.
+func (t *TCP) ReadLines(c net.Conn, rd *bufio.Reader, emit func(lines []string)) error {
+	n := 0
+	if rd != nil {
+		n = rd.Buffered()
+	}
+	buf := make([]byte, max(readBufSize, n))
+	if n > 0 {
+		rd.Read(buf[:n]) // served whole from rd's buffer: no I/O, no error
+	}
+	arm := func() {
 		if !t.ing.Draining() {
 			c.SetReadDeadline(time.Now().Add(t.readTimeout))
 		}
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil && !t.ing.Draining() {
-				t.cfg.Logf("serve: %s: %v", c.RemoteAddr(), err)
-			}
-			return
-		}
-		if line := sc.Text(); line != "" {
-			t.ing.Ingest(line)
-		}
 	}
+	return readLines(c, buf, n, t.cfg.MaxLineLen, arm, emit)
 }
 
 // readFirstLine reads one newline-terminated line (stripping "\r\n" like the

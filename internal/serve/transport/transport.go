@@ -1,9 +1,11 @@
 // Package transport holds the daemon's network front ends: the TCP line
 // listener and the HTTP ingest/health server. Both speak to the rest of the
-// daemon only through the Ingestor interface — transports know how to frame
-// bytes off a socket, not what a queue, shard, or model is — so the serve
-// layer can compose them over any pipeline and the layering analyzer can
-// hold the boundary (transport imports neither pipeline nor shard).
+// daemon only through the Ingestor interface (plus, when the serve layer
+// wires it, a func that takes one socket read's lines at a time) — transports
+// know how to frame bytes off a socket, not what a queue, shard, or model is
+// — so the serve layer can compose them over any pipeline and the layering
+// analyzer can hold the boundary (transport imports neither pipeline nor
+// shard).
 package transport
 
 import (
@@ -33,7 +35,7 @@ type Ingestor interface {
 // Config carries the knobs both transports share. Callers pass
 // already-defaulted values; Logf must be non-nil.
 type Config struct {
-	// MaxLineLen caps one log line (scanner buffer bound).
+	// MaxLineLen caps one log line (the framer's read buffer grows no further).
 	MaxLineLen int
 	// Logf receives diagnostics.
 	Logf func(format string, args ...any)

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Full local check: build, vet, repo-invariant lint, race-enabled tests, and
-# a short fuzz smoke over every fuzz target. This is what CI runs; run it
-# before pushing.
+# Full local check: build, the frozen bench/ module, gofmt, vet,
+# repo-invariant lint, race-enabled tests, and a short fuzz smoke over every
+# fuzz target. This is what CI runs; run it before pushing.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime         per-target fuzzing budget (default 10s; "0" skips fuzzing)
@@ -15,6 +15,16 @@ FUZZTIME="${1:-10s}"
 
 echo "==> go build ./..."
 go build ./...
+
+# bench/ is a module of its own (the repository's benchmark, frozen between
+# benchmark PRs) that compiles against internal/serve's exported API: a
+# signature change that breaks it must fail here, not as a failed benchmark
+# run after the fact.
+echo "==> bench/ (frozen benchmark module): go vet . && go test ."
+(cd bench && go vet . && go test .)
+
+echo "==> gofmt -l ."
+test -z "$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 
 echo "==> go build ./cmd/aarohid (serving daemon)"
 go build -o /dev/null ./cmd/aarohid
@@ -50,6 +60,7 @@ if [ "$FUZZTIME" != "0" ]; then
         ./internal/wal:FuzzSnapshotDecode
         ./internal/registry:FuzzManifestDecode
         ./internal/serve:FuzzModelUploadDecode
+        ./internal/serve/transport:FuzzReadLines
         ./internal/arbiter:FuzzStateDecode
         ./internal/gossip:FuzzGossipDecode
         ./internal/gossip/ship:FuzzShipHandshake
