@@ -215,6 +215,13 @@ const (
 	failRingLen    = 8
 )
 
+// ReorderWindow is how many later heartbeats of a node may be observed
+// before one of its failures and still leave exactly the state in-order
+// delivery leaves: past it the node's first post-failure arrival has left
+// the ring and its up-since time is lost. A feeder that runs heartbeats ahead
+// of the outputs they belong to (boot replay does) must stay inside it.
+const ReorderWindow = arrivalRingLen
+
 // New builds an Arbiter; zero-value Config fields take their defaults.
 func New(cfg Config) *Arbiter {
 	cfg = cfg.withDefaults()

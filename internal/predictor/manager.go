@@ -39,17 +39,13 @@ type Manager struct {
 	// version across hot-swaps.
 	fpHex string
 
-	// accepted counts lines and events admitted by Process* — enqueued to a
-	// worker, or (ProcessLineBytes) scanned and discarded in the caller.
-	// After Results closes, Stats().LinesScanned reconciles with it exactly:
-	// every accepted event is counted by exactly one scan.
+	// accepted counts lines and events admitted by Process* (enqueued to a
+	// worker). After Results closes, Stats().LinesScanned reconciles with it
+	// exactly: every accepted event is counted by exactly one scan.
 	accepted atomic.Uint64
 
 	mu     sync.RWMutex // guards closed; held (R) across worker sends
 	closed bool
-
-	// nodes deduplicates node-name strings for the byte-slice ingest path.
-	nodes nodeIntern
 
 	// heartbeat, when set, observes the (node, timestamp) of every line the
 	// ingest paths successfully parse — benign chatter included — giving a
@@ -65,46 +61,6 @@ type Manager struct {
 	// crosses an interface boundary on the hot path.
 	batchFree   chan *eventBatch
 	builderFree chan *batchBuilder
-}
-
-// nodeIntern is a bounded string intern table: node names repeat endlessly
-// (a cluster has thousands of nodes, not millions), so after warm-up every
-// lookup is a copy-free map hit. The bound caps memory against garbage node
-// fields in corrupt input; past it, misses simply allocate.
-type nodeIntern struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
-// maxInternedNodes bounds the intern table (~64k names ≈ a few MiB).
-const maxInternedNodes = 1 << 16
-
-//aarohi:hotpath
-func (ni *nodeIntern) get(b []byte) string {
-	ni.mu.RLock()
-	s, ok := ni.m[string(b)] // compiler-recognized copy-free map lookup
-	ni.mu.RUnlock()
-	if ok {
-		return s
-	}
-	return ni.intern(b)
-}
-
-// intern is the cold miss path: first sighting of a node name.
-func (ni *nodeIntern) intern(b []byte) string {
-	ni.mu.Lock()
-	defer ni.mu.Unlock()
-	if s, ok := ni.m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if ni.m == nil {
-		ni.m = make(map[string]string)
-	}
-	if len(ni.m) < maxInternedNodes {
-		ni.m[s] = s
-	}
-	return s
 }
 
 type managerWorker struct {
@@ -125,11 +81,6 @@ type managerWorker struct {
 type managerEvent struct {
 	tok core.Token
 	msg string // raw message body; scanned in the worker when non-empty
-
-	// scanned marks a line-derived token already classified by the caller
-	// (ProcessLineBytes): the worker applies the line counters without
-	// re-scanning.
-	scanned bool
 
 	// flush is a barrier marker (see Flush): the worker forwards it through
 	// the results channel instead of processing it.
@@ -249,10 +200,6 @@ func (m *Manager) run(w *managerWorker) {
 			w.pred.tokens++
 			ev.tok.Phrase = id
 			out = w.pred.processToken(ev.tok)
-		} else if ev.scanned {
-			w.pred.linesScanned++
-			w.pred.tokens++
-			out = w.pred.processToken(ev.tok)
 		} else {
 			out = w.pred.ProcessToken(ev.tok)
 		}
@@ -325,7 +272,7 @@ func fnvIndex[T ~string | ~[]byte](key T, n int) int {
 }
 
 // SetHeartbeat registers fn to observe the (node, timestamp) of every line
-// ProcessLine/ProcessLineBytes successfully parses. fn must be safe for
+// ProcessLine/ProcessLineBatch successfully parses. fn must be safe for
 // concurrent calls (the ingest paths are); nil clears the hook. The node
 // string may alias ingest buffers — observers must copy it if they retain it.
 func (m *Manager) SetHeartbeat(fn func(node string, ts time.Time)) {
@@ -466,60 +413,6 @@ func (m *Manager) putBuilder(b *batchBuilder) {
 	case m.builderFree <- b:
 	default:
 	}
-}
-
-// ProcessLineBytes routes one raw log line held in a reusable byte buffer —
-// the WAL-replay shape, where every record is decoded into the same scratch
-// slice. The buffer may be reused as soon as the call returns, so the
-// message is scanned here rather than in the worker, and only the node name
-// survives (deduplicated through a bounded intern table: steady state is
-// zero allocations per line). Benign lines are counted exactly as the
-// worker-side scan would count them (accepted, scanned, discarded) but are
-// never enqueued — ok=false reports the drop, and Stats agree with what
-// ProcessLine would have produced. Safe for concurrent use; returns
-// ErrClosed after Close.
-//
-//aarohi:hotpath
-func (m *Manager) ProcessLineBytes(line []byte) (ok bool, err error) {
-	ts, node, msg, err := lexgen.ParseLineBytes(line)
-	if err != nil {
-		return false, err
-	}
-	if hb := m.heartbeat.Load(); hb != nil {
-		(*hb)(m.nodes.get(node), ts)
-	}
-	w := m.workers[fnvIndex(node, len(m.workers))]
-	// Scanners are immutable after construction and identical across
-	// workers; worker 0's serves as the shared classifier.
-	id, matched := m.workers[0].pred.Scanner().ScanBytes(msg)
-	if !matched {
-		return false, m.noteDiscard(w)
-	}
-	return true, m.send(w, managerEvent{
-		tok:     core.Token{Phrase: id, Time: ts, Node: m.nodes.get(node)},
-		scanned: true,
-	})
-}
-
-// noteDiscard applies the line counters for a benign line classified in the
-// caller: it is "processed" the moment it is scanned, so the counters are
-// settled synchronously and LinesScanned still reconciles with Accepted at
-// drain.
-//
-//aarohi:hotpath
-func (m *Manager) noteDiscard(w *managerWorker) error {
-	m.mu.RLock()
-	if m.closed {
-		m.mu.RUnlock()
-		return ErrClosed
-	}
-	m.accepted.Add(1)
-	m.mu.RUnlock()
-	w.mu.Lock()
-	w.pred.linesScanned++
-	w.pred.discarded++
-	w.mu.Unlock()
-	return nil
 }
 
 // ProcessToken routes one pre-scanned token to its node's worker. Safe for

@@ -282,10 +282,8 @@ func TestManagerHeartbeat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, line := range lines[half:] {
-		if _, err := m.ProcessLineBytes([]byte(line)); err != nil {
-			t.Fatal(err)
-		}
+	if perrs, err := m.ProcessLineBatch(lines[half:]); err != nil || perrs != 0 {
+		t.Fatalf("batch: %d parse errors, err %v", perrs, err)
 	}
 	if err := m.ProcessLine("not a log line"); err == nil {
 		t.Fatal("malformed line accepted")

@@ -43,9 +43,16 @@ func shutdownServer(t *testing.T, s *Server) {
 	}
 }
 
-// ingestAll pushes lines through the HTTP ingest path.
+// ingestAll pushes lines through the HTTP ingest path and returns once the
+// pump has journaled them and the workers have scanned them. POST /ingest
+// answers when the lines are queued; a caller that snapshots, crashes or reads
+// counters next must not race the pump.
 func ingestAll(t *testing.T, s *Server, lines []string) {
 	t.Helper()
+	// Callers ingest only through this helper, so the server is idle here and
+	// the backlog is a constant of the boot: lines restored from a snapshot or
+	// replayed count as scanned but never as accepted.
+	idle := ingestBacklog(s.Status())
 	cl := &Client{Base: s.httpBase()}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -56,6 +63,23 @@ func ingestAll(t *testing.T, s *Server, lines []string) {
 	if res.Accepted != len(lines) {
 		t.Fatalf("ingest accepted %d of %d", res.Accepted, len(lines))
 	}
+	for {
+		st := s.Status()
+		if st.QueueDepth == 0 && ingestBacklog(st) == idle {
+			return
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("accepted lines never reached the scanners: %d accepted, %d scanned, %d parse errors, queue depth %d",
+				st.LinesAccepted, st.Manager.LinesScanned, st.ParseErrors, st.QueueDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// ingestBacklog is the number of accepted lines that are neither scanned nor
+// rejected as malformed yet, up to a per-boot constant.
+func ingestBacklog(st Status) int64 {
+	return st.LinesAccepted - int64(st.Manager.LinesScanned) - st.ParseErrors
 }
 
 func outKey(out predictor.Output) string {

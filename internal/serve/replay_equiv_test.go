@@ -1,0 +1,238 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/arbiter"
+	"repro/internal/core"
+	"repro/internal/loggen"
+	"repro/internal/predictor"
+	"repro/internal/registry"
+	"repro/internal/wal"
+)
+
+// Boot replay submits the journal to the Manager in batches, as live ingest
+// does, so a restarted daemon must end where the uninterrupted one did. These
+// tests journal a stream with malformed lines, a NUL-led line (journaled
+// under the escape prefix) and a model hot-swap, crash, restart, and compare
+// the replay against the run that wrote the journal: recovered outputs,
+// scanner counters, the recovery report and the arbiter's serialized state.
+
+// attributedKey is outKey plus the model the output is attributed to.
+func attributedKey(out predictor.Output) string {
+	if k := outKey(out); k != "" {
+		return k + "@" + out.Model
+	}
+	return ""
+}
+
+func arbSnapshot(t *testing.T, s *Server) []byte {
+	t.Helper()
+	if s.arb == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := s.arb.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestReplayMatchesLiveRun(t *testing.T) {
+	// The four dialects whose models pass the registry's vet gate.
+	dialects := []*loggen.Dialect{
+		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectCassandra, loggen.DialectHadoop,
+	}
+	// The swap comes right after a line that emits an output, so the output's
+	// model attribution shows on which side of the epoch record the line was
+	// replayed; that line is once the last of a full replay chunk (the epoch
+	// record finds nothing pending) and once inside a chunk (it must be
+	// submitted before the swap). Chunks are 256 lines, and
+	// arbiter.ReorderWindow with the arbiter on.
+	cases := []struct {
+		arbiter  bool
+		boundary bool
+	}{{false, false}, {false, true}, {true, false}, {true, true}}
+	for di, d := range dialects {
+		for _, tc := range cases {
+			d, seed, tc := d, int64(91+di), tc
+			var arbCfg *arbiter.Config
+			chunk := 256
+			if tc.arbiter {
+				arbCfg = &arbiter.Config{AlertThreshold: 1e-9, Horizon: 20 * time.Minute}
+				chunk = arbiter.ReorderWindow
+			}
+			t.Run(fmt.Sprintf("%s/arbiter=%v/boundary=%v", d.Name, tc.arbiter, tc.boundary), func(t *testing.T) {
+				t.Parallel()
+				log, err := loggen.Generate(loggen.Config{
+					Dialect: d, Seed: seed, Duration: 3 * time.Hour,
+					Nodes: 6, Failures: 3, BenignPerMinute: 4, AnomalyRate: 0.05,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var lines []string
+				malformed := 0
+				for i, line := range log.Lines() {
+					switch {
+					case i == 40:
+						lines = append(lines, "\x00"+line)
+						malformed++
+					case i%97 == 50:
+						lines = append(lines, "not a log line")
+						malformed++
+					}
+					lines = append(lines, line)
+				}
+				model := registry.Model{Chains: d.Chains(), Templates: d.Inventory()}
+
+				// Find the first output past the first chunk, then pad the front
+				// of the stream with malformed lines until the line emitting it
+				// ends a chunk (or does not).
+				ref, err := predictor.New(model.Chains, model.Templates, model.Options)
+				if err != nil {
+					t.Fatal(err)
+				}
+				swapAt := 0
+				for i, line := range lines {
+					if out, err := ref.ProcessLine(line); err == nil && outKey(out) != "" && i >= chunk {
+						swapAt = i + 1
+						break
+					}
+				}
+				if swapAt == 0 || len(lines) < swapAt+2*chunk {
+					t.Fatalf("stream of %d lines has no output with chunks to spare on both sides (swap at %d)", len(lines), swapAt)
+				}
+				for (swapAt%chunk == 0) != tc.boundary {
+					lines = append([]string{"padding, not a log line"}, lines...)
+					malformed++
+					swapAt++
+				}
+				dir := t.TempDir()
+				boot := func() *Server {
+					mgr, err := predictor.NewManager(model.Chains, model.Templates, model.Options, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := New(mgr, Config{
+						TCPAddr: "off", Overflow: Block, Workers: 3,
+						DataDir: dir, Fsync: wal.SyncOff, Model: &model,
+						Arbiter: arbCfg,
+					})
+					if err := s.Start(); err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+
+				live := boot()
+				live.testSkipFinalSnapshot = true // crash: the whole journal replays
+				sub := live.Subscribe(1 << 17)
+				// The live run's arbiter sees heartbeats when the pump submits a
+				// batch and outputs when the fan-out gets to them; feeding it
+				// less than the reorder window between output barriers keeps it
+				// the in-order reference however the scheduler treats this test.
+				feed := func(lines []string) {
+					for len(lines) > 0 {
+						n := min(len(lines), arbiter.ReorderWindow-1)
+						ingestAll(t, live, lines[:n])
+						if err := live.flushAll(); err != nil {
+							t.Fatal(err)
+						}
+						lines = lines[n:]
+					}
+				}
+				feed(lines[:swapAt])
+				// Swap to the same chains over an inventory cut down to their own
+				// phrases: parse state migrates (same automaton) and the outputs
+				// stay, but every other line now counts as discarded instead of
+				// as a token, so a line replayed on the wrong side of the epoch
+				// record shows in the counters.
+				inChain := map[core.PhraseID]bool{}
+				for _, fc := range model.Chains {
+					for _, p := range fc.Phrases {
+						inChain[p] = true
+					}
+				}
+				var lean []core.Template
+				for _, tpl := range model.Templates {
+					if inChain[tpl.ID] {
+						lean = append(lean, tpl)
+					}
+				}
+				code, body := postJSON(t, live.httpBase()+"/model", ModelUpload{
+					Chains: model.Chains, Templates: lean, Activate: true,
+				})
+				if code != http.StatusCreated {
+					t.Fatalf("POST /model = %d: %s", code, body)
+				}
+				var up ModelUploadResult
+				if err := json.Unmarshal(body, &up); err != nil {
+					t.Fatal(err)
+				}
+				if up.Swap.WALEpochIndex != uint64(swapAt)+1 {
+					t.Fatalf("epoch record at %d, want %d (right after line %d)", up.Swap.WALEpochIndex, swapAt+1, swapAt)
+				}
+				feed(lines[swapAt:])
+				shutdownServer(t, live)
+				want := pipeRun{perNode: map[string][]string{}, arb: arbSnapshot(t, live)}
+				for out := range sub.Out() {
+					if k := attributedKey(out); k != "" {
+						want.keys = append(want.keys, k)
+						want.perNode[outNode(out)] = append(want.perNode[outNode(out)], k)
+					}
+				}
+				sort.Strings(want.keys)
+				if len(want.keys) == 0 {
+					t.Fatal("live run produced no outputs; the comparison would be vacuous")
+				}
+				wantStats := live.Status().Manager
+
+				re := boot()
+				defer shutdownServer(t, re)
+				got := pipeRun{perNode: map[string][]string{}, arb: arbSnapshot(t, re)}
+				for _, out := range re.Recovered() {
+					if k := attributedKey(out); k != "" {
+						got.keys = append(got.keys, k)
+						got.perNode[outNode(out)] = append(got.perNode[outNode(out)], k)
+					}
+				}
+				sort.Strings(got.keys)
+				diffRuns(t, "replay", want, got)
+
+				st := re.Status()
+				if st.Manager.LinesScanned != wantStats.LinesScanned ||
+					st.Manager.Discarded != wantStats.Discarded ||
+					st.Manager.Tokens != wantStats.Tokens {
+					t.Errorf("replayed scanner counters %+v, live run %+v", st.Manager, wantStats)
+				}
+				if wantStats.LinesScanned != len(lines)-malformed {
+					t.Errorf("live run scanned %d lines, want %d", wantStats.LinesScanned, len(lines)-malformed)
+				}
+				rec := st.Recovery
+				if rec == nil {
+					t.Fatal("no recovery block after restart")
+				}
+				if rec.ReplayedRecords != uint64(len(lines))+1 || rec.ReplayErrors != uint64(malformed) || rec.ReplayedSwaps != 1 {
+					t.Errorf("recovery replayed %d records, %d errors, %d swaps; want %d lines + 1 epoch, %d, 1",
+						rec.ReplayedRecords, rec.ReplayErrors, rec.ReplayedSwaps, len(lines), malformed)
+				}
+				if rec.RecoveredOutputs != len(want.keys) {
+					t.Errorf("recovery reports %d outputs, live run delivered %d", rec.RecoveredOutputs, len(want.keys))
+				}
+				if rec.ReplayBytes == 0 || rec.ReplaySeconds <= 0 || rec.SnapshotLoadSeconds+rec.ReplaySeconds > rec.DurationSeconds {
+					t.Errorf("recovery timing split is inconsistent: %+v", rec)
+				}
+				if got := re.manager().FingerprintHex(); got != up.Model.Fingerprint {
+					t.Errorf("replay ended on model %s, the journal's swap went to %s", got, up.Model.Fingerprint)
+				}
+			})
+		}
+	}
+}

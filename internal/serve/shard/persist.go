@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/arbiter"
 	"repro/internal/predictor"
 	"repro/internal/registry"
 	"repro/internal/wal"
@@ -46,6 +47,12 @@ type RecoveryStatus struct {
 	ReplayErrors     uint64  `json:"replay_errors"`
 	RecoveredOutputs int     `json:"recovered_outputs"`
 	DurationSeconds  float64 `json:"duration_seconds"`
+	// DurationSeconds splits into loading the snapshot (file read, model
+	// rebuild, state import) and the journal (tail scan, replay, output
+	// barrier); ReplayBytes is the record payload replayed.
+	SnapshotLoadSeconds float64 `json:"snapshot_load_seconds,omitempty"`
+	ReplaySeconds       float64 `json:"replay_seconds,omitempty"`
+	ReplayBytes         uint64  `json:"replay_bytes,omitempty"`
 	// ReplayedSwaps counts model-epoch records re-executed during replay:
 	// each journal segment was replayed against the model version that was
 	// live when it was written.
@@ -131,6 +138,9 @@ func (l *Local) Open(reg *registry.Registry) error {
 		}
 	}
 
+	rec.SnapshotLoadSeconds = time.Since(began).Seconds()
+	replayBegan := time.Now()
+
 	wl, err := wal.Open(l.walDir(), wal.Options{
 		Sync:        l.cfg.Fsync,
 		SegmentSize: l.cfg.WALSegmentSize,
@@ -143,29 +153,50 @@ func (l *Local) Open(reg *registry.Registry) error {
 		return fmt.Errorf("serve: snapshot covers WAL offset %d but journal ends at %d: data dir is inconsistent", off, last)
 	}
 
-	// Replay the tail through the Manager. The listeners are not open yet,
-	// so the only producer is this loop; outputs are captured in the
-	// recovered buffer by the fan-out for /predictions?replay=recovered.
+	// Replay the tail through the Manager: the live batch path minus the
+	// socket and the append. The listeners are not open yet, so the only
+	// producer is this loop; outputs are captured in the recovered buffer by
+	// the fan-out for /predictions?replay=recovered.
 	l.recoveryActive.Store(true)
+	chunk := replayChunk{maxLines: replayChunkLines}
+	if l.arb != nil {
+		// A chunk's heartbeats fire when it is submitted, its outputs reach
+		// the arbiter when the workers get to it, and replay runs the journal
+		// as fast as it reads: unchecked, a failure arrives thousands of
+		// heartbeats late and the arbiter can no longer place the restart.
+		// Chunks inside its reorder window, each followed by the output
+		// barrier, keep the replayed state the one in-order delivery gives.
+		chunk.maxLines = arbiter.ReorderWindow
+	}
+	submit := func() error {
+		m := l.Manager()
+		perrs, err := chunk.submit(m)
+		// Malformed lines counted as parse errors when first accepted and do
+		// again now.
+		rec.ReplayErrors += uint64(perrs)
+		if err == nil && l.arb != nil {
+			err = m.Flush()
+		}
+		return err
+	}
 	err = wl.Replay(off+1, func(idx uint64, payload []byte) error {
 		rec.ReplayedRecords++
+		rec.ReplayBytes += uint64(len(payload))
 		kind, body := decodeRecordBytes(payload)
 		switch kind {
 		case recKindLine:
-			// body aliases the replay buffer; ProcessLineBytes scans before
-			// returning and interns the node name, so nothing retains it —
-			// and no per-record line copy is made. Benign lines report
-			// ok=false and simply don't re-enter the pipeline.
-			if _, perr := l.Manager().ProcessLineBytes(body); perr != nil {
-				// The line was malformed when first accepted too; it counted
-				// as a parse error then and does again now.
-				rec.ReplayErrors++
+			chunk.add(body)
+			if chunk.full() {
+				return submit()
 			}
 		case recKindEpoch:
 			// A model hot-swap happened here: re-execute it so the rest of
 			// the journal replays against the model it was written under.
 			if l.registry == nil {
 				return fmt.Errorf("journal holds a model-epoch record at %d but the server has no model registry (Config.Model unset)", idx)
+			}
+			if err := submit(); err != nil {
+				return err
 			}
 			if err := l.replaySwap(string(body)); err != nil {
 				return fmt.Errorf("re-executing model swap at %d: %w", idx, err)
@@ -176,6 +207,9 @@ func (l *Local) Open(reg *registry.Registry) error {
 		}
 		return nil
 	})
+	if err == nil {
+		err = submit()
+	}
 	if err != nil {
 		_ = wl.Close() // unwinding: the replay error is the one to surface
 		return fmt.Errorf("serve: replaying journal: %w", err)
@@ -194,16 +228,64 @@ func (l *Local) Open(reg *registry.Registry) error {
 	l.recMu.Lock()
 	rec.RecoveredOutputs = len(l.recovered)
 	l.recMu.Unlock()
+	rec.ReplaySeconds = time.Since(replayBegan).Seconds()
 	rec.DurationSeconds = time.Since(began).Seconds()
 
 	l.wlog = wl
 	l.recovery = &rec
 	l.lastSnapshotIdx.Store(off)
 	if rec.Performed {
-		l.cfg.Logf("serve: recovered from snapshot@%d + %d replayed lines (%d outputs) in %.3fs",
-			rec.SnapshotIndex, rec.ReplayedRecords, rec.RecoveredOutputs, rec.DurationSeconds)
+		l.cfg.Logf("serve: recovered from snapshot@%d + %d replayed lines (%d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
+			rec.SnapshotIndex, rec.ReplayedRecords, rec.RecoveredOutputs, rec.DurationSeconds,
+			rec.SnapshotLoadSeconds, rec.ReplayBytes, rec.ReplaySeconds)
 	}
 	return nil
+}
+
+// Replay chunk bounds — the shape live ingest hands the Manager (a pump batch
+// of at most 256 lines cut from a framer chunk of at most 64 KiB), so replay
+// keeps the live in-flight window and memory. With the arbiter on the line
+// bound is its reorder window instead.
+const (
+	replayChunkLines = 256
+	replayChunkBytes = 64 << 10
+)
+
+// replayChunk gathers replayed line bodies, which alias the journal reader's
+// buffer, until they make one batch for the Manager.
+type replayChunk struct {
+	maxLines int
+	text     []byte   // line bodies back to back
+	ends     []int    // end offset in text of each line
+	lines    []string // ProcessLineBatch argument scratch
+}
+
+func (c *replayChunk) add(body []byte) {
+	c.text = append(c.text, body...)
+	c.ends = append(c.ends, len(c.text))
+}
+
+func (c *replayChunk) full() bool {
+	return len(c.ends) >= c.maxLines || len(c.text) >= replayChunkBytes
+}
+
+// submit hands the gathered lines to m as one batch and empties the chunk.
+// The text is copied into one string whose substrings are the lines — what
+// the transport framer hands the pump — because the scan workers keep them
+// past this call while text is reused.
+func (c *replayChunk) submit(m *predictor.Manager) (parseErrs int, err error) {
+	if len(c.ends) == 0 {
+		return 0, nil
+	}
+	s := string(c.text)
+	c.lines = c.lines[:0]
+	start := 0
+	for _, end := range c.ends {
+		c.lines = append(c.lines, s[start:end])
+		start = end
+	}
+	c.text, c.ends = c.text[:0], c.ends[:0]
+	return m.ProcessLineBatch(c.lines)
 }
 
 // bootSwitchModel replaces the boot manager with one built from a stored

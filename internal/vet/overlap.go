@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"strings"
 )
 
 // overlapCheck (V3) detects template patterns whose languages collide, via
@@ -17,6 +18,12 @@ import (
 //
 // Each finding includes a concrete witness string so the collision can be
 // reproduced by feeding the witness to the scanner.
+//
+// The product search builds four single-pattern DFAs a pair, so it runs only
+// for pairs that can share a message: every match of a template starts with
+// its leading literal (the text before the first '*'), and two literals that
+// differ at a position both have leave neither an intersection nor a cover to
+// report.
 type overlapCheck struct{}
 
 func init() { Register(overlapCheck{}) }
@@ -31,8 +38,15 @@ func (overlapCheck) Analyze(p *Pass) {
 		return
 	}
 	ts := p.Model.Templates
+	lits := make([]string, len(ts))
+	for i, t := range ts {
+		lits[i], _, _ = strings.Cut(t.Pattern, "*")
+	}
 	for i := 0; i < len(ts); i++ {
 		for j := i + 1; j < len(ts); j++ {
+			if n := min(len(lits[i]), len(lits[j])); lits[i][:n] != lits[j][:n] {
+				continue
+			}
 			subjI := fmt.Sprintf("template %d", ts[i].ID)
 			subjJ := fmt.Sprintf("template %d", ts[j].ID)
 			if _, covers := p.Scanner.Covers(i, j); covers {

@@ -179,10 +179,13 @@ func Open(dir string, opts Options) (*Log, error) {
 	} else {
 		// Verify every header cheaply; scan only the final segment for the
 		// tail position (earlier segments are immutable once rolled).
+		hdr := segReader{buf: make([]byte, headerSize)}
 		for _, base := range bases[:len(bases)-1] {
-			if err := checkHeader(filepath.Join(dir, segName(base)), base); err != nil {
+			f, err := openSegment(filepath.Join(dir, segName(base)), base, &hdr)
+			if err != nil {
 				return nil, err
 			}
+			f.Close()
 		}
 		last := bases[len(bases)-1]
 		end, count, err := scanTail(filepath.Join(dir, segName(last)), last)
@@ -241,91 +244,132 @@ func listSegments(dir string) ([]uint64, error) {
 	return bases, nil
 }
 
-func checkHeader(path string, base uint64) error {
+// segReadBuf is the segment read buffer: one read(2) brings in ten thousand
+// log-line records.
+const segReadBuf = 1 << 20
+
+// segReader is the one journal read path (Open's tail scan and Replay): it
+// pulls a segment through a single reused buffer and hands records out as
+// sub-slices of it. buf must be non-empty; it is replaced by a larger one
+// only when a single record does not fit.
+type segReader struct {
+	src  io.Reader
+	buf  []byte
+	r, w int   // buf[r:w] is read from src and not yet consumed
+	off  int64 // segment offset just past the header or the last record returned
+	err  error // first error from src (io.EOF included); sticky
+}
+
+// openSegment points sr at the segment file and consumes its header. The
+// caller closes the file.
+func openSegment(path string, base uint64, sr *segReader) (*os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("wal: %s: reading header: %w", filepath.Base(path), err)
+	sr.src, sr.r, sr.w, sr.off, sr.err = f, 0, 0, 0, nil
+	if err := sr.header(filepath.Base(path), base); err != nil {
+		f.Close()
+		return nil, err
 	}
+	return f, nil
+}
+
+// header consumes the segment header, checking the magic and that the first
+// index it records is base (the one the file name carries).
+func (s *segReader) header(name string, base uint64) error {
+	if !s.fill(headerSize) {
+		return fmt.Errorf("wal: %s: reading header: %w", name, s.err)
+	}
+	hdr := s.buf[s.r : s.r+headerSize]
 	if string(hdr[:8]) != segMagic {
-		return fmt.Errorf("wal: %s: bad magic: %w", filepath.Base(path), ErrCorrupt)
+		return fmt.Errorf("wal: %s: bad magic: %w", name, ErrCorrupt)
 	}
 	if got := binary.BigEndian.Uint64(hdr[8:]); got != base {
-		return fmt.Errorf("wal: %s: header base %d does not match name: %w", filepath.Base(path), got, ErrCorrupt)
+		return fmt.Errorf("wal: %s: header base %d does not match name: %w", name, got, ErrCorrupt)
 	}
+	s.r += headerSize
+	s.off = headerSize
 	return nil
+}
+
+// fill makes buf[r:r+n] readable, reporting false when src ends (or fails)
+// first. The unread remainder moves to the front of the buffer, so slices
+// returned by earlier next calls are dead after it.
+//
+//aarohi:hotpath
+func (s *segReader) fill(n int) bool {
+	if s.w-s.r >= n {
+		return true
+	}
+	s.w = copy(s.buf, s.buf[s.r:s.w])
+	s.r = 0
+	for s.w < n && s.err == nil {
+		if s.w == len(s.buf) {
+			s.grow(n)
+		}
+		var m int
+		m, s.err = s.src.Read(s.buf[s.w:])
+		s.w += m
+	}
+	return s.w >= n
+}
+
+// grow is fill's cold path, a record larger than the buffer. It doubles
+// toward n as the record's bytes actually arrive, so a corrupt length prefix
+// on a short file cannot drive a giant allocation.
+func (s *segReader) grow(n int) {
+	nb := make([]byte, min(n, 2*len(s.buf)))
+	copy(nb, s.buf[:s.w])
+	s.buf = nb
+}
+
+// next returns the next record's payload, valid until the following next
+// call, or false when what follows is not a record: clean EOF, a torn header
+// or payload, a length over maxRecordSize, a checksum mismatch (a read error
+// counts as the end of the file). The caller decides whether that is a
+// reparable tail or corruption for its position; off stays just past the
+// last intact record.
+//
+//aarohi:hotpath
+func (s *segReader) next() ([]byte, bool) {
+	if !s.fill(recHdrSize) {
+		return nil, false
+	}
+	n := binary.BigEndian.Uint32(s.buf[s.r:])
+	if n > maxRecordSize {
+		return nil, false
+	}
+	want := binary.BigEndian.Uint32(s.buf[s.r+4:])
+	size := recHdrSize + int(n)
+	if !s.fill(size) {
+		return nil, false
+	}
+	payload := s.buf[s.r+recHdrSize : s.r+size]
+	if crc32.Checksum(payload, crcTable) != want {
+		return nil, false
+	}
+	s.r += size
+	s.off += int64(size)
+	return payload, true
 }
 
 // scanTail walks the records of the final segment, returning the offset just
 // past the last intact record and the number of intact records. Anything
 // unreadable past that point is a torn tail for Open to truncate.
 func scanTail(path string, base uint64) (end int64, count uint64, err error) {
-	f, err := os.Open(path)
+	sr := segReader{buf: make([]byte, segReadBuf)}
+	f, err := openSegment(path, base, &sr)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	if err := checkHeader(path, base); err != nil {
 		return 0, 0, err
 	}
-	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	end = headerSize
-	r := &countReader{r: f}
+	defer f.Close()
 	for {
-		_, ok, err := readRecord(r, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		if !ok {
-			return end, count, nil
+		if _, ok := sr.next(); !ok {
+			return sr.off, count, nil
 		}
 		count++
-		end = headerSize + r.n
 	}
-}
-
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readRecord reads one record into buf (grown as needed), returning
-// (payload, true) on success and (nil, false) on a clean EOF, a torn tail,
-// or a checksum mismatch — the caller decides whether "not a record" is an
-// error for its position.
-func readRecord(r io.Reader, buf []byte) ([]byte, bool, error) {
-	var hdr [recHdrSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, false, nil // EOF or torn header
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxRecordSize {
-		return nil, false, nil
-	}
-	want := binary.BigEndian.Uint32(hdr[4:])
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, false, nil // torn payload
-	}
-	if crc32.Checksum(buf, crcTable) != want {
-		return nil, false, nil
-	}
-	return buf, true, nil
 }
 
 // startSegment creates and opens a fresh segment whose first record will
@@ -570,48 +614,34 @@ func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) e
 	next := l.next
 	l.mu.Unlock()
 
-	var buf []byte
+	sr := segReader{buf: make([]byte, segReadBuf)}
 	for si, base := range bases {
 		if si+1 < len(bases) && bases[si+1] <= from {
 			continue // segment wholly before the replay window
 		}
-		path := filepath.Join(l.dir, segName(base))
-		if err := checkHeader(path, base); err != nil {
+		f, err := openSegment(filepath.Join(l.dir, segName(base)), base, &sr)
+		if err != nil {
 			return err
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+		segEnd := next // records this segment should hold, per its successor
+		if si+1 < len(bases) {
+			segEnd = bases[si+1]
 		}
 		err = func() error {
 			defer f.Close()
-			if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			idx := base
-			segEnd := next // records this segment should hold, per its successor
-			if si+1 < len(bases) {
-				segEnd = bases[si+1]
-			}
-			r := &countReader{r: f}
-			for idx < segEnd {
-				payload, ok, err := readRecord(r, buf)
-				if err != nil {
-					return err
-				}
+			for idx := base; idx < segEnd; idx++ {
+				payload, ok := sr.next()
 				if !ok {
 					if si == len(bases)-1 {
 						return nil // reparable tail; Open truncates it
 					}
 					return fmt.Errorf("wal: %s: record %d unreadable: %w", segName(base), idx, ErrCorrupt)
 				}
-				buf = payload[:0]
 				if idx >= from {
 					if err := fn(idx, payload); err != nil {
 						return err
 					}
 				}
-				idx++
 			}
 			return nil
 		}()

@@ -41,6 +41,13 @@ go test -race ./...
 echo "==> serve integration (race): loopback daemon and cluster end-to-end"
 go test -race -run 'TestServe|TestAarohid|TestCluster' ./internal/serve .
 
+# POST /ingest and a closed line connection mean "queued", not "journaled": a
+# test that snapshots or crashes on the strength of the former passes on an
+# idle machine and fails one run in N. Repeating the persistence tests at one
+# and two Ps makes that race fail here.
+echo "==> serve persistence and crash tests under contention (-count=3 -cpu 1,2)"
+go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/serve
+
 echo "==> bench gate self-test (comparison logic on canned numbers)"
 scripts/bench.sh -selftest
 
@@ -56,6 +63,7 @@ if [ "$FUZZTIME" != "0" ]; then
         ./internal/lexgen:FuzzScan
         ./internal/baselines:FuzzWildcardMatch
         ./internal/wal:FuzzWALDecode
+        ./internal/wal:FuzzSegmentReader
         ./internal/wal:FuzzAppendBatchDecode
         ./internal/wal:FuzzSnapshotDecode
         ./internal/registry:FuzzManifestDecode
