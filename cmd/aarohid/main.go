@@ -107,8 +107,12 @@ func main() {
 		log.Printf("aarohid: durability on: data-dir=%s fsync=%s snapshot-interval=%s", o.DataDir, o.Fsync, o.SnapshotInterval)
 	}
 	if st := srv.Status(); st.Model != nil {
-		log.Printf("aarohid: model registry active=%s (%d versions); POST /model, SIGHUP and -watch hot-swap",
-			st.Model.Active, st.Model.Versions)
+		vetted := "admitted before this boot"
+		if st.Model.VetSeconds > 0 {
+			vetted = fmt.Sprintf("%.3fs", st.Model.VetSeconds)
+		}
+		log.Printf("aarohid: model registry active=%s (%d versions; vet %s, compile %.3fs); POST /model, SIGHUP and -watch hot-swap",
+			st.Model.Active, st.Model.Versions, vetted, st.Model.CompileSeconds)
 	}
 
 	// Hot-reload sources: SIGHUP re-reads -chains/-templates on demand; -watch

@@ -407,11 +407,16 @@ func TestAarohidCrashDuringSwap(t *testing.T) {
 			chunk = min(1+rng.Intn(remaining/(kills-iter)+1), remaining)
 		}
 		swapsDone := make(chan struct{})
+		targets := []string{fpB, fpA, fpB}
+		// Drawn here: rng is not safe for use from the swap goroutine too.
+		var pauses [3]time.Duration
+		for i := range pauses {
+			pauses[i] = time.Duration(rng.Intn(20)) * time.Millisecond
+		}
 		go func() {
 			defer close(swapsDone)
 			cl := &http.Client{Timeout: 2 * time.Second}
-			targets := []string{fpB, fpA, fpB}
-			for _, fp := range targets {
+			for i, fp := range targets {
 				// Races the kill by design: errors and refused swaps are fine,
 				// the journal decides which activations became durable.
 				body := fmt.Sprintf(`{"fingerprint":%q}`, fp)
@@ -422,7 +427,7 @@ func TestAarohidCrashDuringSwap(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				time.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
+				time.Sleep(pauses[i])
 			}
 		}()
 		if chunk > 0 {

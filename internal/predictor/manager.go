@@ -2,7 +2,6 @@ package predictor
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -30,14 +29,13 @@ var ErrClosed = errors.New("predictor: manager closed")
 // goroutines concurrently with each other, with Stats, and with Close. After
 // Close, Process* calls return ErrClosed.
 type Manager struct {
+	// model is the compiled model every worker's predictor runs; its hex
+	// fingerprint is stamped onto every emitted Output so consumers can
+	// attribute predictions to a model version across hot-swaps.
+	model   *Model
 	workers []*managerWorker
 	results chan Output
 	wg      sync.WaitGroup
-
-	// fpHex is the hex form of the model fingerprint, stamped onto every
-	// emitted Output so consumers can attribute predictions to a model
-	// version across hot-swaps.
-	fpHex string
 
 	// accepted counts lines and events admitted by Process* (enqueued to a
 	// worker). After Results closes, Stats().LinesScanned reconciles with it
@@ -124,15 +122,26 @@ type batchBuilder struct {
 // noise of unbounded.
 const maxInflightBatches = 16
 
-// NewManager builds a concurrent predictor with the given worker count
-// (0 → GOMAXPROCS). Each worker holds an independent Predictor over the same
-// chains and inventory; results (predictions and observed failures) arrive
-// on Results.
+// NewManager compiles the model (Compile) and builds a concurrent predictor
+// over it with the given worker count (0 → GOMAXPROCS).
 func NewManager(chains []core.FailureChain, inventory []core.Template, opts Options, workers int) (*Manager, error) {
+	model, err := Compile(chains, inventory, opts)
+	if err != nil {
+		return nil, err
+	}
+	return model.NewManager(workers), nil
+}
+
+// NewManager builds a concurrent predictor over this model with the given
+// worker count (0 → GOMAXPROCS). Each worker holds its own per-node state
+// over the one shared model; results (predictions and observed failures)
+// arrive on Results.
+func (model *Model) NewManager(workers int) *Manager {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	m := &Manager{
+		model:   model,
 		results: make(chan Output, 256),
 		// Every in-flight batch pins a shell, and each concurrent submitter
 		// holds up to one per worker while it scatters: size the freelist
@@ -142,34 +151,32 @@ func NewManager(chains []core.FailureChain, inventory []core.Template, opts Opti
 		builderFree: make(chan *batchBuilder, 4),
 	}
 	for i := 0; i < workers; i++ {
-		p, err := New(chains, inventory, opts)
-		if err != nil {
-			return nil, fmt.Errorf("predictor: manager worker %d: %w", i, err)
-		}
 		w := &managerWorker{
 			in:    make(chan managerEvent, 512),
 			slots: make(chan struct{}, maxInflightBatches),
-			pred:  p,
+			pred:  model.NewPredictor(),
 		}
 		m.workers = append(m.workers, w)
 		m.wg.Add(1)
 		go m.run(w)
 	}
-	m.fpHex = fmt.Sprintf("%016x", m.workers[0].pred.fingerprint)
-	return m, nil
+	return m
 }
 
+// Model returns the compiled model every worker runs.
+func (m *Manager) Model() *Model { return m.model }
+
 // Fingerprint returns the model fingerprint (chains + inventory + options).
-func (m *Manager) Fingerprint() uint64 { return m.workers[0].pred.fingerprint }
+func (m *Manager) Fingerprint() uint64 { return m.model.fingerprint }
 
 // FingerprintHex returns the fingerprint in the canonical 16-hex-digit form
 // used by the model registry, /statusz and Output.Model.
-func (m *Manager) FingerprintHex() string { return m.fpHex }
+func (m *Manager) FingerprintHex() string { return m.model.fpHex }
 
 // RulesFingerprint returns the automaton fingerprint (rule phrase sequences +
 // factoring mode) — the key that decides whether parse stacks can migrate
 // into another model (see AdoptState).
-func (m *Manager) RulesFingerprint() uint64 { return m.workers[0].pred.rulesFingerprint }
+func (m *Manager) RulesFingerprint() uint64 { return m.model.rulesFingerprint }
 
 //aarohi:hotpath
 func (m *Manager) run(w *managerWorker) {
@@ -205,7 +212,7 @@ func (m *Manager) run(w *managerWorker) {
 		}
 		w.mu.Unlock()
 		if out.Prediction != nil || out.Failure != nil {
-			out.Model = m.fpHex
+			out.Model = m.model.fpHex
 			m.results <- out
 		}
 	}
@@ -233,7 +240,7 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch, outBuf []Output) []
 		e.tok.Phrase = id
 		out := w.pred.processToken(e.tok)
 		if out.Prediction != nil || out.Failure != nil {
-			out.Model = m.fpHex
+			out.Model = m.model.fpHex
 			outs = append(outs, out)
 		}
 	}

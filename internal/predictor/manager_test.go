@@ -78,6 +78,71 @@ func TestManagerMatchesSerialPredictor(t *testing.T) {
 	}
 }
 
+// TestManagersShareOneModel: managers built over one compiled model run it in
+// every worker, and their workers scan and parse concurrently over it — under
+// -race this checks the model really is read-only — each reaching exactly
+// the serial predictor's answer.
+func TestManagersShareOneModel(t *testing.T) {
+	log := genLog(t, 42, 12, 8)
+	model, err := Compile(log.Dialect.Chains(), log.Dialect.Inventory(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialPreds, serialFails := runLog(model.NewPredictor(), log)
+	var want []string
+	for _, pr := range serialPreds {
+		want = append(want, predKey(pr.Node, pr.ChainName, pr.MatchedAt))
+	}
+	sort.Strings(want)
+
+	lines := log.Lines()
+	managers := make([]*Manager, 3)
+	for i := range managers {
+		managers[i] = model.NewManager(2)
+		if managers[i].Model() != model {
+			t.Fatalf("manager %d runs another model", i)
+		}
+		for wi, w := range managers[i].workers {
+			if w.pred.model != model {
+				t.Fatalf("manager %d worker %d compiled its own model", i, wi)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for i, m := range managers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done := make(chan struct{})
+			var got []string
+			fails := 0
+			go func() {
+				defer close(done)
+				for out := range m.Results() {
+					if p := out.Prediction; p != nil {
+						got = append(got, predKey(p.Node, p.ChainName, p.MatchedAt))
+					}
+					if out.Failure != nil {
+						fails++
+					}
+				}
+			}()
+			for start := 0; start < len(lines); start += 64 {
+				if _, err := m.ProcessLineBatch(lines[start:min(start+64, len(lines))]); err != nil {
+					t.Errorf("manager %d: %v", i, err)
+				}
+			}
+			m.Close()
+			<-done
+			sort.Strings(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) || fails != len(serialFails) {
+				t.Errorf("manager %d: %d predictions, %d failures; serial %d, %d", i, len(got), fails, len(want), len(serialFails))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestManagerProcessLine(t *testing.T) {
 	log := genLog(t, 7, 6, 3)
 	m, err := NewManager(log.Dialect.Chains(), log.Dialect.Inventory(), Options{}, 4)

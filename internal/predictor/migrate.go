@@ -40,7 +40,7 @@ type MigrationReport struct {
 // events. The manager is unchanged on error.
 func (m *Manager) AdoptState(st State) (MigrationReport, error) {
 	rep := MigrationReport{Nodes: len(st.Drivers)}
-	own := m.workers[0].pred
+	own := m.model
 
 	switch {
 	case st.Fingerprint == own.fingerprint:

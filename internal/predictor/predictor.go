@@ -76,23 +76,37 @@ func (o Output) Ack() {
 	}
 }
 
-// Predictor is the cluster-wide online predictor.
-type Predictor struct {
+// Model is one compiled model: the translated rule set with its LALR tables,
+// the generated scanner, the terminal set and the model's identity. It is
+// immutable once Compile returns — drivers and scanners only read it — so
+// every Predictor and Manager worker built over one model version shares a
+// single Model instead of compiling its own (the paper's Fig. 2: one
+// generated scanner and parser, a cheap per-node instance of them).
+type Model struct {
 	rules    *core.RuleSet
 	scanner  *lexgen.Scanner
 	chains   []core.FailureChain // original chains, including terminals
 	terminal map[core.PhraseID]bool
 
-	drivers map[string]*parser.Driver
-
 	// fingerprint identifies the model (chains + inventory + options) so a
 	// snapshot taken under one model is never restored under another.
 	fingerprint uint64
+	fpHex       string
 	// rulesFingerprint identifies only the compiled parse automaton (the
 	// rule-chain phrase sequences and factoring mode). Two models with equal
 	// rulesFingerprint produce identical LALR tables, so parse stacks can
 	// migrate between them even when templates or timeouts differ.
 	rulesFingerprint uint64
+
+	// compileTime is how long Compile took, for boot-time attribution.
+	compileTime time.Duration
+}
+
+// Predictor is the cluster-wide online predictor: one compiled Model plus
+// the per-node parse drivers and counters of one stream.
+type Predictor struct {
+	model   *Model
+	drivers map[string]*parser.Driver
 
 	linesScanned int
 	tokens       int
@@ -100,10 +114,26 @@ type Predictor struct {
 }
 
 // New builds a predictor from Phase-1 chains and the system's template
+// inventory (Compile, then NewPredictor).
+func New(chains []core.FailureChain, inventory []core.Template, opts Options) (*Predictor, error) {
+	m, err := Compile(chains, inventory, opts)
+	if err != nil {
+		return nil, err
+	}
+	return m.NewPredictor(), nil
+}
+
+// NewPredictor returns a predictor with no per-node state over this model.
+func (m *Model) NewPredictor() *Predictor {
+	return &Predictor{model: m, drivers: map[string]*parser.Driver{}}
+}
+
+// Compile builds the model from Phase-1 chains and the system's template
 // inventory. Chains whose last phrase is a Failed-class template contribute
 // their precursor prefix as the parse rule; chains ending in a non-terminal
 // phrase are used whole.
-func New(chains []core.FailureChain, inventory []core.Template, opts Options) (*Predictor, error) {
+func Compile(chains []core.FailureChain, inventory []core.Template, opts Options) (*Model, error) {
+	began := time.Now()
 	if len(chains) == 0 {
 		return nil, fmt.Errorf("predictor: no failure chains")
 	}
@@ -182,14 +212,16 @@ func New(chains []core.FailureChain, inventory []core.Template, opts Options) (*
 		return nil, fmt.Errorf("predictor: building scanner: %w", err)
 	}
 
-	return &Predictor{
+	fp := modelFingerprint(chains, inventory, opts)
+	return &Model{
 		rules:            rs,
 		scanner:          scanner,
 		chains:           append([]core.FailureChain(nil), chains...),
 		terminal:         terminal,
-		drivers:          map[string]*parser.Driver{},
-		fingerprint:      modelFingerprint(chains, inventory, opts),
+		fingerprint:      fp,
+		fpHex:            fmt.Sprintf("%016x", fp),
 		rulesFingerprint: rulesFingerprint(ruleChains, opts),
+		compileTime:      time.Since(began),
 	}, nil
 }
 
@@ -201,15 +233,18 @@ func phraseKey(ps []core.PhraseID) string {
 	return string(b)
 }
 
+// CompileTime reports how long Compile took to build this model.
+func (m *Model) CompileTime() time.Duration { return m.compileTime }
+
 // RuleSet exposes the translated rules (for inspection and experiments).
-func (p *Predictor) RuleSet() *core.RuleSet { return p.rules }
+func (p *Predictor) RuleSet() *core.RuleSet { return p.model.rules }
 
 // Scanner exposes the generated scanner.
-func (p *Predictor) Scanner() *lexgen.Scanner { return p.scanner }
+func (p *Predictor) Scanner() *lexgen.Scanner { return p.model.scanner }
 
 // Chains returns the original Phase-1 chains (including terminal phrases).
 func (p *Predictor) Chains() []core.FailureChain {
-	return append([]core.FailureChain(nil), p.chains...)
+	return append([]core.FailureChain(nil), p.model.chains...)
 }
 
 // driver returns (creating if needed) the per-node parse driver. node is
@@ -220,7 +255,7 @@ func (p *Predictor) driver(node string) *parser.Driver {
 	d, ok := p.drivers[node]
 	if !ok {
 		node = strings.Clone(node)
-		d = parser.New(p.rules, node)
+		d = parser.New(p.model.rules, node)
 		p.drivers[node] = d
 	}
 	return d
@@ -229,7 +264,7 @@ func (p *Predictor) driver(node string) *parser.Driver {
 // ProcessLine scans one raw log line and advances the owning node's parse.
 func (p *Predictor) ProcessLine(line string) (Output, error) {
 	p.linesScanned++
-	tok, ok, err := p.scanner.ScanLine(line)
+	tok, ok, err := p.model.scanner.ScanLine(line)
 	if err != nil {
 		return Output{}, err
 	}
@@ -247,7 +282,7 @@ func (p *Predictor) ProcessLine(line string) (Output, error) {
 // discarded, mirroring the scanner's filter.
 func (p *Predictor) ProcessToken(tok core.Token) Output {
 	p.linesScanned++
-	if !p.rules.Relevant(tok.Phrase) && !p.terminal[tok.Phrase] {
+	if !p.model.rules.Relevant(tok.Phrase) && !p.model.terminal[tok.Phrase] {
 		p.discarded++
 		return Output{}
 	}
@@ -257,13 +292,13 @@ func (p *Predictor) ProcessToken(tok core.Token) Output {
 
 func (p *Predictor) processToken(tok core.Token) Output {
 	var out Output
-	if p.terminal[tok.Phrase] {
+	if p.model.terminal[tok.Phrase] {
 		// Outputs outlive the batch (hub buffers, the recovered list): the
 		// node is copied out of the ingest chunk it may be a substring of.
 		out.Failure = &ObservedFailure{Node: strings.Clone(tok.Node), Time: tok.Time, Phrase: tok.Phrase}
 		// Terminal phrases may also be rule phrases when KeepTerminal is
 		// set; feed them through in that case.
-		if !p.rules.Relevant(tok.Phrase) {
+		if !p.model.rules.Relevant(tok.Phrase) {
 			return out
 		}
 	}
@@ -324,7 +359,7 @@ func (p *Predictor) NodeStats() map[string]parser.Stats {
 	return out
 }
 
-// Reset clears every driver and counter (rules and scanner stay).
+// Reset clears every driver and counter (the model stays).
 func (p *Predictor) Reset() {
 	p.drivers = map[string]*parser.Driver{}
 	p.linesScanned, p.tokens, p.discarded = 0, 0, 0
@@ -337,16 +372,11 @@ func (p *Predictor) Reset() {
 // partial matches are abandoned (their chains may no longer exist) and all
 // counters keep accumulating. Not safe for concurrent use with Process*.
 func (p *Predictor) Update(chains []core.FailureChain, inventory []core.Template, opts Options) error {
-	fresh, err := New(chains, inventory, opts)
+	fresh, err := Compile(chains, inventory, opts)
 	if err != nil {
 		return err
 	}
-	p.rules = fresh.rules
-	p.scanner = fresh.scanner
-	p.chains = fresh.chains
-	p.terminal = fresh.terminal
-	p.fingerprint = fresh.fingerprint
-	p.rulesFingerprint = fresh.rulesFingerprint
+	p.model = fresh
 	p.drivers = map[string]*parser.Driver{}
 	return nil
 }

@@ -114,18 +114,26 @@ func ModelFingerprint(chains []core.FailureChain, inventory []core.Template, opt
 	return modelFingerprint(chains, inventory, opts)
 }
 
-// Fingerprint returns the model fingerprint (chains + inventory + options).
-func (p *Predictor) Fingerprint() uint64 { return p.fingerprint }
+// FingerprintHex returns the fingerprint in the canonical 16-hex-digit form
+// used by the model registry, /statusz and Output.Model.
+func (m *Model) FingerprintHex() string { return m.fpHex }
 
 // RulesFingerprint returns the automaton fingerprint (rule phrase sequences +
 // factoring mode).
-func (p *Predictor) RulesFingerprint() uint64 { return p.rulesFingerprint }
+func (m *Model) RulesFingerprint() uint64 { return m.rulesFingerprint }
+
+// Fingerprint returns the model fingerprint (chains + inventory + options).
+func (p *Predictor) Fingerprint() uint64 { return p.model.fingerprint }
+
+// RulesFingerprint returns the automaton fingerprint (rule phrase sequences +
+// factoring mode).
+func (p *Predictor) RulesFingerprint() uint64 { return p.model.rulesFingerprint }
 
 // Snapshot captures the predictor's complete mutable state.
 func (p *Predictor) Snapshot() State {
 	st := State{
-		Fingerprint:      p.fingerprint,
-		RulesFingerprint: p.rulesFingerprint,
+		Fingerprint:      p.model.fingerprint,
+		RulesFingerprint: p.model.rulesFingerprint,
 		LinesScanned:     p.linesScanned,
 		Tokens:           p.tokens,
 		Discarded:        p.discarded,
@@ -143,16 +151,16 @@ func (p *Predictor) Snapshot() State {
 // checked) and every driver stack is validated against the tables before
 // anything is committed — the predictor is unchanged on error.
 func (p *Predictor) Restore(st State) error {
-	if st.Fingerprint != p.fingerprint {
+	if st.Fingerprint != p.model.fingerprint {
 		return fmt.Errorf("predictor: snapshot fingerprint %016x does not match model %016x (different chains, templates or options)",
-			st.Fingerprint, p.fingerprint)
+			st.Fingerprint, p.model.fingerprint)
 	}
 	drivers := make(map[string]*parser.Driver, len(st.Drivers))
 	for _, ds := range st.Drivers {
 		if _, dup := drivers[ds.Node]; dup {
 			return fmt.Errorf("predictor: snapshot holds node %q twice", ds.Node)
 		}
-		d := parser.New(p.rules, ds.Node)
+		d := parser.New(p.model.rules, ds.Node)
 		if err := d.Restore(ds); err != nil {
 			return err
 		}
@@ -188,8 +196,8 @@ func (m *Manager) ExportState() (State, error) {
 		return State{}, err
 	}
 	merged := State{
-		Fingerprint:      m.workers[0].pred.fingerprint,
-		RulesFingerprint: m.workers[0].pred.rulesFingerprint,
+		Fingerprint:      m.model.fingerprint,
+		RulesFingerprint: m.model.rulesFingerprint,
 	}
 	for _, mw := range m.workers {
 		mw.mu.Lock()
@@ -272,24 +280,26 @@ func (m *Manager) ImportState(st State) error {
 	shards[0].Tokens = st.Tokens
 	shards[0].Discarded = st.Discarded
 
-	// Validate every shard against a throwaway restore before committing
-	// any worker, so a bad snapshot leaves the manager untouched.
-	for i, mw := range m.workers {
-		mw.mu.Lock()
-		fresh := *mw.pred
-		mw.mu.Unlock()
-		fresh.drivers = map[string]*parser.Driver{}
-		if err := fresh.Restore(shards[i]); err != nil {
+	// Restore every shard into a fresh predictor before committing any, so a
+	// bad snapshot leaves the manager untouched.
+	restored := make([]*Predictor, len(m.workers))
+	for i := range m.workers {
+		restored[i] = m.model.NewPredictor()
+		if err := restored[i].Restore(shards[i]); err != nil {
 			return err
 		}
 	}
-	for i, mw := range m.workers {
+	// Commit under every worker's lock at once: Stats, which takes them one
+	// at a time, then never adds worker 0's restored aggregate to another
+	// worker's live counters.
+	for _, mw := range m.workers {
 		mw.mu.Lock()
-		err := mw.pred.Restore(shards[i])
+	}
+	for i, mw := range m.workers {
+		mw.pred = restored[i]
+	}
+	for _, mw := range m.workers {
 		mw.mu.Unlock()
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

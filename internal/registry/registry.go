@@ -99,6 +99,11 @@ const (
 	manifestName    = "MANIFEST.json"
 	modelSuffix     = ".model.json"
 	historyCap      = 32
+	// compiledCap bounds the compiled forms the registry keeps, so its
+	// memory does not grow with the versions it stores. Four covers what one
+	// swap, shadow or rollback needs next, and the shards of one daemon
+	// replaying a journal tail that names up to four versions.
+	compiledCap = 4
 )
 
 // modelFile is the on-disk form of one version.
@@ -115,6 +120,20 @@ type Registry struct {
 	entries  map[string]Entry
 	models   map[string]*Model
 	manifest manifest
+
+	// compiled holds the compiled forms of the versions used last, least
+	// recently used first, at most compiledCap of them. A form that drops
+	// out stays alive as long as a manager runs it.
+	compiled []compiledForm
+	// vetTimes records how long admission vetted each version this process
+	// admitted (in memory only: the model files keep their bytes).
+	vetTimes map[string]time.Duration
+}
+
+// compiledForm is one compiled version, keyed by its registry fingerprint.
+type compiledForm struct {
+	fp    string
+	model *predictor.Model
 }
 
 // Open loads (creating if needed) the registry rooted at dir. An empty dir
@@ -125,6 +144,7 @@ func Open(dir string) (*Registry, error) {
 		entries:  map[string]Entry{},
 		models:   map[string]*Model{},
 		manifest: manifest{Version: manifestVersion},
+		vetTimes: map[string]time.Duration{},
 	}
 	if dir == "" {
 		return r, nil
@@ -252,16 +272,30 @@ func (r *Registry) saveManifest() error {
 // its entry immediately (vet already passed at first admission; the report is
 // nil on such cache hits). For new fingerprints the vet gate runs — error
 // severity findings reject the upload with ErrRejected and the report — then
-// the predictor is dry-built so only compilable models are stored.
+// the model is compiled so only compilable models are stored. The compiled
+// form is kept for the swap or shadow start that usually follows.
 func (r *Registry) Put(m Model, source string) (Entry, *vet.Report, error) {
+	return r.PutCompiled(m, nil, source)
+}
+
+// PutCompiled is Put for a caller that already compiled m: admission keeps
+// that form instead of compiling its own. compiled may be nil.
+func (r *Registry) PutCompiled(m Model, compiled *predictor.Model, source string) (Entry, *vet.Report, error) {
 	fp := m.Fingerprint()
+	if compiled != nil && compiled.FingerprintHex() != fp {
+		return Entry{}, nil, fmt.Errorf("registry: compiled model %s is not model %s", compiled.FingerprintHex(), fp)
+	}
 	r.mu.Lock()
 	if e, ok := r.entries[fp]; ok {
+		if compiled != nil {
+			r.keepLocked(fp, compiled)
+		}
 		r.mu.Unlock()
 		return e, nil, nil
 	}
 	r.mu.Unlock()
 
+	began := time.Now()
 	report, err := vet.Run(vet.Model{Chains: m.Chains, Templates: m.Templates}, vet.Config{
 		Timeout:          m.Options.Timeout,
 		DisableFactoring: m.Options.DisableFactoring,
@@ -269,14 +303,16 @@ func (r *Registry) Put(m Model, source string) (Entry, *vet.Report, error) {
 	if err != nil {
 		return Entry{}, nil, fmt.Errorf("registry: vetting model: %w", err)
 	}
+	vetTime := time.Since(began)
 	if n := report.Count(vet.Error); n > 0 {
 		return Entry{}, report, fmt.Errorf("%w: %d error finding(s)", ErrRejected, n)
 	}
-	// Dry-build: vet approval is necessary but not sufficient (e.g. a chain
-	// phrase missing from the inventory is a construction error).
-	pred, err := predictor.New(m.Chains, m.Templates, m.Options)
-	if err != nil {
-		return Entry{}, report, fmt.Errorf("registry: model does not compile: %w", err)
+	if compiled == nil {
+		// Vet approval is necessary but not sufficient (e.g. a chain phrase
+		// missing from the inventory is a construction error).
+		if compiled, err = predictor.Compile(m.Chains, m.Templates, m.Options); err != nil {
+			return Entry{}, report, fmt.Errorf("registry: model does not compile: %w", err)
+		}
 	}
 
 	r.mu.Lock()
@@ -287,7 +323,7 @@ func (r *Registry) Put(m Model, source string) (Entry, *vet.Report, error) {
 	}
 	e := Entry{
 		Fingerprint:      fp,
-		RulesFingerprint: FormatFingerprint(pred.RulesFingerprint()),
+		RulesFingerprint: FormatFingerprint(compiled.RulesFingerprint()),
 		Chains:           len(m.Chains),
 		Templates:        len(m.Templates),
 		CreatedAt:        time.Now().UTC(),
@@ -310,7 +346,78 @@ func (r *Registry) Put(m Model, source string) (Entry, *vet.Report, error) {
 	}
 	r.entries[fp] = e
 	r.models[fp] = &stored
+	r.vetTimes[fp] = vetTime
+	r.keepLocked(fp, compiled)
 	return e, report, nil
+}
+
+// Compiled returns the compiled form of a stored version, compiling it only
+// when the registry does not hold it already — so the shards of a swap, a
+// shadow start, a rollback or a replayed epoch record all share one form.
+func (r *Registry) Compiled(fp string) (*predictor.Model, error) {
+	r.mu.Lock()
+	if c := r.cachedLocked(fp); c != nil {
+		r.mu.Unlock()
+		return c, nil
+	}
+	m, ok := r.models[fp]
+	r.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, fp)
+	}
+	c, err := predictor.Compile(m.Chains, m.Templates, m.Options)
+	if err != nil {
+		return nil, fmt.Errorf("registry: model %s does not compile: %w", fp, err)
+	}
+	if got := c.FingerprintHex(); got != fp {
+		return nil, fmt.Errorf("registry: stored model %s compiles to fingerprint %s", fp, got)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prior := r.cachedLocked(fp); prior != nil {
+		return prior, nil // compiled concurrently; keep one form per version
+	}
+	r.keepLocked(fp, c)
+	return c, nil
+}
+
+// cachedLocked returns fp's compiled form, marking it most recently used, or
+// nil (caller holds r.mu).
+func (r *Registry) cachedLocked(fp string) *predictor.Model {
+	for i, cf := range r.compiled {
+		if cf.fp == fp {
+			copy(r.compiled[i:], r.compiled[i+1:])
+			r.compiled[len(r.compiled)-1] = cf
+			return cf.model
+		}
+	}
+	return nil
+}
+
+// keepLocked stores m as fp's compiled form, most recently used, dropping
+// the least recently used past compiledCap (caller holds r.mu).
+func (r *Registry) keepLocked(fp string, m *predictor.Model) {
+	kept := r.compiled[:0]
+	for _, cf := range r.compiled {
+		if cf.fp != fp {
+			kept = append(kept, cf)
+		}
+	}
+	kept = append(kept, compiledForm{fp: fp, model: m})
+	if len(kept) > compiledCap {
+		n := copy(kept, kept[len(kept)-compiledCap:])
+		clear(kept[n:])
+		kept = kept[:n]
+	}
+	r.compiled = kept
+}
+
+// VetTime reports how long admission vetted fp, or 0 when this process did
+// not vet it (a version admitted before the last restart).
+func (r *Registry) VetTime(fp string) time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.vetTimes[fp]
 }
 
 // Get returns the stored model and entry for a fingerprint.

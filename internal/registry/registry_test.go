@@ -174,3 +174,64 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("post-reopen rollback went to %s, want %s", fp, ea.Fingerprint)
 	}
 }
+
+// TestCompiledFormsBounded: admission keeps the form it compiled, Compiled
+// hands the same form to every caller while the registry holds it, and the
+// registry holds at most compiledCap forms however many versions it stores.
+func TestCompiledFormsBounded(t *testing.T) {
+	r, err := Open(filepath.Join(t.TempDir(), "models"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []string
+	for i := 0; i < compiledCap+3; i++ {
+		e, _, err := r.Put(xc30Model(time.Duration(i+1)*time.Minute), "upload")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, e.Fingerprint)
+		if len(r.compiled) > compiledCap {
+			t.Fatalf("after %d versions the registry holds %d compiled forms, cap %d", i+1, len(r.compiled), compiledCap)
+		}
+		if r.VetTime(e.Fingerprint) <= 0 {
+			t.Errorf("version %d: admission vet time not recorded", i)
+		}
+	}
+	last := fps[len(fps)-1]
+	a, err := r.Compiled(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := r.Compiled(last); a != b {
+		t.Fatal("Compiled recompiled a version the registry holds")
+	}
+	// The oldest version was dropped: asking for it compiles it again, and
+	// the set stays within the cap.
+	old, err := r.Compiled(fps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.FingerprintHex() != fps[0] || len(r.compiled) != compiledCap {
+		t.Fatalf("recompiled %s with %d forms held", old.FingerprintHex(), len(r.compiled))
+	}
+	if _, err := r.Compiled("0000000000000000"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Compiled(unknown) = %v, want ErrNotFound", err)
+	}
+
+	// A caller that already compiled a version hands its form to admission.
+	m := xc30Model(time.Hour)
+	own, err := predictor.Compile(m.Chains, m.Templates, m.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := r.PutCompiled(m, own, "boot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Compiled(e.Fingerprint); got != own {
+		t.Error("PutCompiled did not keep the caller's compiled form")
+	}
+	if _, _, err := r.PutCompiled(xc30Model(2*time.Hour), own, "boot"); err == nil {
+		t.Error("PutCompiled accepted a compiled form of another model")
+	}
+}

@@ -20,6 +20,10 @@ type dfaState struct {
 // dfa is a deterministic automaton over bytes.
 type dfa struct {
 	states []dfaState
+	// reps holds one byte per input class of the NFA the automaton was built
+	// from (see nfa.byteReps): bytes of one class take the same transition
+	// out of every state, so a pass over reps sees every distinct column.
+	reps []byte
 }
 
 // buildDFA determinizes n via subset construction.
@@ -33,7 +37,7 @@ func buildDFA(n *nfa) *dfa {
 	startSet := n.closure([]int{n.start}, mark, gen)
 	gen++
 
-	d := &dfa{}
+	d := &dfa{reps: n.byteReps()}
 	index := map[string]int32{}
 
 	var intern func(set []int) int32

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzCompileAndMatch feeds arbitrary pattern/input pairs: Compile must
-// either fail cleanly or produce a matcher that never panics and whose
-// minimized/packed forms agree with the original.
+// either fail cleanly or produce a matcher that never panics, whose minimized
+// tables equal the 256-column oracle's, and whose minimized/packed forms agree
+// with the original.
 func FuzzCompileAndMatch(f *testing.F) {
 	seeds := []struct{ pattern, input string }{
 		{"abc", "abc"},
@@ -37,6 +38,9 @@ func FuzzCompileAndMatch(f *testing.F) {
 		set, err := CompileSet([]string{pattern})
 		if err != nil {
 			t.Fatalf("CompileSet failed where Compile succeeded: %v", err)
+		}
+		if err := checkMinimizeOracle(set.d); err != nil {
+			t.Fatalf("pattern %q: %v", pattern, err)
 		}
 		set.Minimize()
 		set.Pack()

@@ -28,14 +28,17 @@ func (d *dfa) minimize() *dfa {
 	numClasses := len(classOf)
 
 	// Refine until stable. The dead state (-1) is its own implicit class.
-	sigBuf := make([]byte, 0, (256+1)*4)
+	// Signatures read one column per input class: the other bytes of a class
+	// repeat its column, so they cannot split a partition it does not.
+	sigBuf := make([]byte, 0, (len(d.reps)+1)*4)
 	for {
 		index := map[string]int32{}
 		next := make([]int32, n)
-		for i, st := range d.states {
+		for i := range d.states {
+			st := &d.states[i] // by pointer: a state is a 1 KiB table
 			sigBuf = sigBuf[:0]
 			sigBuf = appendInt32(sigBuf, part[i])
-			for b := 0; b < 256; b++ {
+			for _, b := range d.reps {
 				t := st.next[b]
 				cls := int32(-1)
 				if t != noMatch {
@@ -74,7 +77,7 @@ func (d *dfa) minimize() *dfa {
 		}
 	}
 
-	out := &dfa{states: make([]dfaState, numClasses)}
+	out := &dfa{states: make([]dfaState, numClasses), reps: d.reps}
 	built := make([]bool, numClasses)
 	for i, st := range d.states {
 		cls := remap[part[i]]

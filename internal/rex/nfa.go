@@ -111,6 +111,50 @@ func buildNFA(asts []*node) *nfa {
 	return &nfa{states: b.states, start: start}
 }
 
+// byteReps partitions the byte alphabet into the classes no transition of n
+// tells apart — two bytes share a class when every state's byte class holds
+// both or neither — and returns the smallest byte of each class, ascending.
+// Subset construction moves on a byte only by which state classes hold it, so
+// all bytes of one class have identical DFA columns.
+func (n *nfa) byteReps() []byte {
+	var id [256]int32 // class of each byte; all start in class 0
+	classes := int32(1)
+	seen := map[class]bool{}
+	for i := range n.states {
+		st := &n.states[i]
+		if st.out < 0 || seen[st.cls] {
+			continue
+		}
+		seen[st.cls] = true
+		// Split every class by membership in st.cls.
+		split := make([][2]int32, classes)
+		for j := range split {
+			split[j] = [2]int32{-1, -1}
+		}
+		next := int32(0)
+		for b := 0; b < 256; b++ {
+			in := 0
+			if st.cls.has(byte(b)) {
+				in = 1
+			}
+			k := &split[id[b]][in]
+			if *k < 0 {
+				*k = next
+				next++
+			}
+			id[b] = *k
+		}
+		classes = next
+	}
+	reps := make([]byte, 0, classes)
+	for b := 0; b < 256; b++ {
+		if id[b] == int32(len(reps)) {
+			reps = append(reps, byte(b))
+		}
+	}
+	return reps
+}
+
 // closure expands set (a sorted list of state IDs) with everything reachable
 // by ε-transitions, returning a sorted, deduplicated list. mark is scratch
 // space of length len(states), holding generation tags to avoid reallocation.

@@ -26,8 +26,8 @@ func (d *dfa) pack() *packedDFA {
 	sig := make([]byte, n*4)
 	var reps []byte // representative byte per class
 	for b := 0; b < 256; b++ {
-		for i, st := range d.states {
-			v := st.next[b]
+		for i := range d.states {
+			v := d.states[i].next[b] // not a by-value range: a state is a 1 KiB table
 			sig[i*4] = byte(v)
 			sig[i*4+1] = byte(v >> 8)
 			sig[i*4+2] = byte(v >> 16)

@@ -164,8 +164,8 @@ func arbiterFingerprint(t *testing.T, s *Server) string {
 	return string(alerts) + "\n" + string(st)
 }
 
-// referenceArbiterRun processes all lines in one uninterrupted server and
-// returns its final arbiter fingerprint plus the output counts the
+// referenceArbiterRun processes all lines in order in one uninterrupted
+// server and returns its final arbiter fingerprint plus the output counts the
 // interrupted run must converge to.
 func referenceArbiterRun(t *testing.T, lines []string) (fp string, preds, fails uint64) {
 	s := newPersistentServer(t, Config{
@@ -173,20 +173,25 @@ func referenceArbiterRun(t *testing.T, lines []string) (fp string, preds, fails 
 		Arbiter:  arbiterTestConfig(),
 	})
 	defer shutdownServer(t, s)
-	ingestAll(t, s, lines)
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st := s.Status().Arbiter
-		if st != nil && st.Heartbeats == uint64(len(lines)) {
-			// Counters can trail the pump through the fan-out; settle.
-			time.Sleep(50 * time.Millisecond)
-			st = s.Status().Arbiter
-			return arbiterFingerprint(t, s), st.Predictions, st.Failures
+	ingestInOrder(t, s, lines)
+	st := s.Status().Arbiter
+	return arbiterFingerprint(t, s), st.Predictions, st.Failures
+}
+
+// ingestInOrder feeds lines in slices of arbiter.ReorderWindow, and after
+// each waits until the slice's heartbeats, predictions and failures have all
+// reached the arbiter — the in-order delivery boot replay gives. Live
+// ingestion otherwise lets heartbeats run ahead of outputs by an unbounded
+// amount, and then two runs over the same lines need not book a chain alike.
+func ingestInOrder(t *testing.T, s *Server, lines []string) {
+	t.Helper()
+	for len(lines) > 0 {
+		n := min(len(lines), arbiter.ReorderWindow)
+		ingestAll(t, s, lines[:n])
+		if err := s.flushAll(); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reference run stuck: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+		lines = lines[n:]
 	}
 }
 
@@ -219,8 +224,7 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 
 			s1 := newPersistentServer(t, cfg)
 			s1.testSkipFinalSnapshot = true // emulate SIGKILL
-			ingestAll(t, s1, lines[:half])
-			waitHeartbeats(t, s1, uint64(half))
+			ingestInOrder(t, s1, lines[:half])
 			if cfg.SnapshotInterval > 0 {
 				// Snapshot while the arbiter holds live phi windows and
 				// pending chain evidence, then keep streaming a little so
@@ -228,9 +232,7 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 				if err := s1.snapshot(); err != nil {
 					t.Fatal(err)
 				}
-				extra := lines[half : half+half/2]
-				ingestAll(t, s1, extra)
-				waitHeartbeats(t, s1, uint64(half+len(extra)))
+				ingestInOrder(t, s1, lines[half:half+half/2])
 			}
 			shutdownServer(t, s1)
 
@@ -243,7 +245,7 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 			if cfg.SnapshotInterval > 0 {
 				rest = lines[half+half/2:]
 			}
-			ingestAll(t, s2, rest)
+			ingestInOrder(t, s2, rest)
 
 			deadline := time.Now().Add(15 * time.Second)
 			for {
@@ -261,19 +263,5 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 				t.Fatalf("post-recovery arbiter state diverges from the uninterrupted run:\n got  %s\n want %s", got, wantFP)
 			}
 		})
-	}
-}
-
-func waitHeartbeats(t *testing.T, s *Server, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if st := s.Status().Arbiter; st != nil && st.Heartbeats >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("heartbeats never reached %d: %+v", n, s.Status().Arbiter)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/gossip"
 	"repro/internal/gossip/ship"
-	"repro/internal/predictor"
 	"repro/internal/ring"
 	"repro/internal/serve/shard"
 	"repro/internal/serve/transport"
@@ -347,12 +346,7 @@ func (c *cluster) takeover(m gossip.Member) {
 	s := c.s
 	shards := make([]*shard.Local, 0, n)
 	for i := 0; i < n; i++ {
-		mgr, err := predictor.NewManager(s.cfg.Model.Chains, s.cfg.Model.Templates, s.cfg.Model.Options, s.cfg.Workers)
-		if err != nil {
-			s.cfg.Logf("serve: takeover %s shard %d: building manager: %v", m.Name, i, err)
-			continue
-		}
-		sh := shard.New(mgr, shard.Config{
+		sh := shard.New(s.bootModel.NewManager(s.cfg.Workers), shard.Config{
 			Index:          i,
 			Dir:            c.recv.Dir(m.Name, i),
 			Fsync:          s.cfg.Fsync,

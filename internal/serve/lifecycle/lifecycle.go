@@ -32,6 +32,11 @@ type ModelStatus struct {
 	Versions         int               `json:"versions"`
 	Swaps            int64             `json:"swaps"`
 	LastSwap         *shard.SwapReport `json:"last_swap,omitempty"`
+	// VetSeconds and CompileSeconds say where the active version's boot
+	// time went: its admission vet (absent when this process did not vet
+	// it) and its one compile, shared by every shard and worker.
+	VetSeconds     float64 `json:"vet_seconds,omitempty"`
+	CompileSeconds float64 `json:"compile_seconds,omitempty"`
 }
 
 // ShadowStatus is the /statusz shadow block: the candidate model's identity
@@ -87,7 +92,7 @@ type Group struct {
 	// Shadow identity, guarded by swapMu. The per-shard shadow managers live
 	// in the shards; the shared tracker pairs predictions across all of them.
 	shadowFP      string
-	shadowEntry   registry.Entry
+	shadowRules   string
 	shadowSince   time.Time
 	shadowCarried bool
 	shadowTracker *shard.Tracker
@@ -117,17 +122,20 @@ func (g *Group) OpenRegistry(model *registry.Model, dataDir string) error {
 	if dataDir != "" {
 		dir = filepath.Join(dataDir, "models")
 	}
+	boot := g.shards[0].Manager().Model()
+	if fp := model.Fingerprint(); fp != boot.FingerprintHex() {
+		return fmt.Errorf("serve: Config.Model fingerprint %s does not match the Manager passed to New (%s)",
+			fp, boot.FingerprintHex())
+	}
 	reg, err := registry.Open(dir)
 	if err != nil {
 		return err
 	}
-	entry, _, err := reg.Put(*model, "boot")
+	// Admission keeps the boot manager's compiled form rather than compiling
+	// the same model again.
+	entry, _, err := reg.PutCompiled(*model, boot, "boot")
 	if err != nil {
 		return fmt.Errorf("serve: admitting boot model: %w", err)
-	}
-	if fp := g.shards[0].Manager().FingerprintHex(); entry.Fingerprint != fp {
-		return fmt.Errorf("serve: Config.Model fingerprint %s does not match the Manager passed to New (%s)",
-			entry.Fingerprint, fp)
 	}
 	if reg.Active() == "" {
 		if err := reg.Activate(entry.Fingerprint); err != nil {
@@ -152,7 +160,8 @@ func (g *Group) Boot() error {
 	if g.reg == nil {
 		return nil
 	}
-	cur := g.shards[0].Manager().FingerprintHex()
+	model := g.shards[0].Manager().Model()
+	cur := model.FingerprintHex()
 	if g.reg.Active() != cur {
 		g.cfg.Logf("serve: manifest names %s but the journal ends under %s; reconciling", g.reg.Active(), cur)
 		if err := g.reg.Activate(cur); err != nil {
@@ -167,11 +176,7 @@ func (g *Group) Boot() error {
 		// The crash hit between per-shard swaps: finish the interrupted swap
 		// on this shard (its journal gains the epoch record it missed).
 		g.cfg.Logf("serve: shard %d journal ends under %s, aligning to %s", sh.Index(), fp, cur)
-		model, _, err := g.reg.Get(cur)
-		if err != nil {
-			return fmt.Errorf("serve: aligning shard %d to %s: %w", sh.Index(), cur, err)
-		}
-		if _, err := sh.SwapModel(*model, cur); err != nil {
+		if _, err := sh.SwapModel(model); err != nil {
 			return fmt.Errorf("serve: aligning shard %d to %s: %w", sh.Index(), cur, err)
 		}
 	}
@@ -297,13 +302,13 @@ func (g *Group) swapLocked(fp, trigger string, commit func() error) (*shard.Swap
 		return g.promoteLocked(fp, commit)
 	}
 
-	model, _, err := g.reg.Get(fp)
+	model, err := g.reg.Compiled(fp)
 	if err != nil {
 		return nil, err
 	}
 	agg := &shard.SwapReport{From: active, To: fp, Trigger: trigger, StateCarried: true}
 	for i, sh := range g.shards {
-		rep, err := sh.SwapModel(*model, fp)
+		rep, err := sh.SwapModel(model)
 		if err != nil {
 			if i > 0 {
 				// Earlier shards already swapped and journaled their epochs;
@@ -344,7 +349,7 @@ func (g *Group) promoteLocked(fp string, commit func() error) (*shard.SwapReport
 	if err := commit(); err != nil {
 		g.cfg.Logf("serve: persisting promotion of %s: %v (journal epoch is authoritative)", fp, err)
 	}
-	g.shadowFP, g.shadowEntry, g.shadowTracker = "", registry.Entry{}, nil
+	g.shadowFP, g.shadowRules, g.shadowTracker = "", "", nil
 	g.finishSwap(agg)
 	return agg, nil
 }
@@ -388,14 +393,14 @@ func (g *Group) StartShadow(fp string) (*ShadowStatus, error) {
 	if fp == g.shards[0].Manager().FingerprintHex() {
 		return nil, fmt.Errorf("serve: %s is already the active model", fp)
 	}
-	model, entry, err := g.reg.Get(fp)
+	model, err := g.reg.Compiled(fp)
 	if err != nil {
 		return nil, err
 	}
 	tr := shard.NewTracker()
 	carried := true
 	for i, sh := range g.shards {
-		c, err := sh.StartShadow(*model, fp, tr)
+		c, err := sh.StartShadow(model, tr)
 		if err != nil {
 			for _, started := range g.shards[:i] {
 				if serr := started.StopShadow(nil); serr != nil {
@@ -406,7 +411,7 @@ func (g *Group) StartShadow(fp string) (*ShadowStatus, error) {
 		}
 		carried = carried && c
 	}
-	g.shadowFP, g.shadowEntry, g.shadowSince = fp, entry, time.Now()
+	g.shadowFP, g.shadowRules, g.shadowSince = fp, registry.FormatFingerprint(model.RulesFingerprint()), time.Now()
 	g.shadowCarried, g.shadowTracker = carried, tr
 	st := g.shadowStatusLocked()
 	g.cfg.Logf("serve: shadow %s started (state carried: %v)", fp, carried)
@@ -434,7 +439,7 @@ func (g *Group) StopShadow() (*ShadowStatus, error) {
 	st := g.shadowStatusLocked()
 	st.Manager = mstats
 	g.cfg.Logf("serve: shadow %s stopped", g.shadowFP)
-	g.shadowFP, g.shadowEntry, g.shadowTracker = "", registry.Entry{}, nil
+	g.shadowFP, g.shadowRules, g.shadowTracker = "", "", nil
 	return st, nil
 }
 
@@ -455,7 +460,7 @@ func (g *Group) shadowStatusLocked() *ShadowStatus {
 	p, s, a, pp, ps := g.shadowTracker.Counts()
 	st := &ShadowStatus{
 		Fingerprint:        g.shadowFP,
-		RulesFingerprint:   g.shadowEntry.RulesFingerprint,
+		RulesFingerprint:   g.shadowRules,
 		StateCarried:       g.shadowCarried,
 		SinceSeconds:       time.Since(g.shadowSince).Seconds(),
 		PrimaryPredictions: p,
@@ -477,14 +482,16 @@ func (g *Group) ModelStatus() *ModelStatus {
 	if g.reg == nil {
 		return nil
 	}
-	mgr := g.shards[0].Manager()
+	model := g.shards[0].Manager().Model()
 	return &ModelStatus{
-		Active:           mgr.FingerprintHex(),
-		RulesFingerprint: registry.FormatFingerprint(mgr.RulesFingerprint()),
+		Active:           model.FingerprintHex(),
+		RulesFingerprint: registry.FormatFingerprint(model.RulesFingerprint()),
 		Base:             g.reg.Base(),
 		Versions:         len(g.reg.List()),
 		Swaps:            g.swaps.Load(),
 		LastSwap:         g.lastSwap.Load(),
+		VetSeconds:       g.reg.VetTime(model.FingerprintHex()).Seconds(),
+		CompileSeconds:   model.CompileTime().Seconds(),
 	}
 }
 

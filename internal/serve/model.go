@@ -20,7 +20,8 @@ import (
 // dir) and the server exposes upload / activate / rollback / shadow over the
 // admin HTTP API. Activation is a zero-loss hot-swap across every shard:
 //
-//  1. The new Manager is built cold, off the ingest path.
+//  1. The new Managers are built cold, off the ingest path, over the
+//     version's one compiled form (registry.Compiled), shared by every shard.
 //  2. Each shard's submitter is paused at a batch boundary (its snapMu) — the
 //     queue keeps buffering under the configured overflow policy, so in
 //     Block mode no accepted line is ever lost.

@@ -476,3 +476,86 @@ func TestModelEpochRecovery(t *testing.T) {
 		t.Fatalf("manifest base %s, want %s", base, fpA)
 	}
 }
+
+// TestModelCompiledOncePerVersion: every shard's managers run one compiled
+// form per model version — the boot compile, the registry's admission, a
+// hot-swap, a shadow start, a replayed epoch record and a rollback all hand
+// the same pointer to every shard instead of compiling per shard × worker.
+func TestModelCompiledOncePerVersion(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Overflow: Block, DataDir: dir, Shards: 2}
+	s := newModelTestServer(t, cfg)
+	compiled := func(s *Server, fp string) *predictor.Model {
+		t.Helper()
+		m, err := s.Registry().Compiled(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	onModel := func(s *Server, want *predictor.Model, what string) {
+		t.Helper()
+		for i, sh := range s.shards {
+			if got := sh.Manager().Model(); got != want {
+				t.Fatalf("%s: shard %d runs compiled model %p, want the shared %p", what, i, got, want)
+			}
+		}
+	}
+	upload := func(s *Server, up ModelUpload) string {
+		t.Helper()
+		code, body := postJSON(t, s.httpBase()+"/model", up)
+		if code != http.StatusCreated {
+			t.Fatalf("POST /model = %d: %s", code, body)
+		}
+		var res ModelUploadResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res.Model.Fingerprint
+	}
+
+	boot := s.manager().Model()
+	fpA := boot.FingerprintHex()
+	onModel(s, boot, "boot")
+	if compiled(s, fpA) != boot {
+		t.Fatal("registry admitted the boot model with a compile of its own")
+	}
+
+	lines := genTestLog(t, 9, 2).Lines()
+	k := len(lines) / 2
+	ingestAll(t, s, lines[:k])
+	up := variantModel()
+	up.Activate = true
+	fpB := upload(s, up)
+	onModel(s, compiled(s, fpB), "hot-swap")
+
+	up = prunedModel()
+	up.Shadow = true
+	fpC := upload(s, up)
+	for i, sh := range s.shards {
+		if got := sh.ShadowManager().Model(); got != compiled(s, fpC) {
+			t.Fatalf("shadow: shard %d runs compiled model %p, want the shared %p", i, got, compiled(s, fpC))
+		}
+	}
+	ingestAll(t, s, lines[k:])
+
+	// Crash: each shard's journal replays the epoch record into version B.
+	s.testSkipFinalSnapshot = true
+	shutdownServer(t, s)
+	s2 := newModelTestServer(t, cfg)
+	for i, sh := range s2.shards {
+		if rec := sh.Recovery(); rec == nil || rec.ReplayedSwaps != 1 {
+			t.Fatalf("shard %d recovery %+v, want 1 replayed swap", i, rec)
+		}
+	}
+	onModel(s2, compiled(s2, fpB), "replayed epoch")
+
+	sw, err := s2.RollbackModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.To != fpA {
+		t.Fatalf("rolled back to %s, want %s", sw.To, fpA)
+	}
+	onModel(s2, s2.bootModel, "rollback to the boot version")
+}

@@ -118,8 +118,10 @@ type Config struct {
 	// Shards is the number of local prediction shards (default 1). Each
 	// shard owns a private Manager, journal and arbiter; lines route to
 	// shards by consistent-hashing the node ID, so one node's lines always
-	// land on the same shard in order. Shards > 1 requires Model (the extra
-	// shard managers are built from it).
+	// land on the same shard in order. Every shard runs the compiled model
+	// of the Manager passed to New. Shards > 1 requires Model: boot aligns
+	// shards whose journals ended under different versions through the
+	// model registry.
 	Shards int
 
 	// DataDir enables durability: a write-ahead journal of every accepted
@@ -144,8 +146,8 @@ type Config struct {
 	// admitted model versions (persisted under DataDir/models when DataDir is
 	// set), hot-swap activation, rollback and shadow evaluation over the
 	// admin HTTP API. It must describe the same model the Manager passed to
-	// New was built from — the server re-builds managers from it on swap and
-	// recovery.
+	// New was built from — the registry admits it as the boot version with
+	// that Manager's compiled form.
 	Model *registry.Model
 	// Workers is the predictor worker count used when the server builds a
 	// replacement Manager during a hot-swap (0 = GOMAXPROCS). It should match
@@ -214,7 +216,7 @@ func (c Config) withDefaults() Config {
 // time with the same messages.
 func (c Config) Validate() error {
 	if c.Shards > 1 && c.Model == nil {
-		return fmt.Errorf("serve: Shards = %d requires Model (shard managers are built from it)", c.Shards)
+		return fmt.Errorf("serve: Shards = %d requires Model (boot aligns the shards' model versions through the registry)", c.Shards)
 	}
 	if c.Overflow != "" && c.Overflow != Block && c.Overflow != Shed {
 		return fmt.Errorf("serve: Overflow must be %q or %q, got %q", Block, Shed, c.Overflow)
@@ -234,7 +236,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("serve: Cluster requires exactly one of GossipAddr (live membership) or Static (fixed table)")
 		}
 		if gossipMode && c.Model == nil {
-			return fmt.Errorf("serve: Cluster with gossip requires Model (takeover rebuilds shard managers from it)")
+			return fmt.Errorf("serve: Cluster with gossip requires Model (takeover resolves the dead peer's model versions through the registry)")
 		}
 	}
 	return nil
@@ -333,6 +335,10 @@ type Server struct {
 	// (nil when Config.Arbiter is unset).
 	arb *arbiter.Arbiter
 
+	// bootModel is the compiled model of the Manager passed to New; extra
+	// shards and adopted cluster shards start on it.
+	bootModel *predictor.Model
+
 	// cluster is the peer plane (nil when Config.Cluster is unset).
 	cluster *cluster
 
@@ -355,8 +361,9 @@ type Server struct {
 func New(m *predictor.Manager, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg: cfg,
-		hub: newHub(),
+		cfg:       cfg,
+		hub:       newHub(),
+		bootModel: m.Model(),
 	}
 	s.shards = []*shard.Local{shard.New(m, s.shardConfig(0))}
 	s.arb = s.shards[0].Arbiter()
@@ -405,17 +412,10 @@ func (s *Server) Start() error {
 		s.manager().Close()
 		return err
 	}
-	// Extra shard managers are built from the model before anything spins up
-	// (no goroutines yet to unwind on error).
+	// Extra shards run the boot manager's compiled model: boot compiles it
+	// once, whatever the shard and worker counts.
 	for i := 1; i < s.cfg.Shards; i++ {
-		m, err := predictor.NewManager(s.cfg.Model.Chains, s.cfg.Model.Templates, s.cfg.Model.Options, s.cfg.Workers)
-		if err != nil {
-			for _, sh := range s.shards {
-				sh.Manager().Close()
-			}
-			return fmt.Errorf("serve: building shard %d manager: %w", i, err)
-		}
-		s.shards = append(s.shards, shard.New(m, s.shardConfig(i)))
+		s.shards = append(s.shards, shard.New(s.bootModel.NewManager(s.cfg.Workers), s.shardConfig(i)))
 	}
 	s.group = lifecycle.NewGroup(s.shards, lifecycle.Config{
 		SnapshotInterval: s.cfg.SnapshotInterval,

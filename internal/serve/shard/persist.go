@@ -293,14 +293,11 @@ func (c *replayChunk) submit(m *predictor.Manager) (parseErrs int, err error) {
 // listeners are closed, no submitter is running, and the fan-out hands over
 // generationally when the old manager closes.
 func (l *Local) bootSwitchModel(fp string) error {
-	model, _, err := l.registry.Get(fp)
+	model, err := l.registry.Compiled(fp)
 	if err != nil {
 		return err
 	}
-	next, err := predictor.NewManager(model.Chains, model.Templates, model.Options, l.cfg.Workers)
-	if err != nil {
-		return fmt.Errorf("building model %s: %w", fp, err)
-	}
+	next := model.NewManager(l.cfg.Workers)
 	l.attachArbiter(next)
 	old := l.Manager()
 	l.setManager(next)
@@ -316,14 +313,11 @@ func (l *Local) replaySwap(fp string) error {
 	if fp == old.FingerprintHex() {
 		return nil
 	}
-	model, _, err := l.registry.Get(fp)
+	model, err := l.registry.Compiled(fp)
 	if err != nil {
 		return err
 	}
-	next, err := predictor.NewManager(model.Chains, model.Templates, model.Options, l.cfg.Workers)
-	if err != nil {
-		return fmt.Errorf("building model %s: %w", fp, err)
-	}
+	next := model.NewManager(l.cfg.Workers)
 	// The fan-out is consuming (recovery mode), so the barrier completes.
 	if err := old.Flush(); err != nil {
 		next.Close()

@@ -37,9 +37,9 @@ type Shard interface {
 	// Snapshot checkpoints parse + arbiter state at the journal tip and
 	// truncates segments the checkpoint made redundant.
 	Snapshot() error
-	// SwapModel hot-swaps to an already-built model (zero-loss; the shard
+	// SwapModel hot-swaps to an already-compiled model (zero-loss; the shard
 	// pauses at a batch boundary).
-	SwapModel(model registry.Model, fp string) (*SwapReport, error)
+	SwapModel(model *predictor.Model) (*SwapReport, error)
 	// Stats reports the shard's live counters.
 	Stats() Stats
 	// Close releases everything after FinishIngest: discards a running

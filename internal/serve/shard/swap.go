@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"repro/internal/predictor"
-	"repro/internal/registry"
 )
 
 // Model hot-swap, per shard. Activation is a zero-loss swap:
 //
-//  1. The new Manager is built cold, off the ingest path.
+//  1. The new Manager is built cold, off the ingest path, over the compiled
+//     model the caller hands in — one compiled form for every shard.
 //  2. The submitter is paused at a batch boundary (snapMu) — the queue keeps
 //     buffering under the configured overflow policy, so in Block mode no
 //     accepted line is ever lost.
@@ -54,19 +54,16 @@ type SwapReport struct {
 	WALEpochIndex uint64 `json:"wal_epoch_index,omitempty"`
 }
 
-// SwapModel hot-swaps this shard to an already-fetched model. The caller
+// SwapModel hot-swaps this shard to an already-compiled model. The caller
 // (lifecycle) serializes swaps, has ruled out the already-active and
 // warm-promote cases, and commits the registry manifest afterwards — the
 // shard's WAL epoch record is the durable commit point.
-func (l *Local) SwapModel(model registry.Model, fp string) (*SwapReport, error) {
+func (l *Local) SwapModel(model *predictor.Model) (*SwapReport, error) {
 	old := l.Manager()
+	fp := model.FingerprintHex()
 	rep := &SwapReport{From: old.FingerprintHex(), To: fp}
-	// Build the replacement off the ingest path: compilation cost is paid
-	// before the submitter pauses.
-	next, err := predictor.NewManager(model.Chains, model.Templates, model.Options, l.cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("serve: building model %s: %w", fp, err)
-	}
+	// Build the replacement before the submitter pauses.
+	next := model.NewManager(l.cfg.Workers)
 	// The replacement inherits the arbiter's heartbeat feed (shadows never
 	// do — they would double-count every beat the primary already observed).
 	l.attachArbiter(next)
@@ -248,16 +245,13 @@ func (t *Tracker) Counts() (primary, shadow, agreed int64, pendingP, pendingS in
 // its predictions feed the shared agreement tracker, never subscribers.
 // Reports whether parse state carried over. The caller serializes against
 // swaps and other shadow operations.
-func (l *Local) StartShadow(model registry.Model, fp string, tr *Tracker) (bool, error) {
+func (l *Local) StartShadow(model *predictor.Model, tr *Tracker) (bool, error) {
 	if l.Manager() == nil {
 		return false, fmt.Errorf("serve: shard %d not started", l.cfg.Index)
 	}
-	mgr, err := predictor.NewManager(model.Chains, model.Templates, model.Options, l.cfg.Workers)
-	if err != nil {
-		return false, fmt.Errorf("serve: building shadow model %s: %w", fp, err)
-	}
+	mgr := model.NewManager(l.cfg.Workers)
 	sh := &shadowRun{
-		fp: fp, mgr: mgr, tracker: tr,
+		fp: model.FingerprintHex(), mgr: mgr, tracker: tr,
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 

@@ -48,6 +48,13 @@ go test -race -run 'TestServe|TestAarohid|TestCluster' ./internal/serve .
 echo "==> serve persistence and crash tests under contention (-count=3 -cpu 1,2)"
 go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/serve
 
+# Live runs that a replay must reproduce, and the swap and shadow paths, once
+# more under the race detector: they race the fan-out against the pump.
+# Affordable because a model now compiles once per version, not once per
+# shard x worker.
+echo "==> serve replay, swap and shadow tests (race, -count=5)"
+go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|Swap|Shadow' ./internal/serve
+
 echo "==> bench gate self-test (comparison logic on canned numbers)"
 scripts/bench.sh -selftest
 
