@@ -77,13 +77,17 @@ func main() {
 	// a SIGTERM must always drain gracefully, never hit the default handler.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// SIGHUP too: its default action kills the process, and a reload asked
+	// for while the daemon boots is served once the reload loop runs.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
 
 	if err := srv.Start(); err != nil {
 		fatalf("%v", err)
 	}
 	if st := srv.Status(); st.Recovery != nil && st.Recovery.Performed {
-		log.Printf("aarohid: recovered snapshot@%d + %d replayed lines (%d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
-			st.Recovery.SnapshotIndex, st.Recovery.ReplayedRecords,
+		log.Printf("aarohid: recovered snapshot@%d + %d replayed lines (%d tokenized, %d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
+			st.Recovery.SnapshotIndex, st.Recovery.ReplayedRecords, st.Recovery.ReplayTokens,
 			st.Recovery.RecoveredOutputs, st.Recovery.DurationSeconds,
 			st.Recovery.SnapshotLoadSeconds, st.Recovery.ReplayBytes, st.Recovery.ReplaySeconds)
 	}
@@ -120,8 +124,6 @@ func main() {
 	// activates the files' current contents with zero accepted-line loss.
 	stopReload := make(chan struct{})
 	reloadDone := make(chan struct{})
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		defer close(reloadDone)
 		var last [2]fileStamp

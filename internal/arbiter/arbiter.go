@@ -286,22 +286,24 @@ func (ns *nodeState) observeArrival(ts time.Time) {
 }
 
 // createNode is the cold first-sighting path. The key is cloned: node may
-// alias a larger parsed line that must not be retained.
+// alias a larger parsed line that must not be retained. Only the clone is
+// stored, so node does not escape and a caller's string(b) conversion for
+// ObserveHeartbeat can stay on its stack.
 func (a *Arbiter) createNode(node string) *nodeState {
 	if len(a.nodes) >= a.cfg.MaxNodes {
 		a.droppedNodes++
 		return nil
 	}
-	node = strings.Clone(node)
+	own := strings.Clone(node)
 	ns := &nodeState{
-		node: node,
-		tier: a.cfg.Criticality[node],
+		node: own,
+		tier: a.cfg.Criticality[own],
 	}
 	ns.intervals.buf = make([]float64, a.cfg.WindowSize)
 	ns.uptimes.buf = make([]float64, a.cfg.FlapWindow)
 	ns.arrivals.buf = make([]time.Time, arrivalRingLen)
 	ns.failTimes.buf = make([]time.Time, failRingLen)
-	a.nodes[node] = ns
+	a.nodes[own] = ns
 	return ns
 }
 

@@ -61,10 +61,12 @@ func Observations() (string, error) {
 	pass(o2, "O2 inference time", fmt.Sprintf("worst Aarohi chain check %.3f ms (paper bound: <11 ms)", worst))
 
 	// O3: ≥27.4× over the state of the art at length 302, growing gaps vs
-	// the LSTM baselines.
+	// the LSTM baselines. The ratio is of each side's fastest repetition: a
+	// sub-millisecond Aarohi check whose mean a busy host inflates 3× would
+	// otherwise fail the band while the code is unchanged.
 	last := t6[len(t6)-1]
-	speedupDesh := last.Desh / last.Aarohi
-	speedupDeep := last.DeepLog / last.Aarohi
+	speedupDesh := last.DeshMin / last.AarohiMin
+	speedupDeep := last.DeepLogMin / last.AarohiMin
 	pass(speedupDesh > 20 && speedupDeep > 100, "O3 speedup",
 		fmt.Sprintf("length 302: %.1f× vs Desh, %.1f× vs DeepLog (paper: 27.4× vs Desh)", speedupDesh, speedupDeep))
 

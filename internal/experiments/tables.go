@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/loggen"
+	"repro/internal/metrics"
 	"repro/internal/predictor"
 )
 
@@ -172,13 +173,17 @@ func Table5() (rows []Table5Row, rendered string, err error) {
 // Table6Lengths are the paper's chain lengths.
 var Table6Lengths = []int{1, 10, 50, 128, 302}
 
-// Table6Row holds measured per-chain prediction times in milliseconds.
+// Table6Row holds measured per-chain prediction times in milliseconds: the
+// mean over the repetitions, and for the three systems O3 compares, the
+// fastest repetition.
 type Table6Row struct {
 	Length    int
 	Aarohi    float64
 	Desh      float64
 	DeepLog   float64
 	CloudSeer float64
+
+	AarohiMin, DeshMin, DeepLogMin float64
 }
 
 // Table6 measures the time to check a full chain of each length with Aarohi
@@ -206,22 +211,22 @@ func Table6() (rows []Table6Row, rendered string, err error) {
 
 		// Every baseline consumes the same raw lines through its front end,
 		// so tokenization/identification costs are accounted end to end.
-		timeBaseline := func(fe *baselines.Frontend) float64 {
-			st := TimeIt(repsLSTM(length), fe.Reset, func() {
+		timeBaseline := func(fe *baselines.Frontend) *metrics.Stats {
+			return TimeIt(repsLSTM(length), fe.Reset, func() {
 				for _, line := range lines {
 					if _, err := fe.ProcessLine(line); err != nil {
 						panic(err)
 					}
 				}
 			})
-			return st.Mean()
 		}
 		deshT := timeBaseline(baselines.NewFrontend(baselines.NewDesh(inv, chains, 1), inv, true))
 		deepT := timeBaseline(baselines.NewFrontend(baselines.NewDeepLog(inv, chains, 1), inv, true))
 		seerT := timeBaseline(baselines.NewFrontend(baselines.NewCloudSeer(inv, chains), inv, false))
 		rows = append(rows, Table6Row{
 			Length: length, Aarohi: aarohi.Mean(),
-			Desh: deshT, DeepLog: deepT, CloudSeer: seerT,
+			Desh: deshT.Mean(), DeepLog: deepT.Mean(), CloudSeer: seerT.Mean(),
+			AarohiMin: aarohi.Min(), DeshMin: deshT.Min(), DeepLogMin: deepT.Min(),
 		})
 	}
 	var cells [][]string

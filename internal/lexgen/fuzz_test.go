@@ -1,12 +1,21 @@
-package lexgen
+package lexgen_test
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/lexgen"
+	"repro/internal/loggen"
 )
 
-// FuzzParseLine: ParseLine must never panic and must round-trip every line
-// FormatLine can produce.
+// Live ingest parses and scans strings; boot replay parses and scans the
+// journal's bytes in place. The fuzzers hold the two forms to the same
+// answer on every input.
+
+// FuzzParseLine: ParseLine must never panic, must round-trip every line
+// FormatLine can produce, and ParseLineBytes must agree with it on every
+// input — error or not, timestamp, node and message.
 func FuzzParseLine(f *testing.F) {
 	f.Add("2015-03-14T04:58:57.640Z c0-0c2s0n2 DVS: verify_filesystem: x")
 	f.Add("")
@@ -14,10 +23,19 @@ func FuzzParseLine(f *testing.F) {
 	f.Add("notatime node msg")
 	f.Add("2015-03-14T04:58:57.640Z")
 	f.Add("2015-03-14T04:58:57.640Z nodeonly")
+	f.Add("2015-03-14T05:58:57.64+01:00 c0-0c2s0n2 slow-path timestamp")
+	f.Add("2015-02-29T04:58:57.640Z c0-0c2s0n2 no such day")
 	f.Fuzz(func(t *testing.T, line string) {
-		ts, node, msg, err := ParseLine(line)
+		ts, node, msg, err := lexgen.ParseLine(line)
+		bts, bnode, bmsg, berr := lexgen.ParseLineBytes([]byte(line))
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("ParseLine(%q) error %v, ParseLineBytes error %v", line, err, berr)
+		}
 		if err != nil {
 			return
+		}
+		if !bts.Equal(ts) || bts.Location().String() != ts.Location().String() || string(bnode) != node || string(bmsg) != msg {
+			t.Fatalf("ParseLine(%q) = (%v, %q, %q), ParseLineBytes = (%v, %q, %q)", line, ts, node, msg, bts, bnode, bmsg)
 		}
 		if node == "" {
 			t.Fatalf("empty node accepted from %q", line)
@@ -26,8 +44,8 @@ func FuzzParseLine(f *testing.F) {
 			t.Fatalf("node %q contains spaces", node)
 		}
 		// Round trip at millisecond precision.
-		re := FormatLine(ts, node, msg)
-		ts2, node2, msg2, err := ParseLine(re)
+		re := lexgen.FormatLine(ts, node, msg)
+		ts2, node2, msg2, err := lexgen.ParseLine(re)
 		if err != nil {
 			t.Fatalf("re-parse of %q failed: %v", re, err)
 		}
@@ -37,26 +55,44 @@ func FuzzParseLine(f *testing.F) {
 	})
 }
 
-// FuzzScan: scanning arbitrary bytes against a realistic template set must
-// never panic, and any reported match must be a template ID from the set.
+// FuzzScan: scanning arbitrary bytes against realistic template sets — the
+// paper's Table III and the XC30 inventory, whose templates have interior
+// wildcards — must never panic, any reported match must be a template ID
+// from the set, and Scan and ScanBytes must agree on phrase and ok.
 func FuzzScan(f *testing.F) {
-	templates := tableIIITemplates()
-	sc, err := NewScanner(templates)
-	if err != nil {
-		f.Fatal(err)
+	sets := [][]core.Template{lexgen.TableIIITemplates(), loggen.DialectXC30.Inventory()}
+	type scanner struct {
+		sc    *lexgen.Scanner
+		valid map[core.PhraseID]bool
 	}
-	valid := map[int64]bool{}
-	for _, tpl := range templates {
-		valid[int64(tpl.ID)] = true
+	var scanners []scanner
+	for _, templates := range sets {
+		sc, err := lexgen.NewScanner(templates)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid := map[core.PhraseID]bool{}
+		for _, tpl := range templates {
+			valid[tpl.ID] = true
+		}
+		scanners = append(scanners, scanner{sc, valid})
 	}
 	f.Add("DVS: verify_filesystem: x")
 	f.Add("pcieport replay timeout")
 	f.Add("")
 	f.Add(strings.Repeat("L", 4096))
+	for _, tpl := range loggen.DialectXC30.Inventory() {
+		f.Add(strings.ReplaceAll(tpl.Pattern, "*", "x y"))
+	}
 	f.Fuzz(func(t *testing.T, msg string) {
-		id, ok := sc.Scan(msg)
-		if ok && !valid[int64(id)] {
-			t.Fatalf("Scan(%q) returned unknown phrase %d", msg, id)
+		for _, s := range scanners {
+			id, ok := s.sc.Scan(msg)
+			if ok && !s.valid[id] {
+				t.Fatalf("Scan(%q) returned unknown phrase %d", msg, id)
+			}
+			if bid, bok := s.sc.ScanBytes([]byte(msg)); bid != id || bok != ok {
+				t.Fatalf("Scan(%q) = (%d, %v), ScanBytes = (%d, %v)", msg, id, ok, bid, bok)
+			}
 		}
 	})
 }

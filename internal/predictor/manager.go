@@ -65,8 +65,8 @@ type managerWorker struct {
 	in chan managerEvent
 
 	// slots bounds the batches in flight to this worker (see
-	// maxInflightBatches): ProcessLineBatch takes one per batch it sends,
-	// runBatch gives it back.
+	// maxInflightBatches): ProcessLineBatch and ProcessScanned take one per
+	// batch they send, runBatch and runTokens give it back.
 	slots chan struct{}
 
 	// mu is held by the worker goroutine while it mutates pred, and by
@@ -88,6 +88,18 @@ type managerEvent struct {
 	// (ProcessLineBatch): one channel send delivers the whole group, and the
 	// worker returns the shell to the freelist when done.
 	batch *eventBatch
+
+	// tokens, when non-nil, carries a group of pre-scanned lines
+	// (ProcessScanned).
+	tokens *tokenBatch
+}
+
+// tokenBatch is the share of one Scanned batch bound for a single worker: the
+// tokens of its nodes, plus the batch's discarded-line count on the first
+// worker it reaches.
+type tokenBatch struct {
+	toks      []core.Token
+	discarded int
 }
 
 // batchEntry is one pre-parsed line inside an eventBatch: exactly the state a
@@ -194,6 +206,10 @@ func (m *Manager) run(w *managerWorker) {
 			outBuf = m.runBatch(w, ev.batch, outBuf)
 			continue
 		}
+		if ev.tokens != nil {
+			outBuf = m.runTokens(w, ev.tokens, outBuf)
+			continue
+		}
 		w.mu.Lock()
 		var out Output
 		if ev.msg != "" {
@@ -250,6 +266,32 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch, outBuf []Output) []
 	for i := range outs {
 		m.results <- outs[i]
 		outs[i] = Output{} // drop the Prediction/Failure pointers we retain
+	}
+	return outs[:0]
+}
+
+// runTokens is runBatch for a pre-scanned batch: the scan already happened,
+// so the worker counts the batch's lines and feeds its tokens to the parse.
+//
+//aarohi:hotpath
+func (m *Manager) runTokens(w *managerWorker, tb *tokenBatch, outBuf []Output) []Output {
+	outs := outBuf[:0]
+	w.mu.Lock()
+	w.pred.linesScanned += len(tb.toks) + tb.discarded
+	w.pred.discarded += tb.discarded
+	w.pred.tokens += len(tb.toks)
+	for _, tok := range tb.toks {
+		out := w.pred.processToken(tok)
+		if out.Prediction != nil || out.Failure != nil {
+			out.Model = m.model.fpHex
+			outs = append(outs, out)
+		}
+	}
+	w.mu.Unlock()
+	<-w.slots
+	for i := range outs {
+		m.results <- outs[i]
+		outs[i] = Output{}
 	}
 	return outs[:0]
 }
@@ -420,6 +462,88 @@ func (m *Manager) putBuilder(b *batchBuilder) {
 	case m.builderFree <- b:
 	default:
 	}
+}
+
+// Scanned is a run of lines parsed and scanned before they reach a manager —
+// by boot replay's scan stage — reduced to what the workers still need: a
+// token for every line that matched a template, and counts for the rest.
+type Scanned struct {
+	// Model is the model the lines were scanned under: phrase IDs from
+	// another model's scanner would feed the parse the wrong tokens, so a
+	// manager running a different model refuses the batch.
+	Model *Model
+	// Tokens are the lines that tokenized, in stream order. Each token owns
+	// its Node string.
+	Tokens []core.Token
+	// Discarded counts the parseable lines that matched no template.
+	Discarded int
+	// ParseErrors counts the lines that did not parse.
+	ParseErrors int
+}
+
+// ErrModelMismatch is returned by ProcessScanned for a batch scanned under a
+// model other than the manager's.
+var ErrModelMismatch = errors.New("predictor: batch was scanned under another model")
+
+// ProcessScanned is ProcessLineBatch for lines already scanned: the tokens
+// are scattered by the same per-node placement and reach each node's worker
+// in slice order, and the workers count the discarded lines as scanned and
+// discarded, so outputs, Stats, Accepted and snapshots are exactly those of
+// handing the raw lines to ProcessLineBatch. The heartbeat hook does not fire
+// — the manager never sees the discarded lines' headers — so a caller that
+// feeds one fires it for every parseable line itself, before this call.
+//
+// parseErrs is s.ParseErrors, reported as ProcessLineBatch reports a batch's
+// malformed lines. After Close the whole batch is rejected with ErrClosed and
+// nothing is counted. s is not retained. Safe for concurrent use.
+func (m *Manager) ProcessScanned(s *Scanned) (parseErrs int, err error) {
+	if s.Model == nil || s.Model.fingerprint != m.model.fingerprint {
+		return s.ParseErrors, ErrModelMismatch
+	}
+	n := len(s.Tokens) + s.Discarded
+	if n == 0 {
+		return s.ParseErrors, nil
+	}
+	shards := make([]*tokenBatch, len(m.workers))
+	for _, tok := range s.Tokens {
+		wi := fnvIndex(tok.Node, len(m.workers))
+		if shards[wi] == nil {
+			shards[wi] = &tokenBatch{}
+		}
+		shards[wi].toks = append(shards[wi].toks, tok)
+	}
+	// No node was hashed for a discarded line, so its count rides on the
+	// first batch sent (worker 0's when nothing tokenized); Stats sums the
+	// workers either way.
+	first := 0
+	for i, tb := range shards {
+		if tb != nil {
+			first = i
+			break
+		}
+	}
+	if shards[first] == nil {
+		shards[first] = &tokenBatch{}
+	}
+	shards[first].discarded = s.Discarded
+
+	m.mu.RLock()
+	if m.closed {
+		m.mu.RUnlock()
+		return s.ParseErrors, ErrClosed
+	}
+	m.accepted.Add(uint64(n))
+	for i, tb := range shards {
+		if tb == nil {
+			continue
+		}
+		//aarohi:allow lockblock workers release slots as they drain, until Close; see ProcessLineBatch
+		m.workers[i].slots <- struct{}{}
+		//aarohi:allow lockblock worker queues are buffered and drained until Close; see ProcessLineBatch
+		m.workers[i].in <- managerEvent{tokens: tb}
+	}
+	m.mu.RUnlock()
+	return s.ParseErrors, nil
 }
 
 // ProcessToken routes one pre-scanned token to its node's worker. Safe for

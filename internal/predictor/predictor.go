@@ -236,6 +236,10 @@ func phraseKey(ps []core.PhraseID) string {
 // CompileTime reports how long Compile took to build this model.
 func (m *Model) CompileTime() time.Duration { return m.compileTime }
 
+// Scanner returns the model's generated scanner, for callers that scan lines
+// before handing the tokens to a Manager (Manager.ProcessScanned).
+func (m *Model) Scanner() *lexgen.Scanner { return m.scanner }
+
 // RuleSet exposes the translated rules (for inspection and experiments).
 func (p *Predictor) RuleSet() *core.RuleSet { return p.model.rules }
 

@@ -5,24 +5,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/arbiter"
 	"repro/internal/core"
+	"repro/internal/lexgen"
 	"repro/internal/loggen"
 	"repro/internal/predictor"
 	"repro/internal/registry"
 	"repro/internal/wal"
 )
 
-// Boot replay submits the journal to the Manager in batches, as live ingest
-// does, so a restarted daemon must end where the uninterrupted one did. These
-// tests journal a stream with malformed lines, a NUL-led line (journaled
-// under the escape prefix) and a model hot-swap, crash, restart, and compare
-// the replay against the run that wrote the journal: recovered outputs,
-// scanner counters, the recovery report and the arbiter's serialized state.
+// Boot replay scans the journal in chunks on several goroutines and hands the
+// Manager only the tokens, in journal order, so a restarted daemon must end
+// where the uninterrupted one did. These tests journal a stream with
+// malformed lines, a NUL-led line (journaled under the escape prefix) and a
+// model hot-swap, crash, restart, and compare the replay against the run that
+// wrote the journal: recovered outputs, scanner counters, the recovery report
+// and the arbiter's serialized state.
 
 // attributedKey is outKey plus the model the output is attributed to.
 func attributedKey(out predictor.Output) string {
@@ -55,12 +60,28 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	// record finds nothing pending) and once inside a chunk (it must be
 	// submitted before the swap). Chunks are 256 lines, and
 	// arbiter.ReorderWindow with the arbiter on.
-	cases := []struct {
+	//
+	// Three more rows, on the first dialect with the arbiter off and on:
+	//   - long: a journal of a few hundred chunks, so scans finish out of
+	//     order whenever the scan stage has more than one goroutine running;
+	//   - new-phrase: the journal begins under the model minus one chain and
+	//     swaps to the full model, and the line right after the epoch record
+	//     tokenizes only under the new model;
+	//   - torn-tail: the journal ends in a torn record inside the last chunk.
+	type replayCase struct {
 		arbiter  bool
 		boundary bool
-	}{{false, false}, {false, true}, {true, false}, {true, true}}
+		variant  string // "" for the dialect × arbiter × boundary grid
+	}
+	cases := []replayCase{{false, false, ""}, {false, true, ""}, {true, false, ""}, {true, true, ""}}
+	for _, v := range []string{"long", "new-phrase", "torn-tail"} {
+		cases = append(cases, replayCase{false, false, v}, replayCase{true, false, v})
+	}
 	for di, d := range dialects {
 		for _, tc := range cases {
+			if tc.variant != "" && di > 0 {
+				continue
+			}
 			d, seed, tc := d, int64(91+di), tc
 			var arbCfg *arbiter.Config
 			chunk := 256
@@ -68,11 +89,19 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				arbCfg = &arbiter.Config{AlertThreshold: 1e-9, Horizon: 20 * time.Minute}
 				chunk = arbiter.ReorderWindow
 			}
-			t.Run(fmt.Sprintf("%s/arbiter=%v/boundary=%v", d.Name, tc.arbiter, tc.boundary), func(t *testing.T) {
+			name := fmt.Sprintf("%s/arbiter=%v/boundary=%v", d.Name, tc.arbiter, tc.boundary)
+			if tc.variant != "" {
+				name = fmt.Sprintf("%s/%s/arbiter=%v", d.Name, tc.variant, tc.arbiter)
+			}
+			t.Run(name, func(t *testing.T) {
 				t.Parallel()
+				nodes, hours := 6, 3
+				if tc.variant == "long" {
+					nodes, hours = 24, 8
+				}
 				log, err := loggen.Generate(loggen.Config{
-					Dialect: d, Seed: seed, Duration: 3 * time.Hour,
-					Nodes: 6, Failures: 3, BenignPerMinute: 4, AnomalyRate: 0.05,
+					Dialect: d, Seed: seed, Duration: time.Duration(hours) * time.Hour,
+					Nodes: nodes, Failures: 3, BenignPerMinute: 4, AnomalyRate: 0.05,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -91,6 +120,17 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 					lines = append(lines, line)
 				}
 				model := registry.Model{Chains: d.Chains(), Templates: d.Inventory()}
+				var dropped core.FailureChain // new-phrase: the chain the boot model lacks
+				var probe string              // new-phrase: a line only the full model tokenizes
+				if tc.variant == "new-phrase" {
+					dropped, probe = chainOnlyPhrase(t, model)
+					model.Chains = nil
+					for _, fc := range d.Chains() {
+						if fc.Name != dropped.Name {
+							model.Chains = append(model.Chains, fc)
+						}
+					}
+				}
 
 				// Find the first output past the first chunk, then pad the front
 				// of the stream with malformed lines until the line emitting it
@@ -113,6 +153,25 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 					lines = append([]string{"padding, not a log line"}, lines...)
 					malformed++
 					swapAt++
+				}
+				if probe != "" {
+					ts, node, _, err := lexgen.ParseLine(lines[swapAt-1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					line := lexgen.FormatLine(ts, node, probe)
+					if _, ok, _ := ref.Scanner().ScanLine(line); ok {
+						t.Fatalf("the boot model already tokenizes %q", line)
+					}
+					lines = append(lines[:swapAt], append([]string{line}, lines[swapAt:]...)...)
+				}
+				if tc.variant == "torn-tail" {
+					// The last chunk, which starts at the epoch record, ends
+					// short of its bound, so the tear falls inside it.
+					for (len(lines)-swapAt)%chunk == 0 {
+						lines = append(lines, "trailing padding, not a log line")
+						malformed++
+					}
 				}
 				dir := t.TempDir()
 				boot := func() *Server {
@@ -166,9 +225,11 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 						lean = append(lean, tpl)
 					}
 				}
-				code, body := postJSON(t, live.httpBase()+"/model", ModelUpload{
-					Chains: model.Chains, Templates: lean, Activate: true,
-				})
+				upload := ModelUpload{Chains: model.Chains, Templates: lean, Activate: true}
+				if probe != "" {
+					upload = ModelUpload{Chains: d.Chains(), Templates: d.Inventory(), Activate: true}
+				}
+				code, body := postJSON(t, live.httpBase()+"/model", upload)
 				if code != http.StatusCreated {
 					t.Fatalf("POST /model = %d: %s", code, body)
 				}
@@ -193,6 +254,9 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 					t.Fatal("live run produced no outputs; the comparison would be vacuous")
 				}
 				wantStats := live.Status().Manager
+				if tc.variant == "torn-tail" {
+					tearJournalTail(t, filepath.Join(dir, "wal"), lines[len(lines)-1])
+				}
 
 				re := boot()
 				defer shutdownServer(t, re)
@@ -234,5 +298,72 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// chainOnlyPhrase picks a chain with a precursor phrase no other chain uses,
+// and returns it with a message the full model's scanner tokenizes as that
+// phrase.
+func chainOnlyPhrase(t *testing.T, model registry.Model) (core.FailureChain, string) {
+	t.Helper()
+	full, err := predictor.New(model.Chains, model.Templates, model.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := map[core.PhraseID]int{}
+	for _, fc := range model.Chains {
+		seen := map[core.PhraseID]bool{}
+		for _, p := range fc.Phrases {
+			if !seen[p] {
+				seen[p] = true
+				uses[p]++
+			}
+		}
+	}
+	pattern := map[core.PhraseID]string{}
+	for _, tpl := range model.Templates {
+		pattern[tpl.ID] = tpl.Pattern
+	}
+	for _, fc := range model.Chains {
+		for _, p := range fc.Phrases[:len(fc.Phrases)-1] {
+			if uses[p] != 1 {
+				continue
+			}
+			msg := strings.ReplaceAll(pattern[p], "*", "x")
+			if id, ok := full.Scanner().Scan(msg); ok && id == p {
+				return fc, msg
+			}
+		}
+	}
+	t.Fatal("no chain has a precursor phrase of its own")
+	return core.FailureChain{}, ""
+}
+
+// tearJournalTail appends one more line record to the journal in dir and cuts
+// it short, as a crash in the middle of the write leaves it.
+func tearJournalTail(t *testing.T, dir, line string) {
+	t.Helper()
+	wl, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wl.Append([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no journal segments in %s (%v)", dir, err)
+	}
+	sort.Strings(segs)
+	last := segs[len(segs)-1]
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-3); err != nil {
+		t.Fatal(err)
 	}
 }

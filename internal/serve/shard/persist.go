@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/arbiter"
 	"repro/internal/predictor"
 	"repro/internal/registry"
 	"repro/internal/wal"
@@ -57,6 +56,10 @@ type RecoveryStatus struct {
 	// each journal segment was replayed against the model version that was
 	// live when it was written.
 	ReplayedSwaps uint64 `json:"replayed_swaps,omitempty"`
+	// ReplayTokens counts the replayed lines that tokenized — the only ones
+	// that reached the parser; over ReplayedRecords it is the restart's
+	// FC-related fraction (the paper's Fig. 12).
+	ReplayTokens uint64 `json:"replay_tokens,omitempty"`
 }
 
 func (l *Local) walDir() string  { return filepath.Join(l.cfg.Dir, "wal") }
@@ -153,64 +156,11 @@ func (l *Local) Open(reg *registry.Registry) error {
 		return fmt.Errorf("serve: snapshot covers WAL offset %d but journal ends at %d: data dir is inconsistent", off, last)
 	}
 
-	// Replay the tail through the Manager: the live batch path minus the
-	// socket and the append. The listeners are not open yet, so the only
-	// producer is this loop; outputs are captured in the recovered buffer by
+	// Replay the tail (replay.go). The listeners are not open yet, so the only
+	// producer is the replay; outputs are captured in the recovered buffer by
 	// the fan-out for /predictions?replay=recovered.
 	l.recoveryActive.Store(true)
-	chunk := replayChunk{maxLines: replayChunkLines}
-	if l.arb != nil {
-		// A chunk's heartbeats fire when it is submitted, its outputs reach
-		// the arbiter when the workers get to it, and replay runs the journal
-		// as fast as it reads: unchecked, a failure arrives thousands of
-		// heartbeats late and the arbiter can no longer place the restart.
-		// Chunks inside its reorder window, each followed by the output
-		// barrier, keep the replayed state the one in-order delivery gives.
-		chunk.maxLines = arbiter.ReorderWindow
-	}
-	submit := func() error {
-		m := l.Manager()
-		perrs, err := chunk.submit(m)
-		// Malformed lines counted as parse errors when first accepted and do
-		// again now.
-		rec.ReplayErrors += uint64(perrs)
-		if err == nil && l.arb != nil {
-			err = m.Flush()
-		}
-		return err
-	}
-	err = wl.Replay(off+1, func(idx uint64, payload []byte) error {
-		rec.ReplayedRecords++
-		rec.ReplayBytes += uint64(len(payload))
-		kind, body := decodeRecordBytes(payload)
-		switch kind {
-		case recKindLine:
-			chunk.add(body)
-			if chunk.full() {
-				return submit()
-			}
-		case recKindEpoch:
-			// A model hot-swap happened here: re-execute it so the rest of
-			// the journal replays against the model it was written under.
-			if l.registry == nil {
-				return fmt.Errorf("journal holds a model-epoch record at %d but the server has no model registry (Config.Model unset)", idx)
-			}
-			if err := submit(); err != nil {
-				return err
-			}
-			if err := l.replaySwap(string(body)); err != nil {
-				return fmt.Errorf("re-executing model swap at %d: %w", idx, err)
-			}
-			rec.ReplayedSwaps++
-		default:
-			rec.ReplayErrors++
-		}
-		return nil
-	})
-	if err == nil {
-		err = submit()
-	}
-	if err != nil {
+	if err := l.replayJournal(wl, off+1, &rec); err != nil {
 		_ = wl.Close() // unwinding: the replay error is the one to surface
 		return fmt.Errorf("serve: replaying journal: %w", err)
 	}
@@ -235,57 +185,11 @@ func (l *Local) Open(reg *registry.Registry) error {
 	l.recovery = &rec
 	l.lastSnapshotIdx.Store(off)
 	if rec.Performed {
-		l.cfg.Logf("serve: recovered from snapshot@%d + %d replayed lines (%d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
-			rec.SnapshotIndex, rec.ReplayedRecords, rec.RecoveredOutputs, rec.DurationSeconds,
+		l.cfg.Logf("serve: recovered from snapshot@%d + %d replayed lines (%d tokenized, %d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
+			rec.SnapshotIndex, rec.ReplayedRecords, rec.ReplayTokens, rec.RecoveredOutputs, rec.DurationSeconds,
 			rec.SnapshotLoadSeconds, rec.ReplayBytes, rec.ReplaySeconds)
 	}
 	return nil
-}
-
-// Replay chunk bounds — the shape live ingest hands the Manager (a pump batch
-// of at most 256 lines cut from a framer chunk of at most 64 KiB), so replay
-// keeps the live in-flight window and memory. With the arbiter on the line
-// bound is its reorder window instead.
-const (
-	replayChunkLines = 256
-	replayChunkBytes = 64 << 10
-)
-
-// replayChunk gathers replayed line bodies, which alias the journal reader's
-// buffer, until they make one batch for the Manager.
-type replayChunk struct {
-	maxLines int
-	text     []byte   // line bodies back to back
-	ends     []int    // end offset in text of each line
-	lines    []string // ProcessLineBatch argument scratch
-}
-
-func (c *replayChunk) add(body []byte) {
-	c.text = append(c.text, body...)
-	c.ends = append(c.ends, len(c.text))
-}
-
-func (c *replayChunk) full() bool {
-	return len(c.ends) >= c.maxLines || len(c.text) >= replayChunkBytes
-}
-
-// submit hands the gathered lines to m as one batch and empties the chunk.
-// The text is copied into one string whose substrings are the lines — what
-// the transport framer hands the pump — because the scan workers keep them
-// past this call while text is reused.
-func (c *replayChunk) submit(m *predictor.Manager) (parseErrs int, err error) {
-	if len(c.ends) == 0 {
-		return 0, nil
-	}
-	s := string(c.text)
-	c.lines = c.lines[:0]
-	start := 0
-	for _, end := range c.ends {
-		c.lines = append(c.lines, s[start:end])
-		start = end
-	}
-	c.text, c.ends = c.text[:0], c.ends[:0]
-	return m.ProcessLineBatch(c.lines)
 }
 
 // bootSwitchModel replaces the boot manager with one built from a stored
@@ -300,39 +204,6 @@ func (l *Local) bootSwitchModel(fp string) error {
 	next := model.NewManager(l.cfg.Workers)
 	l.attachArbiter(next)
 	old := l.Manager()
-	l.setManager(next)
-	old.Close()
-	return nil
-}
-
-// replaySwap re-executes a journaled model swap during boot replay: the
-// current manager's state migrates into the epoch's model exactly as the
-// original swap migrated it (same AdoptState tiers).
-func (l *Local) replaySwap(fp string) error {
-	old := l.Manager()
-	if fp == old.FingerprintHex() {
-		return nil
-	}
-	model, err := l.registry.Compiled(fp)
-	if err != nil {
-		return err
-	}
-	next := model.NewManager(l.cfg.Workers)
-	// The fan-out is consuming (recovery mode), so the barrier completes.
-	if err := old.Flush(); err != nil {
-		next.Close()
-		return err
-	}
-	st, err := old.ExportState()
-	if err != nil {
-		next.Close()
-		return err
-	}
-	if _, err := next.AdoptState(st); err != nil {
-		next.Close()
-		return fmt.Errorf("migrating state into %s: %w", fp, err)
-	}
-	l.attachArbiter(next)
 	l.setManager(next)
 	old.Close()
 	return nil

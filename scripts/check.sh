@@ -55,6 +55,12 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 echo "==> serve replay, swap and shadow tests (race, -count=5)"
 go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|Swap|Shadow' ./internal/serve
 
+# Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
+# one after another, several finish chunks out of journal order.
+echo "==> replay equivalence at -cpu 1,2,4"
+go test -count=3 -cpu 1,2,4 -run 'TestReplayMatchesLiveRun' ./internal/serve
+go test -count=3 -cpu 1,2,4 -run 'TestReplayAppliesChunksInJournalOrder' ./internal/serve/shard
+
 echo "==> bench gate self-test (comparison logic on canned numbers)"
 scripts/bench.sh -selftest
 
