@@ -65,7 +65,7 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.TCPAddr, "tcp", ":7743", "TCP line-protocol listen address (\"off\" disables)")
 	fs.StringVar(&o.HTTPAddr, "http", ":7780", "HTTP listen address (\"off\" disables)")
 	fs.IntVar(&o.QueueSize, "queue", 4096, "ingest queue depth (lines)")
-	fs.IntVar(&o.BatchMax, "ingest-batch", 256, "max lines coalesced into one WAL group-append and predictor batch (1 = per-line)")
+	fs.IntVar(&o.BatchMax, "ingest-batch", 256, "max lines coalesced into one WAL group-append and predictor batch (1 = batches of one line)")
 	fs.DurationVar(&o.BatchAge, "ingest-batch-age", 0, "max wait for a partial ingest batch to fill (0 = dispatch as soon as the queue is empty)")
 	fs.DurationVar(&o.ReadTimeout, "read-timeout", 5*time.Minute, "per-connection idle read deadline")
 	fs.IntVar(&o.MaxLineLen, "max-line", 1<<20, "maximum log line length (bytes)")

@@ -443,8 +443,8 @@ func BenchmarkArbiterObserveHeartbeat(b *testing.B) {
 	}
 }
 
-// BenchmarkArbiterScore is the scoring benchmark scripts/bench.sh tracks:
-// a full ranked-alert pass over 64 live nodes, pinned at 0 allocs/op.
+// BenchmarkArbiterScore times a full ranked-alert pass over 64 live nodes
+// (TestAlertsIntoZeroAlloc pins it at 0 allocs).
 func BenchmarkArbiterScore(b *testing.B) {
 	a := scoringFixture(64)
 	buf := a.AlertsInto(nil)

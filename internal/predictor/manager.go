@@ -11,8 +11,8 @@ import (
 	"repro/internal/lexgen"
 )
 
-// ErrClosed is returned by ProcessLine/ProcessToken after Close: the manager
-// no longer accepts events.
+// ErrClosed is returned by the Process* calls after Close: the manager no
+// longer accepts lines.
 var ErrClosed = errors.New("predictor: manager closed")
 
 // Manager processes an aggregate cluster log stream concurrently: nodes are
@@ -25,9 +25,12 @@ var ErrClosed = errors.New("predictor: manager closed")
 // whole machine's logs, and per-node predictor instances run independently;
 // sharding turns that independence into multicore throughput.
 //
-// Lifecycle: ProcessLine/ProcessToken may be called from any number of
-// goroutines concurrently with each other, with Stats, and with Close. After
-// Close, Process* calls return ErrClosed.
+// Lines reach the workers in batches: ProcessLineBatch and ProcessScanned
+// send each worker one batch per call, and ProcessLine is a batch of one.
+//
+// Lifecycle: the Process* calls may be made from any number of goroutines
+// concurrently with each other, with Stats, and with Close. After Close, they
+// return ErrClosed.
 type Manager struct {
 	// model is the compiled model every worker's predictor runs; its hex
 	// fingerprint is stamped onto every emitted Output so consumers can
@@ -37,9 +40,9 @@ type Manager struct {
 	results chan Output
 	wg      sync.WaitGroup
 
-	// accepted counts lines and events admitted by Process* (enqueued to a
-	// worker). After Results closes, Stats().LinesScanned reconciles with it
-	// exactly: every accepted event is counted by exactly one scan.
+	// accepted counts lines admitted by Process* (enqueued to a worker). After
+	// Results closes, Stats().LinesScanned reconciles with it exactly: every
+	// accepted line is counted by exactly one scan.
 	accepted atomic.Uint64
 
 	mu     sync.RWMutex // guards closed; held (R) across worker sends
@@ -52,7 +55,7 @@ type Manager struct {
 	// a manager that is already processing lines (boot, hot-swap).
 	heartbeat atomic.Pointer[func(node string, ts time.Time)]
 
-	// batchFree/builderFree recycle the batch-path shells between callers and
+	// batchFree/builderFree recycle the batch shells between callers and
 	// workers. Buffered channels of concrete pointer types stand in for
 	// sync.Pool: Get is a non-blocking receive (a miss allocates cold),
 	// Put a non-blocking send (overflow is left to the GC), and no value ever
@@ -65,8 +68,8 @@ type managerWorker struct {
 	in chan managerEvent
 
 	// slots bounds the batches in flight to this worker (see
-	// maxInflightBatches): ProcessLineBatch and ProcessScanned take one per
-	// batch they send, runBatch and runTokens give it back.
+	// maxInflightBatches): dispatch takes one per batch it sends, runBatch
+	// gives it back.
 	slots chan struct{}
 
 	// mu is held by the worker goroutine while it mutates pred, and by
@@ -76,62 +79,49 @@ type managerWorker struct {
 	pred *Predictor
 }
 
+// managerEvent is one message to a worker: a batch of lines, or (when flush
+// is non-nil) a barrier marker (see Flush) that the worker forwards through
+// the results channel instead of processing it.
 type managerEvent struct {
-	tok core.Token
-	msg string // raw message body; scanned in the worker when non-empty
-
-	// flush is a barrier marker (see Flush): the worker forwards it through
-	// the results channel instead of processing it.
-	flush chan<- struct{}
-
-	// batch, when non-nil, carries a group of pre-parsed line events
-	// (ProcessLineBatch): one channel send delivers the whole group, and the
-	// worker returns the shell to the freelist when done.
 	batch *eventBatch
-
-	// tokens, when non-nil, carries a group of pre-scanned lines
-	// (ProcessScanned).
-	tokens *tokenBatch
+	flush chan<- struct{}
 }
 
-// tokenBatch is the share of one Scanned batch bound for a single worker: the
-// tokens of its nodes, plus the batch's discarded-line count on the first
-// worker it reaches.
-type tokenBatch struct {
-	toks      []core.Token
-	discarded int
-}
-
-// batchEntry is one pre-parsed line inside an eventBatch: exactly the state a
-// ProcessLine send carries, minus the per-line channel traffic.
+// batchEntry is one parsed line inside an eventBatch, its message body still
+// to be scanned by the worker.
 type batchEntry struct {
 	tok core.Token
 	msg string
 }
 
-// eventBatch groups the batchEntries bound for a single worker. Shells cycle
-// through Manager.batchFree so steady-state batching never allocates.
+// eventBatch is the share of one Process* call bound for a single worker:
+// parsed lines to scan (ProcessLineBatch), or tokens already scanned plus the
+// call's discarded-line count on the first worker it reaches
+// (ProcessScanned). The worker scans entries into toks and discarded, so the
+// parse always reads toks. Shells cycle through Manager.batchFree so
+// steady-state batching never allocates.
 type eventBatch struct {
-	entries []batchEntry
+	entries   []batchEntry
+	toks      []core.Token
+	discarded int
 }
 
-// batchBuilder is the per-call scatter table of ProcessLineBatch: one slot
-// per worker, filled lazily as lines route to shards. Shells cycle through
+// batchBuilder is the per-call scatter table of a Process* call: one slot per
+// worker, filled lazily as lines route to workers. Shells cycle through
 // Manager.builderFree.
 type batchBuilder struct {
 	shards []*eventBatch
 }
 
 // maxInflightBatches bounds the batches queued to or running on one worker.
-// The 512-event inbox is sized for single-line events; a batch carries
-// hundreds of lines, each pinning the socket chunk it was cut from, so a
-// submitter that outruns the scan workers must be stopped after a few
-// thousand lines, not a few hundred batches (that window held the daemon's
-// RSS at twice its working set). It cannot be much smaller either: with as
-// many workers as cores the submitter shares a core with a worker, and a
-// window that worker drains before the scheduler switches back leaves it
-// idle — 4 and 8 batches cost 2x on a two-core host, 16 and up are within
-// noise of unbounded.
+// The inbox has room for far more, but a batch carries hundreds of lines,
+// each pinning the socket chunk it was cut from, so a submitter that outruns
+// the scan workers must be stopped after a few thousand lines, not a few
+// hundred batches (that window held the daemon's RSS at twice its working
+// set). It cannot be much smaller either: with as many workers as cores the
+// submitter shares a core with a worker, and a window that worker drains
+// before the scheduler switches back leaves it idle — 4 and 8 batches cost 2x
+// on a two-core host, 16 and up are within noise of unbounded.
 const maxInflightBatches = 16
 
 // NewManager compiles the model (Compile) and builds a concurrent predictor
@@ -202,43 +192,16 @@ func (m *Manager) run(w *managerWorker) {
 			m.results <- Output{flush: ev.flush}
 			continue
 		}
-		if ev.batch != nil {
-			outBuf = m.runBatch(w, ev.batch, outBuf)
-			continue
-		}
-		if ev.tokens != nil {
-			outBuf = m.runTokens(w, ev.tokens, outBuf)
-			continue
-		}
-		w.mu.Lock()
-		var out Output
-		if ev.msg != "" {
-			id, ok := w.pred.Scanner().Scan(ev.msg)
-			w.pred.linesScanned++
-			if !ok {
-				w.pred.discarded++
-				w.mu.Unlock()
-				continue
-			}
-			w.pred.tokens++
-			ev.tok.Phrase = id
-			out = w.pred.processToken(ev.tok)
-		} else {
-			out = w.pred.ProcessToken(ev.tok)
-		}
-		w.mu.Unlock()
-		if out.Prediction != nil || out.Failure != nil {
-			out.Model = m.model.fpHex
-			m.results <- out
-		}
+		outBuf = m.runBatch(w, ev.batch, outBuf)
 	}
 }
 
-// runBatch processes one delivered batch exactly as the per-line loop would —
-// worker-side scan, identical counter updates, processToken per match — but
-// holds w.mu once for the whole group and defers result sends until the lock
-// is released (Stats callers are never blocked behind a full results channel).
-// Returns the output buffer so its capacity survives to the next batch.
+// runBatch processes one delivered batch: it scans the parsed lines into
+// tokens (a pre-scanned batch arrives with them), counts the batch's lines,
+// and feeds every token to the parse in order, holding w.mu once for the
+// whole group and deferring result sends until the lock is released (Stats
+// callers are never blocked behind a full results channel). Returns the
+// output buffer so its capacity survives to the next batch.
 //
 //aarohi:hotpath
 func (m *Manager) runBatch(w *managerWorker, eb *eventBatch, outBuf []Output) []Output {
@@ -246,15 +209,18 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch, outBuf []Output) []
 	w.mu.Lock()
 	for i := range eb.entries {
 		e := &eb.entries[i]
-		id, ok := w.pred.Scanner().Scan(e.msg)
-		w.pred.linesScanned++
-		if !ok {
-			w.pred.discarded++
-			continue
+		if id, ok := w.pred.Scanner().Scan(e.msg); ok {
+			e.tok.Phrase = id
+			eb.toks = append(eb.toks, e.tok)
+		} else {
+			eb.discarded++
 		}
-		w.pred.tokens++
-		e.tok.Phrase = id
-		out := w.pred.processToken(e.tok)
+	}
+	w.pred.linesScanned += len(eb.toks) + eb.discarded
+	w.pred.discarded += eb.discarded
+	w.pred.tokens += len(eb.toks)
+	for _, tok := range eb.toks {
+		out := w.pred.processToken(tok)
 		if out.Prediction != nil || out.Failure != nil {
 			out.Model = m.model.fpHex
 			outs = append(outs, out)
@@ -270,42 +236,11 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch, outBuf []Output) []
 	return outs[:0]
 }
 
-// runTokens is runBatch for a pre-scanned batch: the scan already happened,
-// so the worker counts the batch's lines and feeds its tokens to the parse.
-//
-//aarohi:hotpath
-func (m *Manager) runTokens(w *managerWorker, tb *tokenBatch, outBuf []Output) []Output {
-	outs := outBuf[:0]
-	w.mu.Lock()
-	w.pred.linesScanned += len(tb.toks) + tb.discarded
-	w.pred.discarded += tb.discarded
-	w.pred.tokens += len(tb.toks)
-	for _, tok := range tb.toks {
-		out := w.pred.processToken(tok)
-		if out.Prediction != nil || out.Failure != nil {
-			out.Model = m.model.fpHex
-			outs = append(outs, out)
-		}
-	}
-	w.mu.Unlock()
-	<-w.slots
-	for i := range outs {
-		m.results <- outs[i]
-		outs[i] = Output{}
-	}
-	return outs[:0]
-}
-
 // Results delivers predictions and observed failures. Close arranges for it
 // to be closed once every pending event has drained through the workers —
 // which may happen after Close has already returned, so consume with range
 // rather than assuming the channel is closed when Close returns.
 func (m *Manager) Results() <-chan Output { return m.results }
-
-//aarohi:hotpath
-func (m *Manager) workerFor(node string) *managerWorker {
-	return m.workers[fnvIndex(node, len(m.workers))]
-}
 
 // fnvIndex shards key with inlined FNV-1a: hash.Hash32 would cost an
 // interface allocation per line, and []byte(node) a copy.
@@ -332,38 +267,27 @@ func (m *Manager) SetHeartbeat(fn func(node string, ts time.Time)) {
 	m.heartbeat.Store(&fn)
 }
 
-// ProcessLine routes one raw log line to its node's worker. Scanning happens
-// inside the worker, in parallel across shards. Safe for concurrent use;
-// returns ErrClosed after Close.
-//
-//aarohi:hotpath
+// ProcessLine hands one raw log line to its node's worker as a batch of one.
+// A line that does not parse returns its parse error. Safe for concurrent
+// use; returns ErrClosed after Close.
 func (m *Manager) ProcessLine(line string) error {
-	ts, node, msg, err := lexgen.ParseLine(line)
-	if err != nil {
+	one := [1]string{line}
+	if perrs, err := m.ProcessLineBatch(one[:]); perrs == 0 || err != nil {
 		return err
 	}
-	if hb := m.heartbeat.Load(); hb != nil {
-		(*hb)(node, ts)
-	}
-	return m.send(m.workerFor(node), managerEvent{
-		tok: core.Token{Time: ts, Node: node},
-		msg: msg,
-	})
+	_, _, _, err := lexgen.ParseLine(line)
+	return err
 }
 
 // ProcessLineBatch routes a group of raw log lines in one pass: lines are
-// parsed and heartbeat-observed caller-side, scattered into per-shard batches
-// by the same per-node hash ProcessLine uses, and delivered with one channel
-// send per shard instead of one per line. Scanning still happens inside the
-// worker, so the outputs, counters and Stats are exactly those of calling
-// ProcessLine on each parseable line in order.
+// parsed and heartbeat-observed caller-side, scattered into per-worker
+// batches by node-ID hash, and delivered with one channel send per worker.
+// Scanning happens inside the workers, in parallel.
 //
-// Malformed lines are skipped and counted in parseErrs (the per-line path
-// reports them one error at a time; a batch reports how many). After Close
-// the whole batch is rejected with ErrClosed and nothing is enqueued —
-// matching the per-line path, where every post-Close call fails. Lines of one
+// Malformed lines are skipped and counted in parseErrs. After Close the whole
+// batch is rejected with ErrClosed and nothing is enqueued. Lines of one
 // batch reach each node's worker in slice order; ordering across concurrent
-// callers is unspecified, as with ProcessLine. Safe for concurrent use.
+// callers is unspecified. Safe for concurrent use.
 //
 //aarohi:hotpath
 func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
@@ -382,12 +306,7 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 		if hb != nil {
 			(*hb)(node, ts)
 		}
-		wi := fnvIndex(node, len(m.workers))
-		eb := b.shards[wi]
-		if eb == nil {
-			eb = m.getBatch()
-			b.shards[wi] = eb
-		}
+		eb := m.shardOf(b, node)
 		eb.entries = append(eb.entries, batchEntry{tok: core.Token{Time: ts, Node: node}, msg: msg})
 		n++
 	}
@@ -395,6 +314,28 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 		m.putBuilder(b)
 		return parseErrs, nil
 	}
+	return parseErrs, m.dispatch(b, n)
+}
+
+// shardOf returns the batch of b bound for node's worker, taking a shell from
+// the freelist the first time the worker is hit.
+//
+//aarohi:hotpath
+func (m *Manager) shardOf(b *batchBuilder, node string) *eventBatch {
+	eb := &b.shards[fnvIndex(node, len(m.workers))]
+	if *eb == nil {
+		*eb = m.getBatch()
+	}
+	return *eb
+}
+
+// dispatch sends every batch of b to its worker, n lines in all, while
+// holding the read side of the close lock, so a concurrent Close can never
+// close a worker channel mid-send. After Close nothing is sent, nothing is
+// counted, and the shells go back to the freelist.
+//
+//aarohi:hotpath
+func (m *Manager) dispatch(b *batchBuilder, n int) error {
 	m.mu.RLock()
 	if m.closed {
 		m.mu.RUnlock()
@@ -405,11 +346,12 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 			}
 		}
 		m.putBuilder(b)
-		return parseErrs, ErrClosed
+		return ErrClosed
 	}
-	// Count the whole group before the first enqueue, mirroring send: inside
-	// the RLock with closed == false delivery is guaranteed, and Accepted()
-	// never trails processed.
+	// Count the whole group before the first enqueue: inside the RLock with
+	// closed == false delivery is guaranteed, and counting first keeps the
+	// invariant Accepted() >= processed at every instant (Stats readers
+	// observe the two in that order).
 	m.accepted.Add(uint64(n))
 	for i, eb := range b.shards {
 		if eb == nil {
@@ -423,7 +365,7 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 	}
 	m.mu.RUnlock()
 	m.putBuilder(b)
-	return parseErrs, nil
+	return nil
 }
 
 // getBatch / putBatch / getBuilder / putBuilder are the freelist cold+recycle
@@ -441,7 +383,8 @@ func (m *Manager) getBatch() *eventBatch {
 
 func (m *Manager) putBatch(eb *eventBatch) {
 	clear(eb.entries) // drop node/msg string references before pooling
-	eb.entries = eb.entries[:0]
+	clear(eb.toks)
+	eb.entries, eb.toks, eb.discarded = eb.entries[:0], eb.toks[:0], 0
 	select {
 	case m.batchFree <- eb:
 	default:
@@ -504,77 +447,31 @@ func (m *Manager) ProcessScanned(s *Scanned) (parseErrs int, err error) {
 	if n == 0 {
 		return s.ParseErrors, nil
 	}
-	shards := make([]*tokenBatch, len(m.workers))
+	b := m.getBuilder()
 	for _, tok := range s.Tokens {
-		wi := fnvIndex(tok.Node, len(m.workers))
-		if shards[wi] == nil {
-			shards[wi] = &tokenBatch{}
-		}
-		shards[wi].toks = append(shards[wi].toks, tok)
+		eb := m.shardOf(b, tok.Node)
+		eb.toks = append(eb.toks, tok)
 	}
 	// No node was hashed for a discarded line, so its count rides on the
 	// first batch sent (worker 0's when nothing tokenized); Stats sums the
 	// workers either way.
 	first := 0
-	for i, tb := range shards {
-		if tb != nil {
+	for i, eb := range b.shards {
+		if eb != nil {
 			first = i
 			break
 		}
 	}
-	if shards[first] == nil {
-		shards[first] = &tokenBatch{}
+	if b.shards[first] == nil {
+		b.shards[first] = m.getBatch()
 	}
-	shards[first].discarded = s.Discarded
-
-	m.mu.RLock()
-	if m.closed {
-		m.mu.RUnlock()
-		return s.ParseErrors, ErrClosed
-	}
-	m.accepted.Add(uint64(n))
-	for i, tb := range shards {
-		if tb == nil {
-			continue
-		}
-		//aarohi:allow lockblock workers release slots as they drain, until Close; see ProcessLineBatch
-		m.workers[i].slots <- struct{}{}
-		//aarohi:allow lockblock worker queues are buffered and drained until Close; see ProcessLineBatch
-		m.workers[i].in <- managerEvent{tokens: tb}
-	}
-	m.mu.RUnlock()
-	return s.ParseErrors, nil
+	b.shards[first].discarded = s.Discarded
+	return s.ParseErrors, m.dispatch(b, n)
 }
 
-// ProcessToken routes one pre-scanned token to its node's worker. Safe for
-// concurrent use; returns ErrClosed after Close.
-//
-//aarohi:hotpath
-func (m *Manager) ProcessToken(tok core.Token) error {
-	return m.send(m.workerFor(tok.Node), managerEvent{tok: tok})
-}
-
-// send enqueues an event while holding the read side of the close lock, so a
-// concurrent Close can never close a worker channel mid-send.
-func (m *Manager) send(w *managerWorker, ev managerEvent) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
-	// Count before enqueuing: once inside the RLock with closed == false the
-	// event is guaranteed to be delivered, and counting first keeps the
-	// invariant Accepted() >= processed at every instant (Stats readers
-	// observe the two in that order).
-	m.accepted.Add(1)
-	//aarohi:allow lockblock worker queues are buffered and drained until Close; the RLock only excludes Close's swap, which waits for senders first
-	w.in <- ev
-	return nil
-}
-
-// Accepted returns the number of events Process* has successfully enqueued.
+// Accepted returns the number of lines Process* has successfully enqueued.
 // Once Results has closed (all workers drained), Stats().LinesScanned equals
-// Accepted() exactly — the invariant that no accepted event is lost or
+// Accepted() exactly — the invariant that no accepted line is lost or
 // double-processed during shutdown.
 func (m *Manager) Accepted() uint64 { return m.accepted.Load() }
 
@@ -593,7 +490,7 @@ func (m *Manager) Flush() error {
 		return ErrClosed
 	}
 	for _, w := range m.workers {
-		//aarohi:allow lockblock flush markers ride the same drained worker queues as events; see send
+		//aarohi:allow lockblock flush markers ride the same drained worker queues as batches; see dispatch
 		w.in <- managerEvent{flush: ack}
 	}
 	m.mu.RUnlock()

@@ -1,93 +1,159 @@
 package predictor
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Lifecycle and race coverage for the batch submission path. The serve-level
-// equivalence suite proves batched output equals per-line output; these tests
-// pin the Manager-level contract: whole-batch ErrClosed semantics, parse-error
-// accounting, and freedom from races against Close, Flush and state hot-swap.
+// equivalence suite proves the daemon's batches reproduce a sequential
+// predictor; these tests pin the Manager-level contract: outputs and Stats
+// equal to a sequential Predictor's, whole-batch ErrClosed semantics,
+// parse-error accounting, and freedom from races against Close, Flush and
+// state hot-swap.
 
-// TestManagerBatchMatchesPerLine: the same stream chunked into batches yields
-// the same predictions and stats as per-line submission, and malformed lines
-// are counted without poisoning the rest of their batch.
-func TestManagerBatchMatchesPerLine(t *testing.T) {
-	log := genLog(t, 9, 8, 4)
-	chains, inv := log.Dialect.Chains(), log.Dialect.Inventory()
-	lines := log.Lines()
-
-	ref, err := NewManager(chains, inv, Options{}, 3)
+// phantomModel is a one-chain model whose chain uses phrase ID 0 in its
+// middle: a line whose message is never scanned must not reach the parse as
+// a phrase-0 token and complete the chain.
+func phantomModel(t *testing.T) *Model {
+	t.Helper()
+	model, err := Compile([]core.FailureChain{{Name: "FC0", Phrases: []core.PhraseID{1, 0, 3, 2}}},
+		[]core.Template{
+			{ID: 0, Pattern: "alpha *", Class: core.Unknown},
+			{ID: 1, Pattern: "beta *", Class: core.Erroneous},
+			{ID: 2, Pattern: "node down *", Class: core.Failed},
+			{ID: 3, Pattern: "gamma *", Class: core.Unknown},
+		}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refKeys, refDone := drainManager(ref)
-	for _, line := range lines {
-		if err := ref.ProcessLine(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref.Close()
-	<-refDone
-	refStats := ref.Stats()
+	return model
+}
 
-	for _, chunk := range []int{1, 7, 256} {
-		m, err := NewManager(chains, inv, Options{}, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys, done := drainManager(m)
-		var parseErrs int
-		for i := 0; i < len(lines); i += chunk {
-			end := i + chunk
-			if end > len(lines) {
-				end = len(lines)
-			}
-			// A malformed line rides along in one batch per chunk size; it
-			// must be skipped and counted, not dropped silently or fatal.
-			batch := append(append([]string(nil), lines[i:end]...), "not a log line")
-			pe, err := m.ProcessLineBatch(batch)
+// phantomLines runs the chain to completion on n2, and on n1 with an empty
+// message body ("<ts> <node> ") where phrase 0 should be: n2 is predicted
+// and fails, n1 is neither.
+var phantomLines = []string{
+	"2015-03-14T04:58:57.000Z n1 beta one",
+	"2015-03-14T04:58:57.000Z n2 beta one",
+	"2015-03-14T04:58:58.000Z n1 ",
+	"2015-03-14T04:58:58.000Z n2 alpha two",
+	"2015-03-14T04:58:59.000Z n1 gamma three",
+	"2015-03-14T04:58:59.000Z n2 gamma three",
+	"2015-03-14T04:59:30.000Z n2 node down now",
+}
+
+// outputKey canonicalizes a prediction or an observed failure.
+func outputKey(out Output) string {
+	if p := out.Prediction; p != nil {
+		return predKey(p.Node, p.ChainName, p.MatchedAt)
+	}
+	if f := out.Failure; f != nil {
+		return fmt.Sprintf("failed/%s/%d", f.Node, f.Time.UnixMilli())
+	}
+	return ""
+}
+
+// TestManagerBatchMatchesPerLine: a stream handed to the manager one line at
+// a time (ProcessLine, a batch of one) and in batches of 7 and 256 yields
+// exactly the predictions, failures and Stats of a sequential Predictor over
+// the same lines, and malformed lines are counted without poisoning the rest
+// of their batch.
+func TestManagerBatchMatchesPerLine(t *testing.T) {
+	log := genLog(t, 9, 8, 4)
+	xc30, err := Compile(log.Dialect.Chains(), log.Dialect.Inventory(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name  string
+		model *Model
+		lines []string
+	}{
+		{"xc30", xc30, log.Lines()},
+		{"phantom-phrase-0", phantomModel(t), phantomLines},
+	}
+	for _, row := range rows {
+		ref := row.model.NewPredictor()
+		var want []string
+		for _, line := range row.lines {
+			out, err := ref.ProcessLine(line)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parseErrs += pe
-			batch = batch[:len(batch)-1]
-			pe, err = m.ProcessLineBatch(batch[:0])
-			if pe != 0 || err != nil {
-				t.Fatalf("empty batch = (%d, %v), want (0, nil)", pe, err)
+			if k := outputKey(out); k != "" {
+				want = append(want, k)
 			}
 		}
-		m.Close()
-		<-done
+		if len(want) == 0 {
+			t.Fatalf("%s: the sequential reference produced no outputs; the comparison would be vacuous", row.name)
+		}
+		sort.Strings(want)
 
-		wantBad := (len(lines) + chunk - 1) / chunk
-		if parseErrs != wantBad {
-			t.Fatalf("chunk=%d: %d parse errors, want %d", chunk, parseErrs, wantBad)
-		}
-		got, want := sortedCopy(*keys), sortedCopy(*refKeys)
-		if len(got) != len(want) {
-			t.Fatalf("chunk=%d: %d predictions, per-line %d", chunk, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("chunk=%d: prediction %d differs: %s vs %s", chunk, i, got[i], want[i])
+		for _, chunk := range []int{1, 7, 256} {
+			m := row.model.NewManager(3)
+			var got []string
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for out := range m.Results() {
+					if k := outputKey(out); k != "" {
+						got = append(got, k)
+					}
+				}
+			}()
+			var parseErrs int
+			for i := 0; i < len(row.lines); i += chunk {
+				// A malformed line rides along once per chunk; it must be
+				// skipped and counted, not dropped silently or fatal.
+				batch := append(append([]string(nil), row.lines[i:min(i+chunk, len(row.lines))]...), "not a log line")
+				if chunk == 1 {
+					for _, line := range batch {
+						if err := m.ProcessLine(line); err == ErrClosed {
+							t.Fatal(err)
+						} else if err != nil {
+							parseErrs++
+						}
+					}
+					continue
+				}
+				pe, err := m.ProcessLineBatch(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parseErrs += pe
+				if pe, err := m.ProcessLineBatch(batch[:0]); pe != 0 || err != nil {
+					t.Fatalf("empty batch = (%d, %v), want (0, nil)", pe, err)
+				}
 			}
-		}
-		st := m.Stats()
-		if st.LinesScanned != refStats.LinesScanned || st.Tokens != refStats.Tokens {
-			t.Fatalf("chunk=%d: stats diverge: %+v vs %+v", chunk, st, refStats)
-		}
-		if uint64(st.LinesScanned) != m.Accepted() {
-			t.Fatalf("chunk=%d: LinesScanned %d != Accepted %d", chunk, st.LinesScanned, m.Accepted())
+			m.Close()
+			<-done
+
+			label := fmt.Sprintf("%s chunk=%d", row.name, chunk)
+			if wantBad := (len(row.lines) + chunk - 1) / chunk; parseErrs != wantBad {
+				t.Fatalf("%s: %d parse errors, want %d", label, parseErrs, wantBad)
+			}
+			sort.Strings(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: outputs %v, sequential predictor %v", label, got, want)
+			}
+			if st := m.Stats(); st != ref.Stats() {
+				t.Fatalf("%s: stats diverge: %+v vs %+v", label, st, ref.Stats())
+			}
+			if st := m.Stats(); uint64(st.LinesScanned) != m.Accepted() {
+				t.Fatalf("%s: LinesScanned %d != Accepted %d", label, st.LinesScanned, m.Accepted())
+			}
 		}
 	}
 }
 
 // TestManagerBatchErrClosed: a closed manager refuses the entire batch —
-// no partial shard delivery, no accepted-count advance — matching the
-// per-line ErrClosed contract.
+// no partial shard delivery, no accepted-count advance.
 func TestManagerBatchErrClosed(t *testing.T) {
 	log := genLog(t, 11, 4, 2)
 	m, err := NewManager(log.Dialect.Chains(), log.Dialect.Inventory(), Options{}, 3)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/loggen"
 )
 
@@ -45,7 +44,7 @@ func TestManagerMatchesSerialPredictor(t *testing.T) {
 			}
 		}()
 		for _, e := range log.Events {
-			if err := m.ProcessToken(core.Token{Phrase: e.Phrase, Time: e.Time, Node: e.Node}); err != nil {
+			if err := m.ProcessLine(e.Line()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -208,15 +207,12 @@ func TestManagerCloseIdempotent(t *testing.T) {
 	for range m.Results() {
 	}
 	m.Close() // and still a no-op after the drain completes
-	if err := m.ProcessToken(core.Token{Node: "c0-0c0s0n0"}); err != ErrClosed {
-		t.Fatalf("ProcessToken after Close: err = %v, want ErrClosed", err)
-	}
 	if err := m.ProcessLine("2015-03-14T04:58:57.640Z c0-0c0s0n0 hello"); err != ErrClosed {
 		t.Fatalf("ProcessLine after Close: err = %v, want ErrClosed", err)
 	}
 }
 
-// TestManagerConcurrentProcessClose hammers ProcessLine/ProcessToken/Stats
+// TestManagerConcurrentProcessClose hammers ProcessLine/Stats
 // from many goroutines while Close races in — run under -race this covers the
 // shutdown path of the serve daemon. Lines routed after Close must fail with
 // ErrClosed instead of panicking on a closed channel; everything accepted
@@ -297,8 +293,8 @@ func BenchmarkManagerThroughput(b *testing.B) {
 					for range m.Results() {
 					}
 				}()
-				for _, line := range lines {
-					if err := m.ProcessLine(line); err != nil {
+				for start := 0; start < len(lines); start += 256 {
+					if _, err := m.ProcessLineBatch(lines[start:min(start+256, len(lines))]); err != nil {
 						b.Fatal(err)
 					}
 				}

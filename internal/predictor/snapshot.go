@@ -265,13 +265,7 @@ func (m *Manager) ImportState(st State) error {
 		shards[i].Fingerprint = st.Fingerprint
 	}
 	for _, ds := range st.Drivers {
-		var wi int
-		for i, w := range m.workers {
-			if m.workerFor(ds.Node) == w {
-				wi = i
-				break
-			}
-		}
+		wi := fnvIndex(ds.Node, len(m.workers))
 		shards[wi].Drivers = append(shards[wi].Drivers, ds)
 	}
 	// Aggregate counters live on worker 0; Stats() sums across workers, so

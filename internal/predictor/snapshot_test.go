@@ -123,7 +123,7 @@ func TestManagerSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 	}
 	refKeys, refDone := drainManager(ref)
 	for _, e := range log.Events {
-		if err := ref.ProcessToken(core.Token{Phrase: e.Phrase, Time: e.Time, Node: e.Node}); err != nil {
+		if err := ref.ProcessLine(e.Line()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestManagerSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 	keys1, done1 := drainManager(m1)
 	half := len(log.Events) / 2
 	for _, e := range log.Events[:half] {
-		if err := m1.ProcessToken(core.Token{Phrase: e.Phrase, Time: e.Time, Node: e.Node}); err != nil {
+		if err := m1.ProcessLine(e.Line()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestManagerSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
 	}
 	keys2, done2 := drainManager(m2)
 	for _, e := range log.Events[half:] {
-		if err := m2.ProcessToken(core.Token{Phrase: e.Phrase, Time: e.Time, Node: e.Node}); err != nil {
+		if err := m2.ProcessLine(e.Line()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestManagerFlushBarrier(t *testing.T) {
 		}
 	}()
 	for _, e := range log.Events {
-		if err := m.ProcessToken(core.Token{Phrase: e.Phrase, Time: e.Time, Node: e.Node}); err != nil {
+		if err := m.ProcessLine(e.Line()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestManagerStatsDuringCloseReconciles(t *testing.T) {
 				defer wg.Done()
 				for i := g; i < len(log.Events); i += 4 {
 					e := log.Events[i]
-					if err := m.ProcessToken(core.Token{Phrase: e.Phrase, Time: e.Time, Node: e.Node}); err != nil {
+					if err := m.ProcessLine(e.Line()); err != nil {
 						return // ErrClosed: racing Close won
 					}
 					sent.Add(1)

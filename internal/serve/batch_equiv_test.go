@@ -17,15 +17,18 @@ import (
 	"repro/internal/wal"
 )
 
-// The batched ingest pipeline must be observationally identical to the
-// per-line seed path: same predictions and failures (as a set, and in order
-// per node), byte-identical WAL record sequence, and byte-identical arbiter
-// state. These tests drive full servers — pump, WAL, Manager, arbiter —
+// However the pump cuts the stream into batches, the daemon must be
+// observationally identical to one sequential predictor over the same lines:
+// same predictions and failures (as a set, and in order per node), the input
+// lines journaled in order, and byte-identical arbiter state whatever the
+// batch size. These tests drive full servers — pump, WAL, Manager, arbiter —
 // across four dialect families and batch sizes {1, 7, 256}, with chunked
-// feeding and a positive BatchAge forcing partial mid-batch drains, and
-// compare everything against a BatchMax=1 reference run. One row feeds the
-// same stream over the TCP line listener, torn at seeded random write
-// boundaries, so the framer and the chunk hand-off sit inside the comparison.
+// feeding and a positive BatchAge forcing partial mid-batch drains. Outputs
+// are checked against a sequential predictor.Predictor, journals against the
+// input, and arbiter snapshots against the BatchMax=1 row (a batch of one
+// line). One row feeds the same stream over the TCP line listener, torn at
+// seeded random write boundaries, so the framer and the chunk hand-off sit
+// inside the comparison.
 
 // pipeRun captures everything externally observable about one server run.
 type pipeRun struct {
@@ -153,6 +156,30 @@ func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int,
 	return run
 }
 
+// sequentialRun is the independent reference: lines through one sequential
+// predictor.Predictor, and the journal a daemon must write for them — each
+// line verbatim, in order (no generated line starts with the NUL byte the
+// record framing escapes). It has no arbiter state.
+func sequentialRun(t *testing.T, d *loggen.Dialect, lines []string) pipeRun {
+	t.Helper()
+	p, err := predictor.New(d.Chains(), d.Inventory(), predictor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := pipeRun{perNode: map[string][]string{}}
+	for _, line := range lines {
+		run.wal = append(run.wal, []byte(line))
+		out, err := p.ProcessLine(line)
+		if k := outKey(out); err == nil && k != "" {
+			run.keys = append(run.keys, k)
+			run.perNode[outNode(out)] = append(run.perNode[outNode(out)], k)
+		}
+	}
+	sort.Strings(run.keys)
+	return run
+}
+
+// diffRuns compares got's outputs and journal with want's.
 func diffRuns(t *testing.T, label string, want, got pipeRun) {
 	t.Helper()
 	if len(got.keys) != len(want.keys) {
@@ -188,13 +215,11 @@ func diffRuns(t *testing.T, label string, want, got pipeRun) {
 			}
 		}
 	}
-	if !bytes.Equal(got.arb, want.arb) {
-		t.Errorf("%s: arbiter snapshot differs (%d vs %d bytes)", label, len(got.arb), len(want.arb))
-	}
 }
 
-// TestBatchPipelineEquivalence: for four dialect families, every batched
-// configuration reproduces the per-line reference run exactly.
+// TestBatchPipelineEquivalence: for four dialect families, every batching
+// configuration reproduces a sequential predictor's outputs, journals its
+// input in order, and ends in the arbiter state of one-line batches.
 func TestBatchPipelineEquivalence(t *testing.T) {
 	dialects := []*loggen.Dialect{
 		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectBGP, loggen.DialectCassandra,
@@ -212,7 +237,7 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			lines := log.Lines()
-			ref := runBatchPipe(t, d, lines, 1, 0, false, 0)
+			ref := sequentialRun(t, d, lines)
 			if len(ref.keys) == 0 {
 				t.Fatalf("reference run produced no outputs; the comparison would be vacuous")
 			}
@@ -222,16 +247,23 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 				chunked  bool
 				tcpSeed  int64
 			}{
-				{1, 0, true, 0},                        // per-line path, chunked feed: determinism self-check
+				{1, 0, false, 0},                       // batches of one line: the arbiter reference
+				{1, 0, true, 0},                        // batches of one line, chunked feed: determinism self-check
 				{7, 0, false, 0},                       // small batches, continuous feed
 				{256, 0, true, 0},                      // large batches with forced opportunistic mid-batch drains
 				{256, 500 * time.Microsecond, true, 0}, // large batches with age-timer mid-batch drains
 				{256, 0, false, seed},                  // framer + chunk hand-off: TCP feed torn at random write boundaries
 			}
-			for _, c := range cases {
+			var arbRef []byte
+			for i, c := range cases {
 				label := fmt.Sprintf("batch=%d age=%s chunked=%v tcp=%d", c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
 				got := runBatchPipe(t, d, lines, c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
 				diffRuns(t, label, ref, got)
+				if i == 0 {
+					arbRef = got.arb
+				} else if !bytes.Equal(got.arb, arbRef) {
+					t.Errorf("%s: arbiter snapshot differs from batch=1's (%d vs %d bytes)", label, len(got.arb), len(arbRef))
+				}
 			}
 		})
 	}

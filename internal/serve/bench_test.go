@@ -13,10 +13,15 @@ import (
 	"repro/internal/wal"
 )
 
-// BenchmarkServeIngest measures the full steady-state ingest path — queue,
-// WAL framing/append (in the wal variants), sharded scan, parse — in bytes
-// of raw log per second. This is the number ROADMAP item 2 tracks
-// (BENCH_ingest.json); run it via scripts/bench.sh.
+// BenchmarkServeIngest is an in-process smoke benchmark of the full
+// steady-state ingest path — queue, WAL framing/append (in the wal variants),
+// sharded scan, parse — in bytes of raw log per second:
+//
+//	go test -run '^$' -bench BenchmarkServeIngest -benchmem ./internal/serve
+//
+// End-to-end numbers come from the bench/ module; the zero-allocation
+// guarantees are AllocsPerRun tests (shard.TestSubmitBatchAllocs,
+// TestForwardAllocs).
 func BenchmarkServeIngest(b *testing.B) {
 	log, err := loggen.Generate(loggen.Config{
 		Dialect: loggen.DialectXC30, Seed: 7, Duration: 45 * time.Minute,
@@ -77,37 +82,22 @@ func BenchmarkServeIngest(b *testing.B) {
 	b.Run("wal", func(b *testing.B) {
 		run(b, Config{DataDir: b.TempDir()})
 	})
-	// E8 variants: the per-line seed path against the batched default, and
-	// the batched path under each journal sync policy. "wal" above stays the
-	// tracked trajectory number (batched pump, SyncBatch).
-	b.Run("wal-perline", func(b *testing.B) {
-		run(b, Config{DataDir: b.TempDir(), BatchMax: 1})
-	})
+	// The journal under the other two sync policies ("wal" is SyncBatch).
 	b.Run("wal-always", func(b *testing.B) {
 		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncAlways})
-	})
-	b.Run("wal-always-perline", func(b *testing.B) {
-		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncAlways, BatchMax: 1})
 	})
 	b.Run("wal-off", func(b *testing.B) {
 		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncOff})
 	})
-	// Sharded variants: the consistent-hash router in front of N local
-	// shards, no persistence — shards-1 is the synchronous pass-through
-	// (the router tax should be nil vs nowal), shards-4 the routed fan-out
-	// with one worker goroutine per shard. Both carry Config.Model because
-	// Shards > 1 builds the extra shard managers from it; shards-1 keeps it
-	// too so the two differ only in shard count.
-	model := &registry.Model{
-		Chains:    loggen.DialectXC30.Chains(),
-		Templates: loggen.DialectXC30.Inventory(),
-		Options:   predictor.Options{},
-	}
+	// The consistent-hash router in front of one local shard, no
+	// persistence: the synchronous pass-through, whose tax should be nil
+	// against nowal.
 	b.Run("shards1", func(b *testing.B) {
-		run(b, Config{Shards: 1, Model: model})
-	})
-	b.Run("shards4", func(b *testing.B) {
-		run(b, Config{Shards: 4, Model: model})
+		run(b, Config{Shards: 1, Model: &registry.Model{
+			Chains:    loggen.DialectXC30.Chains(),
+			Templates: loggen.DialectXC30.Inventory(),
+			Options:   predictor.Options{},
+		}})
 	})
 	// Forwarded hop: cluster mode with a static table that omits this
 	// daemon, so every line makes the one cross-daemon hop — placement

@@ -508,10 +508,6 @@ func newClusterSink(c *cluster, fromForward bool) *clusterSink {
 	}
 }
 
-func (k *clusterSink) ProcessLine(line string) {
-	k.ProcessBatch([]string{line})
-}
-
 //aarohi:hotpath
 func (k *clusterSink) ProcessBatch(batch []string) {
 	c := k.c

@@ -13,7 +13,6 @@ type recordSink struct {
 	batches [][]string
 }
 
-func (s *recordSink) ProcessLine(line string) { s.lines = append(s.lines, line) }
 func (s *recordSink) ProcessBatch(batch []string) {
 	s.batches = append(s.batches, append([]string(nil), batch...))
 	s.lines = append(s.lines, batch...)
@@ -26,8 +25,8 @@ func drainAll(p *Pipeline) {
 	<-p.Done()
 }
 
-// TestForwardedLineRouting: per-line pump sends local lines to the primary
-// sink and forwarded lines to the forward sink.
+// TestForwardedLineRouting: with one-line batches the pump sends local lines
+// to the primary sink and forwarded lines to the forward sink.
 func TestForwardedLineRouting(t *testing.T) {
 	local, fwd := &recordSink{tag: "local"}, &recordSink{tag: "fwd"}
 	p := New(Config{QueueSize: 64, BatchMax: 1, Forward: fwd}, local)
@@ -36,9 +35,9 @@ func TestForwardedLineRouting(t *testing.T) {
 		t.Fatal("BeginProduce refused")
 	}
 	p.Ingest("a")
-	p.IngestForwarded("b")
+	p.IngestForwardedBatch([]string{"b"})
 	p.Ingest("c")
-	p.IngestForwarded("d")
+	p.IngestForwardedBatch([]string{"d"})
 	p.EndProduce()
 	drainAll(p)
 	if fmt.Sprint(local.lines) != "[a c]" || fmt.Sprint(fwd.lines) != "[b d]" {
@@ -62,7 +61,7 @@ func TestForwardedBatchUniformity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		line := fmt.Sprintf("line-%03d", i)
 		if i%3 == 0 {
-			p.IngestForwarded(line)
+			p.IngestForwardedBatch([]string{line})
 			wantFwd = append(wantFwd, line)
 		} else {
 			p.Ingest(line)
@@ -95,7 +94,7 @@ func TestForwardNilRoutesToPrimary(t *testing.T) {
 		t.Fatal("BeginProduce refused")
 	}
 	p.Ingest("a")
-	p.IngestForwarded("b")
+	p.IngestForwardedBatch([]string{"b"})
 	p.Ingest("c")
 	p.EndProduce()
 	drainAll(p)

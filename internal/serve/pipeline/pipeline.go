@@ -29,14 +29,12 @@ const (
 	Shed Policy = "shed"
 )
 
-// Sink consumes drained lines. Both calls run on the pump goroutine and must
-// fully process their input before returning — "pump exited" means every
-// accepted line reached the Sink.
+// Sink consumes drained lines, one pump batch at a time. ProcessBatch runs on
+// the pump goroutine and must fully process its input before returning —
+// "pump exited" means every accepted line reached the Sink. The slice is
+// reused for the next batch after the call returns; implementations must not
+// retain it.
 type Sink interface {
-	// ProcessLine handles one line (the BatchMax == 1 per-line path).
-	ProcessLine(line string)
-	// ProcessBatch handles one pump batch. The slice is reused for the next
-	// batch after the call returns; implementations must not retain it.
 	ProcessBatch(batch []string)
 }
 
@@ -58,7 +56,7 @@ type Config struct {
 	// Overflow is the queue-full policy.
 	Overflow Policy
 	// BatchMax caps how many queued lines the pump coalesces into one Sink
-	// batch. 1 selects the per-line path.
+	// batch. 1 makes every batch a single line.
 	BatchMax int
 	// BatchMaxBytes caps the byte size of one pump batch.
 	BatchMaxBytes int
@@ -70,7 +68,7 @@ type Config struct {
 	// has closed and the final batch has reached the Sink, before Done
 	// closes — the hook the serve layer uses for the final checkpoint.
 	OnDrained func()
-	// Forward, when non-nil, receives lines enqueued via IngestForwarded
+	// Forward, when non-nil, receives lines enqueued via IngestForwardedBatch
 	// (lines that already made their one cross-daemon hop). Nil routes them
 	// to the primary Sink. Single-daemon deployments never set it.
 	Forward Sink
@@ -198,18 +196,10 @@ func (p *Pipeline) IngestBatch(lines []string) int {
 	return p.enqueue(lines, false)
 }
 
-// IngestForwarded enqueues a line that arrived over a peer-forwarded
-// connection. It flows through the same bounded queue (one backpressure
-// domain) but is dispatched to the Forward sink, which processes it locally —
-// forwarded lines never hop again.
-//
-//aarohi:hotpath
-func (p *Pipeline) IngestForwarded(line string) bool {
-	one := [1]string{line}
-	return p.IngestForwardedBatch(one[:]) == 1
-}
-
-// IngestForwardedBatch is IngestBatch for the forwarded lane.
+// IngestForwardedBatch is IngestBatch for lines that arrived over a
+// peer-forwarded connection. They flow through the same bounded queue (one
+// backpressure domain) but are dispatched to the Forward sink, which
+// processes them locally — forwarded lines never hop again.
 //
 //aarohi:hotpath
 func (p *Pipeline) IngestForwardedBatch(lines []string) int {
@@ -325,54 +315,28 @@ func (p *Pipeline) Forwarded() int64 { return p.forwarded.Load() }
 
 // pump is the single consumer of the ingest queue: every accepted line flows
 // through it into the Sink, so "queue drained + pump exited" means every
-// accepted line reached the Sink. BatchMax > 1 selects the batched pump:
-// lines are cut into groups bounded by count/bytes/age and each group is one
-// Sink call.
+// accepted line reached the Sink.
 func (p *Pipeline) pump() {
 	defer close(p.done)
-	if p.cfg.BatchMax > 1 {
-		p.pumpBatches()
-	} else {
-		p.pumpLines()
-	}
+	p.pumpBatches()
 	if p.cfg.OnDrained != nil {
 		p.cfg.OnDrained()
 	}
 }
 
-// pumpLines is the per-line pump (BatchMax == 1): the original ingest loop,
-// kept both as the reference semantics the batched path must reproduce
-// exactly (see TestBatchPipelineEquivalence) and as the minimum-latency
-// configuration.
-//
-//aarohi:hotpath
-func (p *Pipeline) pumpLines() {
-	for p.next(1) {
-		if p.TestHookDelay != nil {
-			p.TestHookDelay()
-		}
-		if p.batchFwd {
-			p.fwdSink.ProcessLine(p.batch[0])
-		} else {
-			p.sink.ProcessLine(p.batch[0])
-		}
-	}
-}
-
-// pumpBatches is the batched pump: block for the first line, then collect
-// until BatchMax lines, BatchMaxBytes bytes, BatchAge of waiting, or an empty
-// queue (BatchAge 0), and hand the group to the Sink — one lock round-trip
-// per batch when the queue keeps up. Collection happens outside any sink-side
-// lock, so snapshots and hot-swaps interleave at batch boundaries exactly as
-// they did at line boundaries.
+// pumpBatches blocks for the first line, then collects until BatchMax lines,
+// BatchMaxBytes bytes, BatchAge of waiting, or an empty queue (BatchAge 0),
+// and hands the group to the Sink — one lock round-trip per batch when the
+// queue keeps up. Collection happens outside any sink-side lock, so snapshots
+// and hot-swaps interleave at batch boundaries.
 //
 //aarohi:hotpath
 func (p *Pipeline) pumpBatches() {
 	first := p.cfg.BatchMax
 	if p.TestHookDelay != nil {
-		// The test hook sits where the per-line pump has it — after the first
-		// dequeue, before any further draining — so queue-overflow tests can
-		// hold the pump with a known queue state.
+		// The test hook sits after the first dequeue, before any further
+		// draining, so queue-overflow tests can hold the pump with a known
+		// queue state.
 		first = 1
 	}
 	for p.next(first) {

@@ -248,11 +248,10 @@ func TestBatchAgeWaitsForPartialBatch(t *testing.T) {
 
 type sinkFunc func(batch []string)
 
-func (f sinkFunc) ProcessLine(line string)     { f([]string{line}) }
 func (f sinkFunc) ProcessBatch(batch []string) { f(batch) }
 
-// TestIngestDoesNotAllocate: the per-line entry points enqueue a one-line
-// chunk with no allocation, and a chunk costs none either.
+// TestIngestDoesNotAllocate: Ingest enqueues a one-line chunk with no
+// allocation, and a chunk costs none either.
 func TestIngestDoesNotAllocate(t *testing.T) {
 	p := New(Config{QueueSize: 1 << 16, BatchMax: 256}, sinkFunc(func([]string) {}))
 	p.Start()
@@ -264,11 +263,11 @@ func TestIngestDoesNotAllocate(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { p.Ingest(line) }); a != 0 {
 		t.Errorf("Ingest: %.1f allocs per line", a)
 	}
-	if a := testing.AllocsPerRun(1000, func() { p.IngestForwarded(line) }); a != 0 {
-		t.Errorf("IngestForwarded: %.1f allocs per line", a)
-	}
 	if a := testing.AllocsPerRun(100, func() { p.IngestBatch(chunk) }); a != 0 {
 		t.Errorf("IngestBatch: %.1f allocs per chunk", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { p.IngestForwardedBatch(chunk) }); a != 0 {
+		t.Errorf("IngestForwardedBatch: %.1f allocs per chunk", a)
 	}
 	p.EndProduce()
 	drainAll(p)

@@ -93,9 +93,8 @@ type Config struct {
 	// (default 4096, ≈200 KiB per subscriber).
 	SubscriberBuffer int
 	// BatchMax caps how many queued lines the pump coalesces into one WAL
-	// group-append and one Manager batch submit (default 256). 1 selects the
-	// per-line path: each line is journaled and dispatched individually, the
-	// pre-batching behavior.
+	// group-append and one Manager batch submit (default 256). 1 makes every
+	// batch a single line on the same path.
 	BatchMax int
 	// BatchMaxBytes caps the byte size of one pump batch (default 256 KiB),
 	// bounding WAL write size and worker latency under huge lines.
@@ -103,10 +102,10 @@ type Config struct {
 	// BatchAge caps how long the pump waits for a partial batch to fill
 	// before dispatching it. The default (0) never waits: the pump drains
 	// whatever is queued and dispatches immediately, so batches grow with
-	// load — full amortization under pressure, per-line latency when idle —
+	// load — full amortization under pressure, one-line latency when idle —
 	// and a snapshot or Flush issued while the stream is quiet observes
-	// every line, exactly as the per-line pump did. A positive age trades
-	// that latency for larger groups (useful with Fsync always).
+	// every line. A positive age trades that latency for larger groups
+	// (useful with Fsync always).
 	BatchAge time.Duration
 	// DrainGrace is how long Shutdown lets open TCP connections finish
 	// sending before force-closing them (default 1s).

@@ -20,7 +20,7 @@ import (
 // the fsync policy permits, and never a mid-flight parse.
 //
 // Consistency protocol: the submitter holds snapMu around each (WAL append,
-// ProcessLine) pair; a snapshot takes snapMu, reads the WAL tip, runs the
+// ProcessLineBatch) pair; a snapshot takes snapMu, reads the WAL tip, runs the
 // Manager's Flush barrier (every output for lines ≤ tip published), and only
 // then serializes. The snapshot therefore never covers an output that has
 // not already been delivered to subscribers, and always covers exactly the

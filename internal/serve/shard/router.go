@@ -10,9 +10,9 @@ import (
 )
 
 // Router fans the ingest pipeline out over N shards by consistent-hashing
-// each line's node ID. It implements the pipeline's Sink shape (ProcessLine,
-// ProcessBatch) structurally, so the serve layer can hand it to the pump
-// without either package importing the other's internals.
+// each line's node ID. It implements the pipeline's Sink shape (ProcessBatch)
+// structurally, so the serve layer can hand it to the pump without either
+// package importing the other's internals.
 //
 // Single-shard mode is a synchronous pass-through — no worker goroutine, no
 // extra copy, no reordering — which is what keeps one-shard deployments
@@ -101,17 +101,6 @@ func routeKey(line string) string {
 //aarohi:hotpath
 func (r *Router) shardFor(line string) int {
 	return r.ring.LookupIndex(routeKey(line))
-}
-
-// ProcessLine dispatches one line (the per-line pump path).
-func (r *Router) ProcessLine(line string) {
-	if r.ring == nil {
-		r.shards[0].SubmitLine(line)
-		return
-	}
-	i := r.shardFor(line)
-	r.pending[i].Add(1)
-	r.chans[i] <- routerMsg{batch: []string{line}}
 }
 
 // ProcessBatch splits one pump batch by owning shard and hands each shard

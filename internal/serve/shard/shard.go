@@ -1,7 +1,7 @@
-// Package shard is the daemon's unit of prediction state: one Shard bundles
+// Package shard is the daemon's unit of prediction state: one Local bundles
 // a predictor.Manager with its write-ahead journal, snapshots, arbiter and
 // shadow evaluation — everything that must stay consistent for one partition
-// of the node space. The serve layer feeds a Shard through the Router (which
+// of the node space. The serve layer feeds a Local through the Router (which
 // implements the pipeline's Sink over a consistent-hash ring) and the
 // lifecycle layer drives recovery, snapshots and model swaps across all
 // shards. Layering: shard sits below transport, pipeline and lifecycle and
@@ -19,35 +19,7 @@ import (
 	"repro/internal/wal"
 )
 
-// Shard is one partition of the prediction state. Local is the in-process
-// implementation; the interface is the seam a future network peer implements.
-// Lifecycle protocol: New → Start (fan-out) → Open (restore the newest
-// snapshot and replay the journal tail — Restore is boot-time only) →
-// SubmitLine/SubmitBatch from a single dispatcher goroutine → FinishIngest
-// (final snapshot, manager closed) → Close.
-type Shard interface {
-	// SubmitLine journals and parses one line (the per-line pump path).
-	SubmitLine(line string)
-	// SubmitBatch journals the batch as one WAL group-append and parses it as
-	// one Manager batch submit. The slice is the caller's scratch; it is not
-	// retained.
-	SubmitBatch(batch []string)
-	// Flush blocks until every submitted line's outputs are published.
-	Flush() error
-	// Snapshot checkpoints parse + arbiter state at the journal tip and
-	// truncates segments the checkpoint made redundant.
-	Snapshot() error
-	// SwapModel hot-swaps to an already-compiled model (zero-loss; the shard
-	// pauses at a batch boundary).
-	SwapModel(model *predictor.Model) (*SwapReport, error)
-	// Stats reports the shard's live counters.
-	Stats() Stats
-	// Close releases everything after FinishIngest: discards a running
-	// shadow, waits for the fan-out, closes the journal.
-	Close() error
-}
-
-// Stats is a Shard's live counter block.
+// Stats is a shard's live counter block.
 type Stats struct {
 	// Lines is the number of lines submitted to this shard.
 	Lines int64
@@ -81,10 +53,13 @@ type Config struct {
 	Publish func(out predictor.Output)
 }
 
-// Local is the in-process Shard: the Manager plus its durability and
-// arbitration state, exactly the bundle the serve monolith used to hold once
-// per process. Submit methods must be called from a single goroutine (the
-// pipeline pump or a Router worker).
+// Local is one partition of the prediction state: the Manager plus its
+// durability and arbitration state, exactly the bundle the serve monolith
+// used to hold once per process. Lifecycle: New → Start (fan-out) → Open
+// (restore the newest snapshot and replay the journal tail — Restore is
+// boot-time only) → SubmitBatch from a single dispatcher goroutine (the
+// pipeline pump or a Router worker) → FinishIngest (final snapshot, manager
+// closed) → Close.
 type Local struct {
 	cfg Config
 
@@ -99,10 +74,9 @@ type Local struct {
 	parseErrors atomic.Int64
 
 	// Durability state (nil / zero when Dir is unset). snapMu pairs each
-	// (WAL append, ProcessLine) step against snapshots and swaps.
+	// (WAL append, ProcessLineBatch) step against snapshots and swaps.
 	wlog            *wal.Log
 	snapMu          sync.Mutex
-	walBuf          []byte   // per-line framing scratch; Append copies out of it
 	walRecs         [][]byte // per-element capacity reused across batches
 	snapshots       atomic.Int64
 	lastSnapshotIdx atomic.Uint64
@@ -128,8 +102,6 @@ type Local struct {
 
 	fanDone chan struct{}
 }
-
-var _ Shard = (*Local)(nil)
 
 // New builds a Local shard over an already-constructed Manager. The shard
 // owns the Manager's lifecycle from Start onward.
@@ -185,36 +157,6 @@ func (l *Local) Flush() error { return l.Manager().Flush() }
 // SetTracker installs (or clears, with nil) the shared shadow agreement
 // tracker the fan-out records primary predictions into.
 func (l *Local) SetTracker(t *Tracker) { l.tracker.Store(t) }
-
-// SubmitLine journals and parses one line — the per-line pump path, kept as
-// the reference semantics the batched path reproduces exactly.
-//
-//aarohi:hotpath
-func (l *Local) SubmitLine(line string) {
-	l.snapMu.Lock()
-	if l.wlog != nil {
-		l.walBuf = encodeLineRecordInto(l.walBuf, line)
-		if _, err := l.wlog.Append(l.walBuf); err != nil {
-			// Journal failure is fatal for durability but not for
-			// prediction: log loudly and keep serving.
-			l.cfg.Logf("serve: wal append: %v", err)
-		}
-	}
-	// snapMu also pins the manager pointer: a hot-swap holds it for its
-	// whole critical section, so the submitter pauses at this line boundary
-	// and resumes on the fully swapped-in manager.
-	err := l.Manager().ProcessLine(line)
-	if sh := l.shadow; sh != nil {
-		// The shadow sees exactly the lines the primary does; its own
-		// parse errors mirror the primary's and are not double-counted.
-		sh.mgr.ProcessLine(line)
-	}
-	l.snapMu.Unlock()
-	l.lines.Add(1)
-	if err != nil {
-		l.parseErrors.Add(1)
-	}
-}
 
 // SubmitBatch journals and dispatches one batch under snapMu: every line is
 // framed into a reused record buffer, the group hits the WAL as one

@@ -17,8 +17,8 @@ const (
 )
 
 // encodeLineRecordInto frames line into dst's storage (dst is truncated
-// first) and returns the result — the submitter passes the same scratch slice
-// for every record, so steady-state appends allocate nothing.
+// first) and returns the result — SubmitBatch reuses each record slot's
+// scratch across batches, so steady-state appends allocate nothing.
 //
 //aarohi:hotpath
 func encodeLineRecordInto(dst []byte, line string) []byte {

@@ -4,8 +4,7 @@
 # fuzz target. This is what CI runs; run it before pushing.
 #
 # Usage: scripts/check.sh [fuzztime]
-#   fuzztime         per-target fuzzing budget (default 10s; "0" skips fuzzing)
-#   BENCH_CHECK_TIME per-benchmark budget for the regression gate (default 300ms)
+#   fuzztime  per-target fuzzing budget (default 10s; "0" skips fuzzing)
 
 set -eu
 
@@ -60,12 +59,6 @@ go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLive
 echo "==> replay equivalence at -cpu 1,2,4"
 go test -count=3 -cpu 1,2,4 -run 'TestReplayMatchesLiveRun' ./internal/serve
 go test -count=3 -cpu 1,2,4 -run 'TestReplayAppliesChunksInJournalOrder' ./internal/serve/shard
-
-echo "==> bench gate self-test (comparison logic on canned numbers)"
-scripts/bench.sh -selftest
-
-echo "==> bench regression gate (best-of-2 vs BENCH_trajectory.ndjson)"
-BENCHTIME="${BENCH_CHECK_TIME:-300ms}" scripts/bench.sh -check
 
 if [ "$FUZZTIME" != "0" ]; then
     # Go only allows one -fuzz target per invocation; run each explicitly.
