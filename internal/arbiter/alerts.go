@@ -3,6 +3,8 @@ package arbiter
 import (
 	"sort"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Alert is one scored, ranked node-failure alert: the fused calibrated
@@ -187,11 +189,16 @@ func (a *Arbiter) Status() Status {
 	st := Status{
 		StreamClock: a.clock,
 		Nodes:       len(a.nodes),
-		Heartbeats:  a.heartbeats,
-		Predictions: a.predictions,
-		Failures:    a.failures,
+		Heartbeats:  a.counts[core.EventBeat],
+		Predictions: a.counts[core.EventPrediction],
+		Failures:    a.counts[core.EventFailure],
 
 		DroppedNodes: a.droppedNodes,
+	}
+	// Settle expired chain evidence first, as Alerts does, so the ledger
+	// reported below already counts it.
+	for _, ns := range a.nodes {
+		a.resolveNode(ns)
 	}
 	for name, cs := range a.chain {
 		st.Chains = append(st.Chains, ChainStatus{
@@ -205,7 +212,6 @@ func (a *Arbiter) Status() Status {
 		if ns.down {
 			st.Down++
 		}
-		a.resolveNode(ns)
 		a.scoreNode(ns, &al)
 		st.Top = append(st.Top, NodeStatus{
 			Node: ns.node, Phi: al.Phi, Probability: al.Probability,

@@ -23,11 +23,16 @@
 // weight, so the probability stays comparable across nodes while the
 // ordering reflects what the operator cares about most.
 //
-// All state transitions depend only on event timestamps, never on arrival
-// order or the wall clock: heartbeats come synchronously from the ingest
-// pump while predictions and failures arrive through the asynchronous
-// result fan-out, so commutativity is what makes recovered-after-SIGKILL
-// scores reproduce an uninterrupted run exactly (see the crash test).
+// Per-node events must arrive in stream order: a node's heartbeat for line
+// i, then the prediction and failure line i produced, then line i+1's
+// heartbeat. Phi's cold-restart reset and the flap history read that order —
+// a failure observed after the node's restart traffic would leave the node
+// down, or restart it at the wrong line. The daemon meets the precondition by
+// construction: a node belongs to one predictor worker, which sees the node's
+// lines in order and feeds the arbiter itself (Observe). Given it, the state
+// depends only on event timestamps, never on how the feeders of different
+// nodes interleave or on the wall clock, so recovered-after-SIGKILL scores
+// reproduce an uninterrupted run exactly (see the crash test).
 package arbiter
 
 import (
@@ -35,6 +40,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Config parameterizes an Arbiter. The zero value is usable: New applies
@@ -152,13 +159,17 @@ type Arbiter struct {
 	cfg Config
 
 	mu    sync.Mutex
-	clock time.Time // stream time: max event timestamp seen (commutative)
-	nodes map[string]*nodeState
-	chain map[string]*chainStat
+	clock time.Time // stream time: the max event timestamp over all feeders
+	// feeders[f] is the max event timestamp feeder f has delivered. A node's
+	// chain evidence expires against the clock of the feeder that delivers
+	// the node: that feeder reports the node's events in stream order, so once
+	// its clock passes an expiry every failure inside the window has been
+	// observed, however far other feeders have run ahead.
+	feeders []time.Time
+	nodes   map[string]*nodeState
+	chain   map[string]*chainStat
 
-	heartbeats   uint64
-	predictions  uint64
-	failures     uint64
+	counts       [3]uint64 // events observed, by core.EventKind
 	droppedNodes uint64
 }
 
@@ -171,8 +182,8 @@ type chainStat struct {
 
 // pendingPred is one chain accept awaiting precision resolution; until the
 // horizon passes it also serves as live fusion evidence. The per-node list
-// is kept sorted by (MatchedAt, Chain) so fusion multiplies evidence in an
-// arrival-order-independent sequence.
+// is kept sorted by (MatchedAt, Chain), so chains that fire at the same
+// timestamp fuse in one sequence whatever order they were reported in.
 type pendingPred struct {
 	chain     string
 	matchedAt time.Time
@@ -183,17 +194,13 @@ type pendingPred struct {
 // contents on demand (never maintained incrementally) so a state restored
 // from a snapshot is bit-identical to one that lived through the stream.
 type nodeState struct {
-	node string
-	tier int
+	node   string
+	tier   int
+	feeder int // the feeder that delivers the node's events
 
 	intervals ring // inter-arrival seconds
 	lastSeen  time.Time
 	seen      uint64 // total heartbeats observed
-
-	// arrivals retains recent arrival timestamps so a failure event that is
-	// processed after the node's restart traffic (asynchronous fan-out) can
-	// still reconstruct the earliest post-failure arrival.
-	arrivals tring
 
 	down    bool
 	downAt  time.Time
@@ -205,22 +212,9 @@ type nodeState struct {
 	pending   []pendingPred
 }
 
-// arrivalRing / failRing size the per-node timestamp rings. The arrivals
-// ring must out-size the interval window (default 64) so a late-delivered
-// failure can rebuild the full post-restart window from raw arrival times;
-// 96 additionally absorbs any realistic fan-out lag. 8 failures cover every
+// failRingLen sizes the per-node failure-time ring: 8 failures cover every
 // resolution window a horizon can span.
-const (
-	arrivalRingLen = 96
-	failRingLen    = 8
-)
-
-// ReorderWindow is how many later heartbeats of a node may be observed
-// before one of its failures and still leave exactly the state in-order
-// delivery leaves: past it the node's first post-failure arrival has left
-// the ring and its up-since time is lost. A feeder that runs heartbeats ahead
-// of the outputs they belong to (boot replay does) must stay inside it.
-const ReorderWindow = arrivalRingLen
+const failRingLen = 8
 
 // New builds an Arbiter; zero-value Config fields take their defaults.
 func New(cfg Config) *Arbiter {
@@ -235,33 +229,95 @@ func New(cfg Config) *Arbiter {
 // Config returns the arbiter's effective (defaulted) configuration.
 func (a *Arbiter) Config() Config { return a.cfg }
 
+// Observe applies one feeder's events in order under one lock acquisition.
+// A feeder is one source of per-node stream order — in the daemon, a
+// predictor worker, which owns its nodes and reports each line's heartbeat
+// before what the line produced — and its index selects the clock its nodes'
+// chain evidence expires against. The node strings may alias caller buffers:
+// the arbiter copies what it keeps.
+//
+//aarohi:hotpath
+func (a *Arbiter) Observe(feeder int, evs []core.Event) {
+	a.mu.Lock()
+	for i := range evs {
+		a.observe(feeder, &evs[i])
+	}
+	a.mu.Unlock()
+}
+
 // ObserveHeartbeat records a liveness sample for node at stream time ts —
-// every parseable log line counts. Called on the ingest hot path: steady
+// every parseable log line counts — as the one feeder (feeder 0). Steady
 // state allocates nothing.
 //
 //aarohi:hotpath
 func (a *Arbiter) ObserveHeartbeat(node string, ts time.Time) {
+	a.observeOne(core.Event{Kind: core.EventBeat, Node: node, Time: ts})
+}
+
+// ObservePrediction records a chain accept as the one feeder: live fusion
+// evidence for the next Horizon, and a pending precision sample for the
+// chain. Duplicate (chain, matchedAt) pairs — e.g. a line replayed across
+// recovery — are idempotent.
+func (a *Arbiter) ObservePrediction(node, chain string, matchedAt time.Time) {
+	a.observeOne(core.Event{Kind: core.EventPrediction, Node: node, Time: matchedAt, Chain: chain})
+}
+
+// ObserveFailure records an observed terminal failure of node at stream
+// time failAt as the one feeder: the node is down, its uptime joins the flap
+// history, and pending chain evidence inside the window will resolve to a
+// true positive. The node's next heartbeat is its restart, so the failure
+// must come before it (the package's per-node order).
+func (a *Arbiter) ObserveFailure(node string, failAt time.Time) {
+	a.observeOne(core.Event{Kind: core.EventFailure, Node: node, Time: failAt})
+}
+
+//aarohi:hotpath
+func (a *Arbiter) observeOne(e core.Event) {
 	a.mu.Lock()
-	a.heartbeats++
-	if ts.After(a.clock) {
-		a.clock = ts
-	}
-	ns := a.nodes[node]
-	if ns == nil {
-		ns = a.createNode(node)
-		if ns == nil {
-			a.mu.Unlock()
-			return
-		}
-	}
-	ns.observeArrival(ts)
+	a.observe(0, &e)
 	a.mu.Unlock()
 }
 
-// observeArrival applies one liveness sample. Per-node timestamps are
-// monotone on the ingest path (one node always maps to one predictor
-// worker, and the pump is serialized), so a regression means replayed or
-// duplicated input and is ignored rather than folded into the window.
+// observe applies one event of feeder f: it moves the stream clock and f's
+// clock, and hands the event to its node. Caller holds a.mu.
+//
+//aarohi:hotpath
+func (a *Arbiter) observe(f int, e *core.Event) {
+	if int(e.Kind) >= len(a.counts) {
+		return
+	}
+	a.counts[e.Kind]++
+	if e.Time.After(a.clock) {
+		a.clock = e.Time
+	}
+	for len(a.feeders) <= f {
+		a.feeders = append(a.feeders, time.Time{})
+	}
+	if e.Time.After(a.feeders[f]) {
+		a.feeders[f] = e.Time
+	}
+	ns := a.nodes[e.Node]
+	if ns == nil {
+		if ns = a.createNode(e.Node); ns == nil {
+			return
+		}
+	}
+	ns.feeder = f
+	switch e.Kind {
+	case core.EventBeat:
+		ns.observeArrival(e.Time)
+	case core.EventPrediction:
+		a.observePrediction(ns, e.Chain, e.Time)
+	case core.EventFailure:
+		a.observeFailure(ns, e.Time)
+	}
+}
+
+// observeArrival applies one liveness sample. Per-node events arrive in
+// stream order (the package precondition) and a node's log timestamps rise,
+// so a regression means replayed or duplicated input and is ignored rather
+// than folded into the window. The first sample after an observed failure is
+// the node's restart.
 //
 //aarohi:hotpath
 func (ns *nodeState) observeArrival(ts time.Time) {
@@ -282,7 +338,6 @@ func (ns *nodeState) observeArrival(ts time.Time) {
 	}
 	ns.lastSeen = ts
 	ns.seen++
-	ns.arrivals.push(ts)
 }
 
 // createNode is the cold first-sighting path. The key is cloned: node may
@@ -301,29 +356,12 @@ func (a *Arbiter) createNode(node string) *nodeState {
 	}
 	ns.intervals.buf = make([]float64, a.cfg.WindowSize)
 	ns.uptimes.buf = make([]float64, a.cfg.FlapWindow)
-	ns.arrivals.buf = make([]time.Time, arrivalRingLen)
 	ns.failTimes.buf = make([]time.Time, failRingLen)
 	a.nodes[own] = ns
 	return ns
 }
 
-// ObservePrediction records a chain accept: live fusion evidence for the
-// next Horizon, and a pending precision sample for the chain. Duplicate
-// (chain, matchedAt) pairs — e.g. a line replayed across recovery — are
-// idempotent.
-func (a *Arbiter) ObservePrediction(node, chain string, matchedAt time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.predictions++
-	if matchedAt.After(a.clock) {
-		a.clock = matchedAt
-	}
-	ns := a.nodes[node]
-	if ns == nil {
-		if ns = a.createNode(node); ns == nil {
-			return
-		}
-	}
+func (a *Arbiter) observePrediction(ns *nodeState, chain string, matchedAt time.Time) {
 	if a.chain[chain] == nil {
 		a.chain[strings.Clone(chain)] = &chainStat{}
 	}
@@ -332,7 +370,7 @@ func (a *Arbiter) ObservePrediction(node, chain string, matchedAt time.Time) {
 		return
 	}
 	// Insert sorted by (matchedAt, chain): fusion and resolution then walk
-	// the same sequence regardless of fan-out delivery order.
+	// one sequence, whichever of two same-instant chains was reported first.
 	i := sort.Search(len(ns.pending), func(i int) bool {
 		p := ns.pending[i]
 		if !p.matchedAt.Equal(matchedAt) {
@@ -359,25 +397,7 @@ func (a *Arbiter) internChain(chain string) string {
 	return strings.Clone(chain)
 }
 
-// ObserveFailure records an observed terminal failure of node at stream
-// time failAt: the node is down, its uptime joins the flap history, and any
-// pending chain evidence inside the window will resolve to a true positive.
-// Commutative with late heartbeat delivery: if the node's post-restart
-// traffic was already observed (the fan-out delivers failures a beat after
-// the pump delivers lines), the arrivals ring reconstructs the restart.
-func (a *Arbiter) ObserveFailure(node string, failAt time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.failures++
-	if failAt.After(a.clock) {
-		a.clock = failAt
-	}
-	ns := a.nodes[node]
-	if ns == nil {
-		if ns = a.createNode(node); ns == nil {
-			return
-		}
-	}
+func (a *Arbiter) observeFailure(ns *nodeState, failAt time.Time) {
 	if ns.down && !failAt.After(ns.downAt) {
 		return // duplicate or stale failure event
 	}
@@ -388,42 +408,24 @@ func (a *Arbiter) ObserveFailure(node string, failAt time.Time) {
 	}
 	ns.down = true
 	ns.downAt = failAt
-	// If arrivals after failAt were already processed, the node has in fact
-	// restarted: redo what observeArrival would have done had this failure
-	// been seen first — reset the window at the first post-failure arrival,
-	// then re-accumulate the intervals between the later ones. The arrivals
-	// ring holds more entries than the interval window, so as long as the
-	// fan-out lag stays under its length the rebuilt window is identical to
-	// in-order processing (the crash-recovery exactness guarantee).
-	if first, ok := ns.arrivals.earliestAfter(failAt); ok {
-		ns.intervals.reset()
-		var prev time.Time
-		for i := 0; i < ns.arrivals.n; i++ {
-			at := ns.arrivals.at(i)
-			if !at.After(failAt) {
-				continue
-			}
-			if !prev.IsZero() {
-				ns.intervals.push(at.Sub(prev).Seconds())
-			}
-			prev = at
-		}
-		ns.down = false
-		ns.upSince = first
-	}
 	a.resolveNode(ns)
 }
 
-// resolveNode settles pending chain evidence whose horizon has passed:
-// a failure of the node inside (matchedAt, matchedAt+Horizon] makes the
-// chain's prediction a TP, an empty window an FP. Resolution is lazy and
-// idempotent — it depends only on timestamps, so when it runs does not
-// change what it concludes.
+// resolveNode settles pending chain evidence whose horizon has passed on the
+// clock of the node's feeder: a failure of the node inside (matchedAt,
+// matchedAt+Horizon] makes the chain's prediction a TP, an empty window an
+// FP. Resolution is lazy and idempotent — by the time the feeder's clock
+// passes the expiry it has delivered every failure inside the window, so
+// when resolution runs does not change what it concludes.
 func (a *Arbiter) resolveNode(ns *nodeState) {
+	var clock time.Time
+	if ns.feeder < len(a.feeders) {
+		clock = a.feeders[ns.feeder]
+	}
 	keep := ns.pending[:0]
 	for _, p := range ns.pending {
 		expiry := p.matchedAt.Add(a.cfg.Horizon)
-		if a.clock.Before(expiry) {
+		if clock.Before(expiry) {
 			keep = append(keep, p)
 			continue
 		}

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 var testBase = time.Date(2015, 3, 14, 0, 0, 0, 0, time.UTC)
@@ -146,8 +150,14 @@ func TestColdRestartResetsWindow(t *testing.T) {
 	if al.Phi != 0 {
 		t.Fatalf("phi should restart from an empty window, got %v", al.Phi)
 	}
+	// The restart beat opens a fresh window: five restart beats hold four
+	// post-restart samples, none from before the crash.
+	feedRegular(a, "n1", restart.Add(10*time.Second), 10*time.Second, 4)
+	if st := a.Status(); st.Top[0].Node != "n1" || st.Top[0].Samples != 4 {
+		t.Fatalf("post-restart window = %+v, want 4 samples (5 restart beats)", st.Top[0])
+	}
 	// Instability decays as uptime accrues (clock advances via n2).
-	early := al.PFlap
+	early := probeAlert(a, "n1").PFlap
 	a.ObserveHeartbeat("n2", restart.Add(4*time.Hour))
 	if late := probeAlert(a, "n1").PFlap; late >= early {
 		t.Fatalf("flap evidence should decay with uptime: %v -> %v", early, late)
@@ -213,36 +223,103 @@ func TestDuplicatePredictionIdempotent(t *testing.T) {
 	}
 }
 
-// --- commutativity: fan-out delivery order must not matter ---
+// --- feeders: per-node order by construction, expiry per feeder ---
 
-func TestFailureDeliveredAfterRestartTraffic(t *testing.T) {
-	// Run A: failure observed before the restart traffic (pump order).
-	runA := New(Config{})
-	last := feedRegular(runA, "n1", at(0), 10*time.Second, 20)
-	failAt := last.Add(5 * time.Second)
-	restart := failAt.Add(15 * time.Minute)
-	runA.ObserveFailure("n1", failAt)
-	feedRegular(runA, "n1", restart, 10*time.Second, 5)
-
-	// Run B: the failure event arrives late, after the node's restart lines
-	// were already processed (asynchronous fan-out lag).
-	runB := New(Config{})
-	feedRegular(runB, "n1", at(0), 10*time.Second, 20)
-	feedRegular(runB, "n1", restart, 10*time.Second, 5)
-	runB.ObserveFailure("n1", failAt)
-
-	a, b := probeAlert(runA, "n1"), probeAlert(runB, "n1")
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("delivery order changed the assessment:\n pump-order %+v\n late-failure %+v", a, b)
+func snapshotBytes(t *testing.T, a *Arbiter) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := a.Snapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
-	// Status exposes the interval window depth (samples): the late-failure
-	// path must have rebuilt the post-restart window, not just zeroed it.
-	stA, stB := runA.Status(), runB.Status()
-	if !reflect.DeepEqual(stA, stB) {
-		t.Fatalf("delivery order leaked into status:\n pump-order %+v\n late-failure %+v", stA, stB)
+	return buf.Bytes()
+}
+
+// TestFeederClockExpiry: a node's chain evidence expires on the clock of the
+// feeder that delivers the node, not the stream clock. Feeder 1 runs more
+// than a horizon ahead of feeder 0, whose node n0 has a pending prediction
+// and a failure inside its window that feeder 0 has not delivered yet. An
+// Alerts poll in the gap books nothing, and once feeder 0 catches up the
+// ledger and the whole state are those of one arbiter fed in stream order.
+func TestFeederClockExpiry(t *testing.T) {
+	cfg := Config{Horizon: 10 * time.Minute}
+	type step struct {
+		feeder int
+		ev     core.Event
 	}
-	if stA.Top[0].Samples != 4 {
-		t.Fatalf("post-restart window = %d samples, want 4 (5 restart beats)", stA.Top[0].Samples)
+	var stream []step // in stream (timestamp) order
+	for i := 0; i < 120; i++ {
+		ts := at(time.Duration(i) * 15 * time.Second)
+		for f, node := range []string{"n0", "n1"} {
+			stream = append(stream, step{f, core.Event{Kind: core.EventBeat, Node: node, Time: ts}})
+		}
+		switch i {
+		case 10:
+			stream = append(stream, step{0, core.Event{Kind: core.EventPrediction, Node: "n0", Time: ts, Chain: "fc_a"}})
+		case 30: // 5 minutes later, inside the horizon
+			stream = append(stream, step{0, core.Event{Kind: core.EventFailure, Node: "n0", Time: ts}})
+		}
+	}
+
+	ref := New(cfg)
+	for _, s := range stream {
+		ref.Observe(0, []core.Event{s.ev})
+	}
+
+	a := New(cfg)
+	var lag []core.Event // feeder 0's events after line 20, held back
+	for _, s := range stream {
+		switch {
+		case s.feeder == 1:
+			a.Observe(1, []core.Event{s.ev})
+		case s.ev.Time.After(at(20 * 15 * time.Second)):
+			lag = append(lag, s.ev)
+		default:
+			a.Observe(0, []core.Event{s.ev})
+		}
+	}
+	// Feeder 1 is now 25 minutes past the prediction: the stream clock says
+	// its horizon is over, feeder 0's clock says it is not.
+	_ = a.Alerts()
+	if st := a.Status(); len(st.Chains) != 1 || st.Chains[0].TP+st.Chains[0].FP != 0 {
+		t.Fatalf("evidence of a lagging feeder's node resolved early: %+v", st.Chains)
+	}
+	a.Observe(0, lag)
+	st, want := a.Status(), ref.Status()
+	if st.Chains[0].TP != 1 || st.Chains[0].FP != 0 {
+		t.Fatalf("chain ledger %+v, want the in-order TP", st.Chains)
+	}
+	if mustJSON(t, st) != mustJSON(t, want) {
+		t.Fatalf("status after catch-up:\n %+v\nin-order\n %+v", st, want)
+	}
+	if !bytes.Equal(snapshotBytes(t, a), snapshotBytes(t, ref)) {
+		t.Fatal("snapshot after catch-up differs from the in-order arbiter's")
+	}
+}
+
+// TestRestoreSnapshotWithArrivals: a snapshot written when the arbiter still
+// kept a per-node arrival ring (its nodes carry an Arrivals field) restores
+// under the same version, and Status and Alerts equal what the writing
+// version reported for it.
+func TestRestoreSnapshotWithArrivals(t *testing.T) {
+	data, err := os.ReadFile("testdata/arrivals-v1.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(Config{Criticality: map[string]int{"n1": 1}, AlertThreshold: 1e-9})
+	if err := a.Restore(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]string{
+		"status": mustJSON(t, a.Status()),
+		"alerts": mustJSON(t, a.Alerts()),
+	} {
+		want, err := os.ReadFile("testdata/arrivals-v1." + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != strings.TrimSpace(string(want)) {
+			t.Errorf("%s after restore:\n got  %s\n want %s", name, got, want)
+		}
 	}
 }
 

@@ -105,19 +105,6 @@ func (r *tring) at(i int) time.Time {
 	return r.buf[j]
 }
 
-// earliestAfter returns the earliest retained timestamp strictly after t.
-func (r *tring) earliestAfter(t time.Time) (time.Time, bool) {
-	var best time.Time
-	found := false
-	for i := 0; i < r.n; i++ {
-		v := r.at(i)
-		if v.After(t) && (!found || v.Before(best)) {
-			best, found = v, true
-		}
-	}
-	return best, found
-}
-
 // anyIn reports whether any retained timestamp lies in (lo, hi].
 func (r *tring) anyIn(lo, hi time.Time) bool {
 	for i := 0; i < r.n; i++ {

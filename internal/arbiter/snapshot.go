@@ -7,6 +7,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Snapshot support: the arbiter's complete mutable state — phi windows,
@@ -39,7 +41,6 @@ type savedNode struct {
 	Intervals       []float64 // oldest first
 	LastSeen        time.Time
 	Seen            uint64
-	Arrivals        []time.Time
 	Down            bool
 	DownAt, UpSince time.Time
 	Flaps           uint64
@@ -53,27 +54,30 @@ type savedPending struct {
 	MatchedAt time.Time
 }
 
-// restoreCaps bound what a (possibly hostile) snapshot may allocate: rings
-// are truncated to their newest entries, pending lists to MaxPending.
-const maxSavedRing = 1 << 12
-
-// Snapshot serializes the arbiter's state to w. Nodes and chains are
-// written in sorted order, and expired pending evidence is settled first —
-// resolution depends only on timestamps, so forcing it here canonicalizes
-// the lazy ledger: identical states produce identical bytes no matter how
-// far fan-out delivery lagged the heartbeat clock when each sample was
-// recorded. Alerts and Status resolve the same way before reporting.
+// Snapshot serializes the arbiter's state to w. It is taken after every
+// feeder has flushed (the shard snapshots behind its output barrier), so
+// every feeder has delivered everything up to the stream clock: Snapshot
+// moves each feeder's clock up to it and settles the expired pending
+// evidence. Resolution depends only on timestamps, so this canonicalizes the
+// lazy ledger: identical states produce identical bytes, and what remains
+// pending expires after the one stream clock the snapshot stores — which is
+// why Restore can start every feeder afresh. Nodes and chains are written in
+// sorted order. (An older snapshot may carry the per-node arrival ring this
+// version no longer keeps; gob skips the field.)
 func (a *Arbiter) Snapshot(w io.Writer) error {
 	a.mu.Lock()
+	for f := range a.feeders {
+		a.feeders[f] = a.clock
+	}
 	for _, ns := range a.nodes {
 		a.resolveNode(ns)
 	}
 	st := savedState{
 		Version:      snapshotVersion,
 		Clock:        a.clock,
-		Heartbeats:   a.heartbeats,
-		Predictions:  a.predictions,
-		Failures:     a.failures,
+		Heartbeats:   a.counts[core.EventBeat],
+		Predictions:  a.counts[core.EventPrediction],
+		Failures:     a.counts[core.EventFailure],
 		DroppedNodes: a.droppedNodes,
 	}
 	for name, cs := range a.chain {
@@ -94,9 +98,6 @@ func (a *Arbiter) Snapshot(w io.Writer) error {
 		}
 		for i := 0; i < ns.uptimes.n; i++ {
 			sn.Uptimes = append(sn.Uptimes, ns.uptimes.at(i))
-		}
-		for i := 0; i < ns.arrivals.n; i++ {
-			sn.Arrivals = append(sn.Arrivals, ns.arrivals.at(i))
 		}
 		for i := 0; i < ns.failTimes.n; i++ {
 			sn.FailTimes = append(sn.FailTimes, ns.failTimes.at(i))
@@ -149,18 +150,16 @@ func (a *Arbiter) Restore(r io.Reader) error {
 		}
 		ns.intervals.buf = make([]float64, a.cfg.WindowSize)
 		ns.uptimes.buf = make([]float64, a.cfg.FlapWindow)
-		ns.arrivals.buf = make([]time.Time, arrivalRingLen)
 		ns.failTimes.buf = make([]time.Time, failRingLen)
-		for _, v := range tailFloats(sn.Intervals, a.cfg.WindowSize) {
-			ns.intervals.push(v)
+		// The fixed-size rings keep the newest samples of whatever length a
+		// (possibly hostile) snapshot holds.
+		for _, v := range sn.Intervals {
+			ns.intervals.pushSample(v)
 		}
-		for _, v := range tailFloats(sn.Uptimes, a.cfg.FlapWindow) {
-			ns.uptimes.push(v)
+		for _, v := range sn.Uptimes {
+			ns.uptimes.pushSample(v)
 		}
-		for _, t := range tailTimes(sn.Arrivals, arrivalRingLen) {
-			ns.arrivals.push(t)
-		}
-		for _, t := range tailTimes(sn.FailTimes, failRingLen) {
+		for _, t := range sn.FailTimes {
 			ns.failTimes.push(t)
 		}
 		pend := sn.Pending
@@ -183,10 +182,8 @@ func (a *Arbiter) Restore(r io.Reader) error {
 		nodes[sn.Node] = ns
 	}
 	a.mu.Lock()
-	a.clock = st.Clock
-	a.heartbeats = st.Heartbeats
-	a.predictions = st.Predictions
-	a.failures = st.Failures
+	a.clock, a.feeders = st.Clock, nil
+	a.counts = [...]uint64{core.EventBeat: st.Heartbeats, core.EventPrediction: st.Predictions, core.EventFailure: st.Failures}
 	a.droppedNodes = st.DroppedNodes
 	a.nodes = nodes
 	a.chain = chains
@@ -194,30 +191,10 @@ func (a *Arbiter) Restore(r io.Reader) error {
 	return nil
 }
 
-// tailFloats returns the newest max entries of vs, skipping non-finite
-// values (a corrupt snapshot must not poison scoring or JSON encoding).
-func tailFloats(vs []float64, max int) []float64 {
-	if len(vs) > maxSavedRing {
-		vs = vs[len(vs)-maxSavedRing:]
+// pushSample pushes a restored sample unless it is negative or not finite: a
+// corrupt snapshot must not poison scoring or JSON encoding.
+func (r *ring) pushSample(v float64) {
+	if !math.IsInf(v, 0) && !math.IsNaN(v) && v >= 0 {
+		r.push(v)
 	}
-	out := vs[:0:0]
-	for _, v := range vs {
-		if !math.IsInf(v, 0) && !math.IsNaN(v) && v >= 0 {
-			out = append(out, v)
-		}
-	}
-	if len(out) > max {
-		out = out[len(out)-max:]
-	}
-	return out
-}
-
-func tailTimes(ts []time.Time, max int) []time.Time {
-	if len(ts) > maxSavedRing {
-		ts = ts[len(ts)-maxSavedRing:]
-	}
-	if len(ts) > max {
-		ts = ts[len(ts)-max:]
-	}
-	return ts
 }

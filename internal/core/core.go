@@ -76,6 +76,30 @@ type Token struct {
 	Node   string
 }
 
+// NoPhrase marks a token for a parseable line that matched no template: it
+// carries the line's node and time (a heartbeat) but nothing to parse.
+const NoPhrase PhraseID = -1
+
+// EventKind says what an Event reports about its node: a parseable log line
+// (a liveness sample), a failure chain accepted, or an observed failure.
+type EventKind uint8
+
+const (
+	EventBeat EventKind = iota
+	EventPrediction
+	EventFailure
+)
+
+// Event is one per-node occurrence of the stream as the predictor worker that
+// owns the node reports it: a line's beat, then what the line produced. Time
+// is the line's; Chain names the accepted chain of an EventPrediction.
+type Event struct {
+	Kind  EventKind
+	Node  string
+	Time  time.Time
+	Chain string
+}
+
 // FailureChain is a learned sequence of phrases leading to a node failure.
 type FailureChain struct {
 	// Name identifies the chain, e.g. "FC3".

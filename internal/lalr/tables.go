@@ -68,6 +68,7 @@ type Tables struct {
 	action    [][]actionEntry // [state][terminal]
 	gotoTab   [][]int32       // [state][symbol - numTerminals]
 	userStart Symbol
+	starts    []bool // [terminal] → CanStart, filled by computeStarts
 }
 
 // BuildTables runs the full LALR(1) construction and returns the parse
@@ -95,29 +96,9 @@ func Conflicts(g *Grammar) []Conflict {
 func buildLALR(g *Grammar) (*Tables, []Conflict) {
 	a := buildAutomaton(g)
 	kernLA := computeLookaheads(a)
-
-	numNT := g.numSymbols - g.numTerminals
-	t := &Tables{
-		g:         g,
-		action:    make([][]actionEntry, len(a.states)),
-		gotoTab:   make([][]int32, len(a.states)),
-		userStart: g.prods[0].Rhs[0],
-	}
+	t := newTables(g, len(a.states), func(si int) map[Symbol]int { return a.states[si].gotos })
 	var conflicts []Conflict
-
 	for si, st := range a.states {
-		t.action[si] = make([]actionEntry, g.numTerminals)
-		t.gotoTab[si] = make([]int32, numNT)
-		for i := range t.gotoTab[si] {
-			t.gotoTab[si][i] = -1
-		}
-		for sym, tgt := range st.gotos {
-			if g.isTerminal(sym) {
-				t.action[si][sym] = encode(actShift, tgt)
-			} else {
-				t.gotoTab[si][int(sym)-g.numTerminals] = int32(tgt)
-			}
-		}
 		// Reduce actions come from the LR(1) closure of the kernel with its
 		// final LALR lookaheads (this also covers ε-production items that
 		// only appear in the closure).
@@ -177,7 +158,37 @@ func buildLALR(g *Grammar) (*Tables, []Conflict) {
 			})
 		}
 	}
+	t.computeStarts()
 	return t, conflicts
+}
+
+// newTables allocates the ACTION and GOTO tables of an n-state automaton and
+// fills in each state's transitions, gotos(si): a terminal shifts, a
+// nonterminal goes to, every other cell is an error. The builders add the
+// reductions.
+func newTables(g *Grammar, n int, gotos func(si int) map[Symbol]int) *Tables {
+	numNT := g.numSymbols - g.numTerminals
+	t := &Tables{
+		g:         g,
+		action:    make([][]actionEntry, n),
+		gotoTab:   make([][]int32, n),
+		userStart: g.prods[0].Rhs[0],
+	}
+	for si := range n {
+		t.action[si] = make([]actionEntry, g.numTerminals)
+		t.gotoTab[si] = make([]int32, numNT)
+		for i := range t.gotoTab[si] {
+			t.gotoTab[si][i] = -1
+		}
+		for sym, tgt := range gotos(si) {
+			if g.isTerminal(sym) {
+				t.action[si][sym] = encode(actShift, tgt)
+			} else {
+				t.gotoTab[si][int(sym)-g.numTerminals] = int32(tgt)
+			}
+		}
+	}
+	return t
 }
 
 // userProds converts internal production indices (where 0 is the augmented
@@ -302,15 +313,22 @@ func (m *Machine) Feed(sym Symbol) FeedResult {
 }
 
 // CanStart reports whether sym can be the first token of a sentence, i.e.
-// whether feeding it to a fresh machine would shift.
+// whether feeding it to a fresh machine would shift. It reads a table, so a
+// parser may ask on every token.
 func (t *Tables) CanStart(sym Symbol) bool {
-	if sym == EOF || int(sym) >= t.g.numTerminals {
-		return false
-	}
-	// Walk reduces from state 0 — for FC grammars state 0 only shifts, but
-	// stay general by simulating on a scratch machine.
+	return sym > EOF && int(sym) < len(t.starts) && t.starts[sym]
+}
+
+// computeStarts fills the CanStart table by feeding every terminal to a fresh
+// machine — for FC grammars state 0 only shifts, but walking its reduces
+// keeps the answer general. Every table construction ends with it.
+func (t *Tables) computeStarts() {
+	t.starts = make([]bool, t.g.numTerminals)
 	m := NewMachine(t)
-	return m.Feed(sym) == Shifted
+	for sym := Symbol(1); int(sym) < t.g.numTerminals; sym++ {
+		m.Reset()
+		t.starts[sym] = m.Feed(sym) == Shifted
+	}
 }
 
 // WouldAccept probes whether feeding EOF now would accept, without modifying

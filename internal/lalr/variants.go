@@ -89,28 +89,9 @@ func (g *Grammar) follow() []termSet {
 func buildSLR(g *Grammar) (*Tables, error) {
 	a := buildAutomaton(g)
 	follow := g.follow()
-
-	numNT := g.numSymbols - g.numTerminals
-	t := &Tables{
-		g:         g,
-		action:    make([][]actionEntry, len(a.states)),
-		gotoTab:   make([][]int32, len(a.states)),
-		userStart: g.prods[0].Rhs[0],
-	}
+	t := newTables(g, len(a.states), func(si int) map[Symbol]int { return a.states[si].gotos })
 	var conflicts []Conflict
 	for si, st := range a.states {
-		t.action[si] = make([]actionEntry, g.numTerminals)
-		t.gotoTab[si] = make([]int32, numNT)
-		for i := range t.gotoTab[si] {
-			t.gotoTab[si][i] = -1
-		}
-		for sym, tgt := range st.gotos {
-			if g.isTerminal(sym) {
-				t.action[si][sym] = encode(actShift, tgt)
-			} else {
-				t.gotoTab[si][int(sym)-g.numTerminals] = int32(tgt)
-			}
-		}
 		for _, it := range g.closure(st.kernel) {
 			p := g.prods[it.prod]
 			if it.dot < len(p.Rhs) {
@@ -150,6 +131,7 @@ func buildSLR(g *Grammar) (*Tables, error) {
 	if len(conflicts) > 0 {
 		return nil, &ConflictError{Conflicts: conflicts}
 	}
+	t.computeStarts()
 	return t, nil
 }
 
@@ -255,27 +237,9 @@ func buildCanonical(g *Grammar) (*Tables, error) {
 	}
 
 	// Tables.
-	numNT := g.numSymbols - g.numTerminals
-	t := &Tables{
-		g:         g,
-		action:    make([][]actionEntry, len(states)),
-		gotoTab:   make([][]int32, len(states)),
-		userStart: g.prods[0].Rhs[0],
-	}
+	t := newTables(g, len(states), func(si int) map[Symbol]int { return states[si].gotos })
 	var conflicts []Conflict
 	for si, st := range states {
-		t.action[si] = make([]actionEntry, g.numTerminals)
-		t.gotoTab[si] = make([]int32, numNT)
-		for i := range t.gotoTab[si] {
-			t.gotoTab[si][i] = -1
-		}
-		for sym, tgt := range st.gotos {
-			if g.isTerminal(sym) {
-				t.action[si][sym] = encode(actShift, tgt)
-			} else {
-				t.gotoTab[si][int(sym)-g.numTerminals] = int32(tgt)
-			}
-		}
 		for _, it := range closure(st.kernel) {
 			p := g.prods[it.prod]
 			if it.dot < len(p.Rhs) {
@@ -311,5 +275,6 @@ func buildCanonical(g *Grammar) (*Tables, error) {
 	if len(conflicts) > 0 {
 		return nil, &ConflictError{Conflicts: conflicts}
 	}
+	t.computeStarts()
 	return t, nil
 }

@@ -110,23 +110,19 @@ func (d *MultiDriver) Feed(tok core.Token) *Prediction {
 		}
 	}
 
-	// Spawn a fresh instance when the token could begin a rule and no fresh
-	// instance consumed it already.
+	// Spawn a fresh instance when the token could begin a rule (a fresh
+	// machine shifts it) and no fresh instance consumed it already.
 	if !startedFresh && len(d.instances) < d.maxInst && d.rs.Tables.CanStart(sym) {
-		inst := &multiInstance{m: lalr.NewMachine(d.rs.Tables)}
-		if inst.m.Feed(sym) == lalr.Shifted {
-			d.stats.Consumed++
-			inst.firstAt = tok.Time
-			inst.lastShiftAt = tok.Time
-			inst.length = 1
-			if tag, accepted := inst.m.WouldAccept(); accepted && winner == nil {
-				winner = &Prediction{
-					Node: d.node, ChainIndex: tag, ChainName: d.chainName(tag),
-					FirstAt: tok.Time, MatchedAt: tok.Time, Length: 1,
-				}
+		inst := &multiInstance{m: lalr.NewMachine(d.rs.Tables), firstAt: tok.Time, lastShiftAt: tok.Time, length: 1}
+		inst.m.Feed(sym)
+		d.stats.Consumed++
+		if tag, accepted := inst.m.WouldAccept(); accepted && winner == nil {
+			winner = &Prediction{
+				Node: d.node, ChainIndex: tag, ChainName: d.chainName(tag),
+				FirstAt: tok.Time, MatchedAt: tok.Time, Length: 1,
 			}
-			d.instances = append(d.instances, inst)
 		}
+		d.instances = append(d.instances, inst)
 	}
 
 	if winner != nil {

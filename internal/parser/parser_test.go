@@ -334,6 +334,34 @@ func TestChainSpecificTimeout(t *testing.T) {
 	}
 }
 
+// TestFeedRejectedTokenAllocs: a token the active parse rejects costs no
+// allocation — CanStart reads a table built with the LALR tables. The single
+// driver meets one that could start another rule (the interleaved case); the
+// multi-instance driver, one that starts none (one that does spawns an
+// instance, which allocates).
+func TestFeedRejectedTokenAllocs(t *testing.T) {
+	rs := fc3RuleSet(t)
+	for _, c := range []struct {
+		name  string
+		feed  func(core.Token) *Prediction
+		other core.PhraseID
+	}{
+		{"single", New(rs, "n1").Feed, 176},     // would start FC1
+		{"multi", NewMulti(rs, "n1").Feed, 129}, // inside FC3, starts nothing
+	} {
+		start := toks("n1", [2]float64{174, 0}, [2]float64{float64(c.other), 1})
+		c.feed(start[0]) // FC3 is active
+		c.feed(start[1]) // warm the machine's stack buffers
+		if avg := testing.AllocsPerRun(100, func() {
+			if p := c.feed(start[1]); p != nil {
+				t.Fatalf("%s: rejected token predicted %v", c.name, p)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: Feed of a rejected token allocates %.1f times, want 0", c.name, avg)
+		}
+	}
+}
+
 func BenchmarkFeedChain18(b *testing.B) {
 	// An 18-phrase chain, the paper's headline configuration (0.31 ms).
 	phrases := make([]core.PhraseID, 18)

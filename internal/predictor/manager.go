@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lexgen"
@@ -48,12 +47,10 @@ type Manager struct {
 	mu     sync.RWMutex // guards closed; held (R) across worker sends
 	closed bool
 
-	// heartbeat, when set, observes the (node, timestamp) of every line the
-	// ingest paths successfully parse — benign chatter included — giving a
-	// liveness detector the full per-node last-seen signal, not just the
-	// trickle of scanner matches. Stored atomically so it can be attached to
-	// a manager that is already processing lines (boot, hot-swap).
-	heartbeat atomic.Pointer[func(node string, ts time.Time)]
+	// observer, when set, receives each worker batch's per-node events (see
+	// SetObserver). Stored atomically so it can be attached to a manager that
+	// is already processing lines (boot, hot-swap).
+	observer atomic.Pointer[func(worker int, evs []core.Event)]
 
 	// batchFree/builderFree recycle the batch shells between callers and
 	// workers. Buffered channels of concrete pointer types stand in for
@@ -65,7 +62,8 @@ type Manager struct {
 }
 
 type managerWorker struct {
-	in chan managerEvent
+	index int
+	in    chan managerEvent
 
 	// slots bounds the batches in flight to this worker (see
 	// maxInflightBatches): dispatch takes one per batch it sends, runBatch
@@ -77,6 +75,11 @@ type managerWorker struct {
 	// uncontended on the hot path (the worker is the only steady holder).
 	mu   sync.Mutex
 	pred *Predictor
+
+	// outs and events collect one batch's outputs and observer events; both
+	// are reused, so they grow to the high-water batch once.
+	outs   []Output
+	events []core.Event
 }
 
 // managerEvent is one message to a worker: a batch of lines, or (when flush
@@ -97,9 +100,8 @@ type batchEntry struct {
 // eventBatch is the share of one Process* call bound for a single worker:
 // parsed lines to scan (ProcessLineBatch), or tokens already scanned plus the
 // call's discarded-line count on the first worker it reaches
-// (ProcessScanned). The worker scans entries into toks and discarded, so the
-// parse always reads toks. Shells cycle through Manager.batchFree so
-// steady-state batching never allocates.
+// (ProcessScanned). Shells cycle through Manager.batchFree so steady-state
+// batching never allocates.
 type eventBatch struct {
 	entries   []batchEntry
 	toks      []core.Token
@@ -154,6 +156,7 @@ func (model *Model) NewManager(workers int) *Manager {
 	}
 	for i := 0; i < workers; i++ {
 		w := &managerWorker{
+			index: i,
 			in:    make(chan managerEvent, 512),
 			slots: make(chan struct{}, maxInflightBatches),
 			pred:  model.NewPredictor(),
@@ -183,7 +186,6 @@ func (m *Manager) RulesFingerprint() uint64 { return m.model.rulesFingerprint }
 //aarohi:hotpath
 func (m *Manager) run(w *managerWorker) {
 	defer m.wg.Done()
-	var outBuf []Output // reused across batches; grows to the high-water mark
 	for ev := range w.in {
 		if ev.flush != nil {
 			// Barrier marker: forward it through the FIFO results channel.
@@ -192,48 +194,77 @@ func (m *Manager) run(w *managerWorker) {
 			m.results <- Output{flush: ev.flush}
 			continue
 		}
-		outBuf = m.runBatch(w, ev.batch, outBuf)
+		m.runBatch(w, ev.batch)
 	}
 }
 
-// runBatch processes one delivered batch: it scans the parsed lines into
-// tokens (a pre-scanned batch arrives with them), counts the batch's lines,
-// and feeds every token to the parse in order, holding w.mu once for the
-// whole group and deferring result sends until the lock is released (Stats
-// callers are never blocked behind a full results channel). Returns the
-// output buffer so its capacity survives to the next batch.
+// runBatch processes one delivered batch: it scans the parsed lines (a
+// pre-scanned batch arrives as tokens) and feeds each line to the parse in
+// order, holding w.mu once for the whole group. Outputs are sent after the
+// lock is released (Stats callers are never blocked behind a full results
+// channel); the observer runs last, off the prediction path but before the
+// worker's next message.
 //
 //aarohi:hotpath
-func (m *Manager) runBatch(w *managerWorker, eb *eventBatch, outBuf []Output) []Output {
-	outs := outBuf[:0]
+func (m *Manager) runBatch(w *managerWorker, eb *eventBatch) {
+	obs := m.observer.Load()
 	w.mu.Lock()
 	for i := range eb.entries {
 		e := &eb.entries[i]
+		e.tok.Phrase = core.NoPhrase
 		if id, ok := w.pred.Scanner().Scan(e.msg); ok {
 			e.tok.Phrase = id
-			eb.toks = append(eb.toks, e.tok)
-		} else {
-			eb.discarded++
 		}
+		m.feed(w, e.tok, obs != nil)
 	}
-	w.pred.linesScanned += len(eb.toks) + eb.discarded
-	w.pred.discarded += eb.discarded
-	w.pred.tokens += len(eb.toks)
 	for _, tok := range eb.toks {
-		out := w.pred.processToken(tok)
-		if out.Prediction != nil || out.Failure != nil {
-			out.Model = m.model.fpHex
-			outs = append(outs, out)
-		}
+		m.feed(w, tok, obs != nil)
 	}
+	w.pred.linesScanned += eb.discarded
+	w.pred.discarded += eb.discarded
 	w.mu.Unlock()
 	m.putBatch(eb)
 	<-w.slots
-	for i := range outs {
-		m.results <- outs[i]
-		outs[i] = Output{} // drop the Prediction/Failure pointers we retain
+	for i := range w.outs {
+		m.results <- w.outs[i]
+		w.outs[i] = Output{} // drop the Prediction/Failure pointers we retain
 	}
-	return outs[:0]
+	w.outs = w.outs[:0]
+	if obs != nil && len(w.events) > 0 {
+		(*obs)(w.index, w.events)
+		clear(w.events) // the beats' nodes may alias ingest chunks
+		w.events = w.events[:0]
+	}
+}
+
+// feed hands one parseable line's token to w's parse — a core.NoPhrase token
+// is counted as scanned and discarded — collecting the output it produced
+// and, when observed, the line's heartbeat followed by that output. Caller
+// holds w.mu.
+//
+//aarohi:hotpath
+func (m *Manager) feed(w *managerWorker, tok core.Token, observed bool) {
+	p := w.pred
+	p.linesScanned++
+	if observed {
+		w.events = append(w.events, core.Event{Kind: core.EventBeat, Node: tok.Node, Time: tok.Time})
+	}
+	if tok.Phrase == core.NoPhrase {
+		p.discarded++
+		return
+	}
+	p.tokens++
+	out := p.processToken(tok)
+	if pr := out.Prediction; pr != nil && observed {
+		w.events = append(w.events, core.Event{Kind: core.EventPrediction, Node: pr.Node, Time: pr.MatchedAt, Chain: pr.ChainName})
+	}
+	if f := out.Failure; f != nil && observed {
+		w.events = append(w.events, core.Event{Kind: core.EventFailure, Node: f.Node, Time: f.Time})
+	}
+	if out.Prediction != nil || out.Failure != nil {
+		out.Model = m.model.fpHex
+		w.outs = append(w.outs, out)
+	}
 }
 
 // Results delivers predictions and observed failures. Close arranges for it
@@ -255,16 +286,20 @@ func fnvIndex[T ~string | ~[]byte](key T, n int) int {
 	return int(h % uint32(n))
 }
 
-// SetHeartbeat registers fn to observe the (node, timestamp) of every line
-// ProcessLine/ProcessLineBatch successfully parses. fn must be safe for
-// concurrent calls (the ingest paths are); nil clears the hook. The node
-// string may alias ingest buffers — observers must copy it if they retain it.
-func (m *Manager) SetHeartbeat(fn func(node string, ts time.Time)) {
+// SetObserver registers fn to receive, per node in stream order, every
+// parseable line's heartbeat (core.EventBeat) followed by the prediction and
+// failure the line produced. Each worker calls fn once per batch with its
+// index, after the batch's outputs are on Results and before its next
+// message, so fn has seen every line submitted before a Flush when it
+// returns. Calls from different workers run concurrently; a node's events
+// come from its one worker. evs is reused and its nodes may alias ingest
+// buffers: fn copies what it keeps. nil clears the hook.
+func (m *Manager) SetObserver(fn func(worker int, evs []core.Event)) {
 	if fn == nil {
-		m.heartbeat.Store(nil)
+		m.observer.Store(nil)
 		return
 	}
-	m.heartbeat.Store(&fn)
+	m.observer.Store(&fn)
 }
 
 // ProcessLine hands one raw log line to its node's worker as a batch of one.
@@ -280,9 +315,9 @@ func (m *Manager) ProcessLine(line string) error {
 }
 
 // ProcessLineBatch routes a group of raw log lines in one pass: lines are
-// parsed and heartbeat-observed caller-side, scattered into per-worker
-// batches by node-ID hash, and delivered with one channel send per worker.
-// Scanning happens inside the workers, in parallel.
+// parsed caller-side, scattered into per-worker batches by node-ID hash, and
+// delivered with one channel send per worker. Scanning happens inside the
+// workers, in parallel.
 //
 // Malformed lines are skipped and counted in parseErrs. After Close the whole
 // batch is rejected with ErrClosed and nothing is enqueued. Lines of one
@@ -295,16 +330,12 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 		return 0, nil
 	}
 	b := m.getBuilder()
-	hb := m.heartbeat.Load()
 	n := 0
 	for _, line := range lines {
 		ts, node, msg, perr := lexgen.ParseLine(line)
 		if perr != nil {
 			parseErrs++
 			continue
-		}
-		if hb != nil {
-			(*hb)(node, ts)
 		}
 		eb := m.shardOf(b, node)
 		eb.entries = append(eb.entries, batchEntry{tok: core.Token{Time: ts, Node: node}, msg: msg})
@@ -415,10 +446,13 @@ type Scanned struct {
 	// another model's scanner would feed the parse the wrong tokens, so a
 	// manager running a different model refuses the batch.
 	Model *Model
-	// Tokens are the lines that tokenized, in stream order. Each token owns
-	// its Node string.
+	// Tokens are the lines that tokenized, in stream order. A scan that keeps
+	// every parseable line for a manager's observer also lists the lines that
+	// matched no template here, as core.NoPhrase tokens. Each token owns its
+	// Node string.
 	Tokens []core.Token
-	// Discarded counts the parseable lines that matched no template.
+	// Discarded counts the parseable lines that matched no template and are
+	// not in Tokens.
 	Discarded int
 	// ParseErrors counts the lines that did not parse.
 	ParseErrors int
@@ -432,9 +466,9 @@ var ErrModelMismatch = errors.New("predictor: batch was scanned under another mo
 // are scattered by the same per-node placement and reach each node's worker
 // in slice order, and the workers count the discarded lines as scanned and
 // discarded, so outputs, Stats, Accepted and snapshots are exactly those of
-// handing the raw lines to ProcessLineBatch. The heartbeat hook does not fire
-// — the manager never sees the discarded lines' headers — so a caller that
-// feeds one fires it for every parseable line itself, before this call.
+// handing the raw lines to ProcessLineBatch. The observer sees a heartbeat
+// for every token, so a scan that keeps the discarded lines as core.NoPhrase
+// tokens gives it what ProcessLineBatch would.
 //
 // parseErrs is s.ParseErrors, reported as ProcessLineBatch reports a batch's
 // malformed lines. After Close the whole batch is rejected with ErrClosed and

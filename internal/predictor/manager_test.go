@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/lexgen"
 	"repro/internal/loggen"
 )
 
@@ -306,75 +308,133 @@ func BenchmarkManagerThroughput(b *testing.B) {
 	}
 }
 
-// TestManagerHeartbeat verifies the liveness hook: every successfully parsed
-// line — benign or not — fires the callback with its node and timestamp, on
-// both the string and byte-slice ingest paths, and a nil store clears it.
-func TestManagerHeartbeat(t *testing.T) {
+// eventKey canonicalizes an observer event for comparison.
+func eventKey(e core.Event) string {
+	return fmt.Sprintf("%d %s %d %s", e.Kind, e.Node, e.Time.UnixNano(), e.Chain)
+}
+
+// TestManagerObserverOrder pins what the arbiter relies on: per node, the
+// observer sees line i's heartbeat, then the outputs line i produced, then
+// line i+1's heartbeat — one heartbeat per parseable line, all of a node's
+// events from one worker, all of them delivered by the time Flush returns —
+// at 1, 2 and 4 workers, over ProcessLineBatch and over ProcessScanned with
+// the discarded lines kept as NoPhrase tokens (which counts them as
+// ProcessLineBatch does). A nil observer clears the hook.
+func TestManagerObserverOrder(t *testing.T) {
 	log := genLog(t, 13, 5, 2)
-	m, err := NewManager(log.Dialect.Chains(), log.Dialect.Inventory(), Options{}, 3)
+	var lines []string
+	for i, line := range log.Lines() {
+		if i%97 == 13 {
+			lines = append(lines, "not a log line")
+		}
+		lines = append(lines, line)
+	}
+	model, err := Compile(log.Dialect.Chains(), log.Dialect.Inventory(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range m.Results() {
-		}
-	}()
 
-	var mu sync.Mutex
-	beats := 0
-	nodes := map[string]int{}
-	var last time.Time
-	m.SetHeartbeat(func(node string, ts time.Time) {
-		mu.Lock()
+	// The reference: a sequential predictor, each parseable line's beat
+	// followed by what the line produced.
+	want := map[string][]string{}
+	beats, outputs := 0, 0
+	ref := model.NewPredictor()
+	for _, line := range lines {
+		ts, node, _, err := lexgen.ParseLine(line)
+		if err != nil {
+			continue
+		}
 		beats++
-		nodes[node]++
-		if ts.After(last) {
-			last = ts
-		}
-		mu.Unlock()
-	})
-
-	lines := log.Lines()
-	half := len(lines) / 2
-	for _, line := range lines[:half] {
-		if err := m.ProcessLine(line); err != nil {
+		want[node] = append(want[node], eventKey(core.Event{Kind: core.EventBeat, Node: node, Time: ts}))
+		out, err := ref.ProcessLine(line)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if perrs, err := m.ProcessLineBatch(lines[half:]); err != nil || perrs != 0 {
-		t.Fatalf("batch: %d parse errors, err %v", perrs, err)
-	}
-	if err := m.ProcessLine("not a log line"); err == nil {
-		t.Fatal("malformed line accepted")
-	}
-
-	mu.Lock()
-	if beats != len(lines) {
-		t.Fatalf("heartbeats = %d, want one per parsed line (%d)", beats, len(lines))
-	}
-	if len(nodes) != 5 {
-		t.Fatalf("distinct heartbeat nodes = %d, want 5", len(nodes))
-	}
-	wantLast := log.Events[len(log.Events)-1].Time.Truncate(time.Millisecond)
-	if !last.Equal(wantLast) {
-		t.Fatalf("last heartbeat ts = %v, want %v", last, wantLast)
-	}
-	mu.Unlock()
-
-	m.SetHeartbeat(nil)
-	for _, line := range lines[:10] {
-		if err := m.ProcessLine(line); err != nil {
-			t.Fatal(err)
+		if p := out.Prediction; p != nil {
+			outputs++
+			want[node] = append(want[node], eventKey(core.Event{Kind: core.EventPrediction, Node: node, Time: p.MatchedAt, Chain: p.ChainName}))
+		}
+		if f := out.Failure; f != nil {
+			outputs++
+			want[node] = append(want[node], eventKey(core.Event{Kind: core.EventFailure, Node: node, Time: f.Time}))
 		}
 	}
-	mu.Lock()
-	if beats != len(lines) {
-		t.Fatalf("cleared hook still fired: %d beats", beats)
+	if len(want) != 5 || outputs < 4 {
+		t.Fatalf("%d nodes, %d outputs: the stream does not exercise the observer", len(want), outputs)
 	}
-	mu.Unlock()
 
-	m.Close()
-	<-done
+	for _, workers := range []int{1, 2, 4} {
+		var lineStats Stats
+		for _, path := range []string{"lines", "scanned"} {
+			m := model.NewManager(workers)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for out := range m.Results() {
+					out.Ack()
+				}
+			}()
+			var mu sync.Mutex
+			got := map[string][]string{}
+			owner := map[string]int{}
+			calls := 0
+			m.SetObserver(func(w int, evs []core.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				for _, e := range evs {
+					if o, ok := owner[e.Node]; ok && o != w {
+						t.Errorf("workers=%d %s: node %s reported by workers %d and %d", workers, path, e.Node, o, w)
+					}
+					owner[e.Node] = w
+					got[e.Node] = append(got[e.Node], eventKey(e))
+				}
+			})
+			submit := func(lines []string) {
+				for i := 0; i < len(lines); i += 64 {
+					chunk := lines[i:min(i+64, len(lines))]
+					var err error
+					if path == "lines" {
+						_, err = m.ProcessLineBatch(chunk)
+					} else {
+						_, err = m.ProcessScanned(scanLines(model, chunk, true))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit(lines)
+
+			mu.Lock()
+			n := 0
+			for node, w := range want {
+				n += len(got[node])
+				if fmt.Sprint(got[node]) != fmt.Sprint(w) {
+					t.Errorf("workers=%d %s: node %s observed\n%v\nwant\n%v", workers, path, node, got[node], w)
+				}
+			}
+			if n != beats+outputs || len(got) != len(want) {
+				t.Errorf("workers=%d %s: %d events for %d nodes, want %d beats + %d outputs for %d", workers, path, n, len(got), beats, outputs, len(want))
+			}
+			mu.Unlock()
+			if path == "lines" {
+				lineStats = m.Stats()
+			} else if st := m.Stats(); st != lineStats {
+				t.Errorf("workers=%d: ProcessScanned stats %+v, ProcessLineBatch %+v", workers, st, lineStats)
+			}
+
+			m.SetObserver(nil)
+			before := calls
+			submit(lines[:200])
+			if calls != before {
+				t.Errorf("workers=%d %s: a cleared observer was called %d times", workers, path, calls-before)
+			}
+			m.Close()
+			<-done
+		}
+	}
 }

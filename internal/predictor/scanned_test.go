@@ -15,8 +15,9 @@ import (
 // pin it to ProcessLineBatch on the same lines.
 
 // scanLines is boot replay's scan stage in miniature: every line parsed and
-// scanned in place, only those that tokenize copied out.
-func scanLines(model *Model, lines []string) *Scanned {
+// scanned in place, only those that tokenize copied out — or, with keepAll,
+// every parseable line, the discarded ones as NoPhrase tokens.
+func scanLines(model *Model, lines []string, keepAll bool) *Scanned {
 	s := &Scanned{Model: model}
 	for _, line := range lines {
 		ts, node, msg, err := lexgen.ParseLineBytes([]byte(line))
@@ -24,11 +25,15 @@ func scanLines(model *Model, lines []string) *Scanned {
 			s.ParseErrors++
 			continue
 		}
-		if id, ok := model.Scanner().ScanBytes(msg); ok {
-			s.Tokens = append(s.Tokens, core.Token{Phrase: id, Time: ts, Node: string(node)})
-		} else {
+		id, ok := model.Scanner().ScanBytes(msg)
+		if !ok && !keepAll {
 			s.Discarded++
+			continue
 		}
+		if !ok {
+			id = core.NoPhrase
+		}
+		s.Tokens = append(s.Tokens, core.Token{Phrase: id, Time: ts, Node: string(node)})
 	}
 	return s
 }
@@ -86,7 +91,7 @@ func TestProcessScannedMatchesLineBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			refErrs += pe
-			if pe, err = m.ProcessScanned(scanLines(model, chunk)); err != nil {
+			if pe, err = m.ProcessScanned(scanLines(model, chunk, false)); err != nil {
 				t.Fatal(err)
 			}
 			errs += pe
@@ -135,10 +140,10 @@ func TestProcessScannedRefusesWhole(t *testing.T) {
 	lines := log.Lines()
 	m := model.NewManager(3)
 	_, done := collectPerNode(m)
-	if _, err := m.ProcessScanned(scanLines(model, lines[:64])); err != nil {
+	if _, err := m.ProcessScanned(scanLines(model, lines[:64], false)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ProcessScanned(scanLines(other, lines[64:128])); err != ErrModelMismatch {
+	if _, err := m.ProcessScanned(scanLines(other, lines[64:128], false)); err != ErrModelMismatch {
 		t.Fatalf("batch scanned under another model: %v, want ErrModelMismatch", err)
 	}
 	if err := m.Flush(); err != nil {
@@ -149,7 +154,7 @@ func TestProcessScannedRefusesWhole(t *testing.T) {
 	}
 	m.Close()
 	<-done
-	if _, err := m.ProcessScanned(scanLines(model, lines[128:256])); err != ErrClosed {
+	if _, err := m.ProcessScanned(scanLines(model, lines[128:256], false)); err != ErrClosed {
 		t.Fatalf("ProcessScanned after Close = %v, want ErrClosed", err)
 	}
 	if a := m.Accepted(); a != 64 || m.Stats().LinesScanned != 64 {
@@ -190,7 +195,7 @@ func TestFlushCoversScannedBatches(t *testing.T) {
 		}
 	}()
 	for i := 0; i < len(lines); i += 256 {
-		if _, err := m.ProcessScanned(scanLines(model, lines[i:min(i+256, len(lines))])); err != nil {
+		if _, err := m.ProcessScanned(scanLines(model, lines[i:min(i+256, len(lines))], false)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +224,7 @@ func TestProcessScannedBoundsInflight(t *testing.T) {
 	}
 	var batches []*Scanned
 	for i := 0; i+batchLines <= len(lines); i += batchLines {
-		batches = append(batches, scanLines(model, lines[i:i+batchLines]))
+		batches = append(batches, scanLines(model, lines[i:i+batchLines], false))
 	}
 	m := model.NewManager(workers)
 	submitted := make(chan int, 1)

@@ -173,26 +173,12 @@ func referenceArbiterRun(t *testing.T, lines []string) (fp string, preds, fails 
 		Arbiter:  arbiterTestConfig(),
 	})
 	defer shutdownServer(t, s)
-	ingestInOrder(t, s, lines)
+	ingestAll(t, s, lines)
+	if err := s.flushAll(); err != nil {
+		t.Fatal(err)
+	}
 	st := s.Status().Arbiter
 	return arbiterFingerprint(t, s), st.Predictions, st.Failures
-}
-
-// ingestInOrder feeds lines in slices of arbiter.ReorderWindow, and after
-// each waits until the slice's heartbeats, predictions and failures have all
-// reached the arbiter — the in-order delivery boot replay gives. Live
-// ingestion otherwise lets heartbeats run ahead of outputs by an unbounded
-// amount, and then two runs over the same lines need not book a chain alike.
-func ingestInOrder(t *testing.T, s *Server, lines []string) {
-	t.Helper()
-	for len(lines) > 0 {
-		n := min(len(lines), arbiter.ReorderWindow)
-		ingestAll(t, s, lines[:n])
-		if err := s.flushAll(); err != nil {
-			t.Fatal(err)
-		}
-		lines = lines[n:]
-	}
 }
 
 // TestServeArbiterCrashRecovery is the package-level acceptance test: a
@@ -224,7 +210,7 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 
 			s1 := newPersistentServer(t, cfg)
 			s1.testSkipFinalSnapshot = true // emulate SIGKILL
-			ingestInOrder(t, s1, lines[:half])
+			ingestAll(t, s1, lines[:half])
 			if cfg.SnapshotInterval > 0 {
 				// Snapshot while the arbiter holds live phi windows and
 				// pending chain evidence, then keep streaming a little so
@@ -232,7 +218,7 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 				if err := s1.snapshot(); err != nil {
 					t.Fatal(err)
 				}
-				ingestInOrder(t, s1, lines[half:half+half/2])
+				ingestAll(t, s1, lines[half:half+half/2])
 			}
 			shutdownServer(t, s1)
 
@@ -245,19 +231,13 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 			if cfg.SnapshotInterval > 0 {
 				rest = lines[half+half/2:]
 			}
-			ingestInOrder(t, s2, rest)
+			ingestAll(t, s2, rest)
+			if err := s2.flushAll(); err != nil {
+				t.Fatal(err)
+			}
 
-			deadline := time.Now().Add(15 * time.Second)
-			for {
-				st := s2.Status().Arbiter
-				if st.Heartbeats == uint64(len(lines)) && st.Predictions == wantPreds && st.Failures == wantFails {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("recovered run stuck at %+v, want hb=%d pred=%d fail=%d",
-						st, len(lines), wantPreds, wantFails)
-				}
-				time.Sleep(10 * time.Millisecond)
+			if st := s2.Status().Arbiter; st.Heartbeats != uint64(len(lines)) || st.Predictions != wantPreds || st.Failures != wantFails {
+				t.Fatalf("recovered run at %+v, want hb=%d pred=%d fail=%d", st, len(lines), wantPreds, wantFails)
 			}
 			if got := arbiterFingerprint(t, s2); got != wantFP {
 				t.Fatalf("post-recovery arbiter state diverges from the uninterrupted run:\n got  %s\n want %s", got, wantFP)

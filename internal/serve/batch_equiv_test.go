@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/arbiter"
+	"repro/internal/lexgen"
 	"repro/internal/loggen"
 	"repro/internal/predictor"
 	"repro/internal/wal"
@@ -25,10 +26,11 @@ import (
 // across four dialect families and batch sizes {1, 7, 256}, with chunked
 // feeding and a positive BatchAge forcing partial mid-batch drains. Outputs
 // are checked against a sequential predictor.Predictor, journals against the
-// input, and arbiter snapshots against the BatchMax=1 row (a batch of one
-// line). One row feeds the same stream over the TCP line listener, torn at
-// seeded random write boundaries, so the framer and the chunk hand-off sit
-// inside the comparison.
+// input, and arbiter snapshots against the in-order reference: one arbiter fed
+// each line's heartbeat, then the sequential predictor's outputs for it. One
+// row feeds the same stream over the TCP line listener, torn at seeded random
+// write boundaries, so the framer and the chunk hand-off sit inside the
+// comparison.
 
 // pipeRun captures everything externally observable about one server run.
 type pipeRun struct {
@@ -99,7 +101,7 @@ func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int,
 		TCPAddr: tcpAddr, HTTPAddr: "off",
 		DataDir: dir, Fsync: wal.SyncOff,
 		BatchMax: batchMax, BatchAge: batchAge,
-		Arbiter: &arbiter.Config{AlertThreshold: 1e-9, Horizon: 20 * time.Minute},
+		Arbiter: arbiterTestConfig(),
 	})
 	s.testSkipFinalSnapshot = true
 	if err := s.Start(); err != nil {
@@ -157,26 +159,49 @@ func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int,
 }
 
 // sequentialRun is the independent reference: lines through one sequential
-// predictor.Predictor, and the journal a daemon must write for them — each
-// line verbatim, in order (no generated line starts with the NUL byte the
-// record framing escapes). It has no arbiter state.
+// predictor.Predictor, the journal a daemon must write for them — each line
+// verbatim, in order (no generated line starts with the NUL byte the record
+// framing escapes) — and the state of an arbiter fed in stream order.
 func sequentialRun(t *testing.T, d *loggen.Dialect, lines []string) pipeRun {
 	t.Helper()
 	p, err := predictor.New(d.Chains(), d.Inventory(), predictor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	arb := arbiter.New(*arbiterTestConfig())
 	run := pipeRun{perNode: map[string][]string{}}
 	for _, line := range lines {
 		run.wal = append(run.wal, []byte(line))
-		out, err := p.ProcessLine(line)
+		out, err := observeInOrder(arb, p, line)
 		if k := outKey(out); err == nil && k != "" {
 			run.keys = append(run.keys, k)
 			run.perNode[outNode(out)] = append(run.perNode[outNode(out)], k)
 		}
 	}
 	sort.Strings(run.keys)
+	var abuf bytes.Buffer
+	if err := arb.Snapshot(&abuf); err != nil {
+		t.Fatal(err)
+	}
+	run.arb = abuf.Bytes()
 	return run
+}
+
+// observeInOrder runs one line through p and feeds a the line's heartbeat,
+// then the prediction and failure it produced — per-node stream order, the
+// arbiter's precondition, by construction.
+func observeInOrder(a *arbiter.Arbiter, p *predictor.Predictor, line string) (predictor.Output, error) {
+	if ts, node, _, err := lexgen.ParseLine(line); err == nil {
+		a.ObserveHeartbeat(node, ts)
+	}
+	out, err := p.ProcessLine(line)
+	if pr := out.Prediction; pr != nil {
+		a.ObservePrediction(pr.Node, pr.ChainName, pr.MatchedAt)
+	}
+	if f := out.Failure; f != nil {
+		a.ObserveFailure(f.Node, f.Time)
+	}
+	return out, err
 }
 
 // diffRuns compares got's outputs and journal with want's.
@@ -219,7 +244,7 @@ func diffRuns(t *testing.T, label string, want, got pipeRun) {
 
 // TestBatchPipelineEquivalence: for four dialect families, every batching
 // configuration reproduces a sequential predictor's outputs, journals its
-// input in order, and ends in the arbiter state of one-line batches.
+// input in order, and ends in the state of an arbiter fed in stream order.
 func TestBatchPipelineEquivalence(t *testing.T) {
 	dialects := []*loggen.Dialect{
 		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectBGP, loggen.DialectCassandra,
@@ -247,22 +272,19 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 				chunked  bool
 				tcpSeed  int64
 			}{
-				{1, 0, false, 0},                       // batches of one line: the arbiter reference
-				{1, 0, true, 0},                        // batches of one line, chunked feed: determinism self-check
+				{1, 0, false, 0},                       // batches of one line
+				{1, 0, true, 0},                        // batches of one line, chunked feed
 				{7, 0, false, 0},                       // small batches, continuous feed
 				{256, 0, true, 0},                      // large batches with forced opportunistic mid-batch drains
 				{256, 500 * time.Microsecond, true, 0}, // large batches with age-timer mid-batch drains
 				{256, 0, false, seed},                  // framer + chunk hand-off: TCP feed torn at random write boundaries
 			}
-			var arbRef []byte
-			for i, c := range cases {
+			for _, c := range cases {
 				label := fmt.Sprintf("batch=%d age=%s chunked=%v tcp=%d", c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
 				got := runBatchPipe(t, d, lines, c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
 				diffRuns(t, label, ref, got)
-				if i == 0 {
-					arbRef = got.arb
-				} else if !bytes.Equal(got.arb, arbRef) {
-					t.Errorf("%s: arbiter snapshot differs from batch=1's (%d vs %d bytes)", label, len(got.arb), len(arbRef))
+				if !bytes.Equal(got.arb, ref.arb) {
+					t.Errorf("%s: arbiter snapshot differs from the in-order reference's (%d vs %d bytes)", label, len(got.arb), len(ref.arb))
 				}
 			}
 		})

@@ -58,8 +58,8 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	// model attribution shows on which side of the epoch record the line was
 	// replayed; that line is once the last of a full replay chunk (the epoch
 	// record finds nothing pending) and once inside a chunk (it must be
-	// submitted before the swap). Chunks are 256 lines, and
-	// arbiter.ReorderWindow with the arbiter on.
+	// submitted before the swap). Chunks are 256 lines, with the arbiter on
+	// or off.
 	//
 	// Three more rows, on the first dialect with the arbiter off and on:
 	//   - long: a journal of a few hundred chunks, so scans finish out of
@@ -84,10 +84,9 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 			}
 			d, seed, tc := d, int64(91+di), tc
 			var arbCfg *arbiter.Config
-			chunk := 256
+			const chunk = 256
 			if tc.arbiter {
-				arbCfg = &arbiter.Config{AlertThreshold: 1e-9, Horizon: 20 * time.Minute}
-				chunk = arbiter.ReorderWindow
+				arbCfg = arbiterTestConfig()
 			}
 			name := fmt.Sprintf("%s/arbiter=%v/boundary=%v", d.Name, tc.arbiter, tc.boundary)
 			if tc.variant != "" {
@@ -193,18 +192,10 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				live := boot()
 				live.testSkipFinalSnapshot = true // crash: the whole journal replays
 				sub := live.Subscribe(1 << 17)
-				// The live run's arbiter sees heartbeats when the pump submits a
-				// batch and outputs when the fan-out gets to them; feeding it
-				// less than the reorder window between output barriers keeps it
-				// the in-order reference however the scheduler treats this test.
 				feed := func(lines []string) {
-					for len(lines) > 0 {
-						n := min(len(lines), arbiter.ReorderWindow-1)
-						ingestAll(t, live, lines[:n])
-						if err := live.flushAll(); err != nil {
-							t.Fatal(err)
-						}
-						lines = lines[n:]
+					ingestAll(t, live, lines)
+					if err := live.flushAll(); err != nil {
+						t.Fatal(err)
 					}
 				}
 				feed(lines[:swapAt])

@@ -228,10 +228,10 @@ func (l *Local) Snapshot() error {
 	}
 	payload := buf.Bytes()
 	if l.arb != nil {
-		// The manager's Snapshot above ran the Flush barrier, so the fan-out
-		// has pushed every output for lines ≤ idx through arbObserve, and the
-		// submitter (paused under snapMu) has fired every heartbeat ≤ idx: the
-		// arbiter state captured here covers exactly the snapshot's offset.
+		// The manager's Snapshot above ran the Flush barrier, and a worker
+		// forwards the marker only after feeding the arbiter every event of
+		// the lines before it: the arbiter state captured here covers exactly
+		// the snapshot's offset.
 		var abuf bytes.Buffer
 		if err := l.arb.Snapshot(&abuf); err != nil {
 			return err

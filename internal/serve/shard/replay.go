@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"repro/internal/arbiter"
 	"repro/internal/core"
 	"repro/internal/lexgen"
 	"repro/internal/predictor"
@@ -19,24 +17,23 @@ import (
 //   - The reader — wal.Replay's callback, on the Open goroutine, checksums
 //     verified as it reads — copies line records into a fixed pool of reused
 //     chunks, cutting one at replayChunkLines lines or replayChunkBytes bytes
-//     (arbiter.ReorderWindow lines with the arbiter on) and at every
-//     model-epoch record, whose model it resolves on the spot so the chunks
-//     after it scan under that model.
+//     and at every model-epoch record, whose model it resolves on the spot so
+//     the chunks after it scan under that model.
 //   - The scan stage, replayScanners goroutines, parses and scans each chunk
-//     in place and copies out only the lines that tokenize, plus a heartbeat
-//     mark per parseable line when the arbiter is on.
-//   - The sequencer applies the chunks in journal order: the marks, then the
-//     tokens (Manager.ProcessScanned), then the output barrier with the
-//     arbiter on, then the model swap an epoch record closed the chunk with.
+//     in place and copies out only the lines that tokenize — with the
+//     arbiter on, every parseable line, the rest as core.NoPhrase tokens, so
+//     the workers can feed the arbiter each line's heartbeat in order.
+//   - The sequencer applies the chunks in journal order: the tokens
+//     (Manager.ProcessScanned), then the model swap an epoch record closed
+//     the chunk with.
 //
-// A chunk returns to the pool once the sequencer has applied it — the marks
-// alias its text, the tokens own their node strings — so a journal of any
-// length replays in the memory of the pool.
+// A chunk returns to the pool once the sequencer has applied it — the tokens
+// it handed the workers hold interned node strings, nothing of its text — so
+// a journal of any length replays in the memory of the pool.
 
 // Replay chunk bounds — the shape live ingest hands the Manager (a pump batch
 // of at most 256 lines cut from a framer chunk of at most 64 KiB), so replay
-// keeps the live in-flight window. With the arbiter on the line bound is its
-// reorder window instead.
+// keeps the live in-flight window.
 const (
 	replayChunkLines = 256
 	replayChunkBytes = 64 << 10
@@ -51,10 +48,24 @@ const (
 // two per core was clearly ahead of one.
 func replayScanners() int { return 2 * runtime.GOMAXPROCS(0) }
 
-// replayMark is the heartbeat of one replayed line.
-type replayMark struct {
-	node []byte // aliases the chunk's text
-	ts   time.Time
+// nodeNames interns node IDs for one scan goroutine, so that a token's Node
+// is a string of its own — a worker may read it after its chunk is back in
+// the pool — without allocating one per line.
+type nodeNames map[string]string
+
+// maxNodeNames bounds a table against garbage node fields in a corrupt
+// journal; past it, new names are copied per line.
+const maxNodeNames = 1 << 16
+
+func (nn nodeNames) of(b []byte) string {
+	if s, ok := nn[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(nn) < maxNodeNames {
+		nn[s] = s
+	}
+	return s
 }
 
 // replayChunk is one run of journaled lines on its way through replay.
@@ -63,9 +74,9 @@ type replayChunk struct {
 	ends []int  // end offset in text of each line
 
 	// out is the scan stage's result; out.Model is the model the lines scan
-	// under.
-	out   predictor.Scanned
-	marks []replayMark
+	// under. kept counts its core.NoPhrase tokens.
+	out  predictor.Scanned
+	kept int
 
 	// swapTo, when set, is the model a model-epoch record right after the
 	// chunk's lines switched to (swapIdx is the record's index).
@@ -75,8 +86,9 @@ type replayChunk struct {
 	done chan struct{} // the scan stage's completion signal (capacity 1)
 }
 
-// scan parses and scans the chunk's lines in place.
-func (c *replayChunk) scan(withMarks bool) {
+// scan parses and scans the chunk's lines in place; keepAll keeps the lines
+// that match no template as core.NoPhrase tokens instead of counting them.
+func (c *replayChunk) scan(keepAll bool, names nodeNames) {
 	sc := c.out.Model.Scanner()
 	start := 0
 	for _, end := range c.ends {
@@ -86,19 +98,21 @@ func (c *replayChunk) scan(withMarks bool) {
 			c.out.ParseErrors++
 			continue
 		}
-		if withMarks {
-			c.marks = append(c.marks, replayMark{node: node, ts: ts})
+		id, ok := sc.ScanBytes(msg)
+		if !ok {
+			if !keepAll {
+				c.out.Discarded++
+				continue
+			}
+			id = core.NoPhrase
+			c.kept++
 		}
-		if id, ok := sc.ScanBytes(msg); ok {
-			c.out.Tokens = append(c.out.Tokens, core.Token{Phrase: id, Time: ts, Node: string(node)})
-		} else {
-			c.out.Discarded++
-		}
+		c.out.Tokens = append(c.out.Tokens, core.Token{Phrase: id, Time: ts, Node: names.of(node)})
 	}
 }
 
 func (c *replayChunk) reset() {
-	c.text, c.ends, c.marks = c.text[:0], c.ends[:0], c.marks[:0]
+	c.text, c.ends, c.kept = c.text[:0], c.ends[:0], 0
 	clear(c.out.Tokens) // drop the node strings
 	c.out = predictor.Scanned{Tokens: c.out.Tokens[:0]}
 	c.swapTo = nil
@@ -107,10 +121,9 @@ func (c *replayChunk) reset() {
 // replay is one boot replay's pipeline. The reader side (line, swap, finish)
 // runs on one goroutine; the stages start with the first record.
 type replay struct {
-	l        *Local
-	maxLines int
-	model    *predictor.Model // the model the next chunk scans under
-	scan     func(c *replayChunk)
+	l     *Local
+	model *predictor.Model // the model the next chunk scans under
+	scan  func(c *replayChunk, names nodeNames)
 
 	cur               *replayChunk // being filled by the reader
 	free, work, order chan *replayChunk
@@ -121,18 +134,10 @@ type replay struct {
 }
 
 func newReplay(l *Local) *replay {
-	r := &replay{l: l, maxLines: replayChunkLines, model: l.Manager().Model()}
-	withMarks := l.arb != nil
-	if withMarks {
-		// A chunk's heartbeats fire when it is applied, its outputs reach the
-		// arbiter when the workers get to it, and replay runs the journal as
-		// fast as it reads: unchecked, a failure arrives thousands of
-		// heartbeats late and the arbiter can no longer place the restart.
-		// Chunks inside its reorder window, each followed by the output
-		// barrier, keep the replayed state the one in-order delivery gives.
-		r.maxLines = arbiter.ReorderWindow
-	}
-	r.scan = func(c *replayChunk) { c.scan(withMarks) }
+	r := &replay{l: l, model: l.Manager().Model()}
+	// The arbiter, fed by the workers, needs every parseable line's heartbeat.
+	keepAll := l.arb != nil
+	r.scan = func(c *replayChunk, names nodeNames) { c.scan(keepAll, names) }
 	return r
 }
 
@@ -155,8 +160,9 @@ func (r *replay) start() {
 	for i := 0; i < n; i++ {
 		go func() {
 			defer r.scanners.Done()
+			names := nodeNames{}
 			for c := range r.work {
-				r.scan(c)
+				r.scan(c, names)
 				c.done <- struct{}{}
 			}
 		}()
@@ -204,7 +210,7 @@ func (r *replay) line(body []byte) error {
 	}
 	c.text = append(c.text, body...)
 	c.ends = append(c.ends, len(c.text))
-	if len(c.ends) >= r.maxLines || len(c.text) >= replayChunkBytes {
+	if len(c.ends) >= replayChunkLines || len(c.text) >= replayChunkBytes {
 		r.dispatch()
 	}
 	return nil
@@ -256,19 +262,11 @@ func (r *replay) sequence() {
 }
 
 // apply hands one scanned chunk to the shard, in the order the live path
-// would have: heartbeats, then tokens, then (arbiter on) the output barrier,
-// then the model swap that followed the chunk's lines.
+// would have: its lines, then the model swap that followed them.
 func (r *replay) apply(c *replayChunk) error {
-	m := r.l.Manager()
-	for _, mk := range c.marks { // only with the arbiter on
-		r.l.arb.ObserveHeartbeat(string(mk.node), mk.ts)
-	}
-	perrs, err := m.ProcessScanned(&c.out)
+	perrs, err := r.l.Manager().ProcessScanned(&c.out)
 	r.parseErrors += uint64(perrs)
-	r.toks += uint64(len(c.out.Tokens))
-	if err == nil && r.l.arb != nil {
-		err = m.Flush()
-	}
+	r.toks += uint64(len(c.out.Tokens) - c.kept)
 	if err == nil && c.swapTo != nil {
 		if err = r.l.replaySwap(c.swapTo); err != nil {
 			err = fmt.Errorf("re-executing model swap at %d: %w", c.swapIdx, err)

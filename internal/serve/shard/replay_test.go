@@ -175,11 +175,11 @@ func TestReplayAppliesChunksInJournalOrder(t *testing.T) {
 		finished []int
 	)
 	scan := r.scan
-	r.scan = func(c *replayChunk) {
+	r.scan = func(c *replayChunk, names nodeNames) {
 		if picked.Add(1)%3 == 1 {
 			time.Sleep(2 * time.Millisecond)
 		}
-		scan(c)
+		scan(c, names)
 		mu.Lock()
 		finished = append(finished, chunkOf[string(c.text[:c.ends[0]])])
 		mu.Unlock()

@@ -43,8 +43,8 @@ type Config struct {
 	// Workers is the predictor worker count used when the shard builds a
 	// replacement Manager during swap or replay (0 = GOMAXPROCS).
 	Workers int
-	// Arbiter, when non-nil, gives the shard its own failure arbiter fed by
-	// the manager heartbeat hook and the fan-out.
+	// Arbiter, when non-nil, gives the shard its own failure arbiter, fed by
+	// the manager's workers (Manager.SetObserver).
 	Arbiter *arbiter.Config
 	// Logf receives operational messages; must be non-nil.
 	Logf func(format string, args ...any)
@@ -250,7 +250,8 @@ func (l *Local) Close() error {
 // final Results channel closes (which FinishIngest triggers via Close after
 // the last submit). It also acks Flush barrier markers (snapshots depend on
 // this) and, during boot-time recovery, records outputs into the recovered
-// buffer.
+// buffer. The arbiter is not fed here: the workers feed it in per-node
+// stream order (attachArbiter).
 //
 // Hot-swaps are handled generationally: a swap publishes the new manager
 // (setManager) before closing the old one, so when a Results channel closes
@@ -265,9 +266,6 @@ func (l *Local) fanout() {
 				out.Ack()
 				continue
 			}
-			// The arbiter sees every output — recovered ones included, so a
-			// restored run accumulates the same chain evidence a live run did.
-			l.arbObserve(out)
 			if l.recoveryActive.Load() {
 				l.recMu.Lock()
 				l.recovered = append(l.recovered, out)
@@ -285,28 +283,18 @@ func (l *Local) fanout() {
 	}
 }
 
-// attachArbiter wires the arbiter's heartbeat feed into a manager. Called
-// for the boot manager and for every replacement built by hot-swap or
-// recovery — but never for shadow managers, which see the same lines as the
-// primary and would double-count every beat.
+// attachArbiter makes the arbiter a manager's observer: each worker feeds
+// it the heartbeats and outputs of the nodes it owns, in stream order, with
+// one lock acquisition per batch — replayed lines included, so a restored run
+// accumulates the evidence a live run did. Called for the boot manager and
+// for every replacement built by hot-swap or recovery — but never for shadow
+// managers, which see the same lines as the primary and would count every
+// event twice.
 func (l *Local) attachArbiter(m *predictor.Manager) {
 	if l.arb == nil || m == nil {
 		return
 	}
-	m.SetHeartbeat(l.arb.ObserveHeartbeat)
-}
-
-// arbObserve feeds one fan-out output into the arbiter's evidence ledger.
-func (l *Local) arbObserve(out predictor.Output) {
-	if l.arb == nil {
-		return
-	}
-	if p := out.Prediction; p != nil {
-		l.arb.ObservePrediction(p.Node, p.ChainName, p.MatchedAt)
-	}
-	if f := out.Failure; f != nil {
-		l.arb.ObserveFailure(f.Node, f.Time)
-	}
+	m.SetObserver(l.arb.Observe)
 }
 
 // Recovered returns the outputs re-derived during boot-time replay, in

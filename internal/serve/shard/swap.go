@@ -64,8 +64,8 @@ func (l *Local) SwapModel(model *predictor.Model) (*SwapReport, error) {
 	rep := &SwapReport{From: old.FingerprintHex(), To: fp}
 	// Build the replacement before the submitter pauses.
 	next := model.NewManager(l.cfg.Workers)
-	// The replacement inherits the arbiter's heartbeat feed (shadows never
-	// do — they would double-count every beat the primary already observed).
+	// The replacement inherits the arbiter feed (shadows never do — they
+	// would count every event the primary already reported twice).
 	l.attachArbiter(next)
 
 	began := time.Now()
@@ -136,7 +136,7 @@ func (l *Local) Promote(fp string) (*SwapReport, error) {
 		l.cfg.Logf("serve: %v (promote continues; manifest will disagree with journal until next boot)", err)
 	}
 	// Promotion is the moment the shadow starts feeding the arbiter: until
-	// here the primary owned the heartbeat stream.
+	// here the primary owned the arbiter feed.
 	l.attachArbiter(sh.mgr)
 	l.setManager(sh.mgr)
 	old.Close()

@@ -51,14 +51,20 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # more under the race detector: they race the fan-out against the pump.
 # Affordable because a model now compiles once per version, not once per
 # shard x worker.
-echo "==> serve replay, swap and shadow tests (race, -count=5)"
+# The per-node order tests race the workers that feed the arbiter against
+# the fan-out, a stalled Publish and each other.
+ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
+echo "==> serve replay, swap and shadow tests, per-node order tests (race, -count=5)"
 go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|Swap|Shadow' ./internal/serve
+go test -race -count=5 -run "$ORDER_TESTS" ./internal/serve/shard ./internal/predictor
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
-# one after another, several finish chunks out of journal order.
-echo "==> replay equivalence at -cpu 1,2,4"
+# one after another, several finish chunks out of journal order. The default
+# worker count is GOMAXPROCS too, so -cpu also varies how the workers that
+# feed the arbiter interleave.
+echo "==> replay equivalence and per-node order at -cpu 1,2,4"
 go test -count=3 -cpu 1,2,4 -run 'TestReplayMatchesLiveRun' ./internal/serve
-go test -count=3 -cpu 1,2,4 -run 'TestReplayAppliesChunksInJournalOrder' ./internal/serve/shard
+go test -count=3 -cpu 1,2,4 -run "TestReplayAppliesChunksInJournalOrder|$ORDER_TESTS" ./internal/serve/shard ./internal/predictor
 
 if [ "$FUZZTIME" != "0" ]; then
     # Go only allows one -fuzz target per invocation; run each explicitly.
