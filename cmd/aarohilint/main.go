@@ -1,7 +1,7 @@
 // Command aarohilint is the multichecker for aarohi's source invariants: the
-// custom analyzers in internal/lint (hotpath, lockblock, mustclose, durable)
-// run over the packages matching the given patterns and report findings in
-// the familiar file:line:col form. Exit status 1 means findings, 2 means the
+// custom analyzers in internal/lint (hotpath, lockblock, mustclose, durable,
+// layering, unsafe) run over the packages matching the given patterns and
+// report findings in the familiar file:line:col form. Exit status 1 means findings, 2 means the
 // tool itself failed. Stock correctness analyzers (nilness, shadow,
 // unusedwrite, …) stay with `go vet`, which scripts/check.sh runs alongside
 // this tool; aarohilint carries only the repo-specific invariants vet cannot

@@ -87,7 +87,7 @@ func (p *Pass) Preorder(fn func(ast.Node) bool) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Hotpath, LockBlock, MustClose, Durable, Layering}
+	return []*Analyzer{Hotpath, LockBlock, MustClose, Durable, Layering, Unsafe}
 }
 
 // Select resolves a comma-separated analyzer-name list against All. An empty

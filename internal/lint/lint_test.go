@@ -27,6 +27,12 @@ func TestLayeringFixture(t *testing.T) {
 	RunFixture(t, Layering, "testdata/src/layering/...")
 }
 
+func TestUnsafeFixture(t *testing.T) {
+	// One package per case: an owner of recycled storage, a plain package,
+	// and a suppressed import.
+	RunFixture(t, Unsafe, "testdata/src/unsafe/...")
+}
+
 func TestSelect(t *testing.T) {
 	all, err := Select("")
 	if err != nil || len(all) != len(All()) {

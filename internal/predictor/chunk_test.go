@@ -8,13 +8,20 @@ import (
 	"unsafe"
 
 	"repro/internal/loggen"
+	"repro/internal/recycle"
 )
 
-// The serve layer hands the predictor lines that are substrings of one string
-// per socket read, tens of KiB long. Anything that outlives the batch — a
-// driver's map key, a prediction's node — must be a copy, or a 20-byte node
-// ID pins the whole chunk; and a submitter that outruns the scan workers must
-// be stopped after a few batches, or the backlog pins hundreds of chunks.
+// The serve layer hands the predictor lines that are views of storage it
+// recycles — the pipeline's slabs, the router's sub-batches — valid only
+// until the call returns, and the manager carries each line's node to its
+// worker in a batch buffer that it recycles in turn. Anything that outlives
+// the batch — a driver's map key, a prediction's node — must be a copy: an
+// alias does not merely pin memory, it reads whatever line the storage holds
+// next. The tests cut lines out of one chunk string and check that nothing
+// kept points into it, with recycle.TestHookPoison on so that an alias of
+// the manager's own batch storage reads as poison. And a submitter that
+// outruns the scan workers must be stopped after a few batches, or the
+// backlog's batch storage grows without bound.
 
 // inside reports whether s points into chunk's bytes.
 func inside(s, chunk string) bool {
@@ -75,6 +82,7 @@ func checkNoAlias(t *testing.T, p *Predictor, chunk string) {
 // leave no driver key, prediction node or failure node pointing into it —
 // through the bare Predictor and through the Manager's batch path.
 func TestDriverKeysDoNotAliasChunk(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
 	const nodes = 1000
 	log, chunk, lines := chunkLines(t, nodes)
 

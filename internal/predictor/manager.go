@@ -5,9 +5,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/lexgen"
+	"repro/internal/recycle"
 )
 
 // ErrClosed is returned by the Process* calls after Close: the manager no
@@ -90,20 +93,25 @@ type managerEvent struct {
 	flush chan<- struct{}
 }
 
-// batchEntry is one parsed line inside an eventBatch, its message body still
-// to be scanned by the worker.
+// batchEntry is one parsed line inside an eventBatch: its time, and where in
+// the batch's buf its node (at off) and then its message body, still to be
+// scanned by the worker, were copied.
 type batchEntry struct {
-	tok core.Token
-	msg string
+	time            time.Time
+	off             int
+	nodeLen, msgLen int
 }
 
 // eventBatch is the share of one Process* call bound for a single worker:
 // parsed lines to scan (ProcessLineBatch), or tokens already scanned plus the
 // call's discarded-line count on the first worker it reaches
-// (ProcessScanned). Shells cycle through Manager.batchFree so steady-state
-// batching never allocates.
+// (ProcessScanned). The caller's lines are only valid for the call, so a
+// line's node and message travel in buf, which the batch owns until the
+// worker has run the observer on it. Shells cycle through Manager.batchFree
+// so steady-state batching never allocates.
 type eventBatch struct {
 	entries   []batchEntry
+	buf       []byte
 	toks      []core.Token
 	discarded int
 }
@@ -116,14 +124,15 @@ type batchBuilder struct {
 }
 
 // maxInflightBatches bounds the batches queued to or running on one worker.
-// The inbox has room for far more, but a batch carries hundreds of lines,
-// each pinning the socket chunk it was cut from, so a submitter that outruns
-// the scan workers must be stopped after a few thousand lines, not a few
-// hundred batches (that window held the daemon's RSS at twice its working
-// set). It cannot be much smaller either: with as many workers as cores the
-// submitter shares a core with a worker, and a window that worker drains
-// before the scheduler switches back leaves it idle — 4 and 8 batches cost 2x
-// on a two-core host, 16 and up are within noise of unbounded.
+// The inbox has room for far more, but a batch carries hundreds of lines in
+// storage of its own — and every shell that storage lives in stays allocated
+// for reuse — so a submitter that outruns the scan workers must be stopped
+// after a few thousand lines, not a few hundred batches (that window held
+// the daemon's RSS at twice its working set). It cannot be much smaller
+// either: with as many workers as cores the submitter shares a core with a
+// worker, and a window that worker drains before the scheduler switches back
+// leaves it idle — 4 and 8 batches cost 2x on a two-core host, 16 and up are
+// within noise of unbounded.
 const maxInflightBatches = 16
 
 // NewManager compiles the model (Compile) and builds a concurrent predictor
@@ -203,7 +212,8 @@ func (m *Manager) run(w *managerWorker) {
 // order, holding w.mu once for the whole group. Outputs are sent after the
 // lock is released (Stats callers are never blocked behind a full results
 // channel); the observer runs last, off the prediction path but before the
-// worker's next message.
+// worker's next message. Only then is the batch recycled: the observer's
+// events name their nodes by views of its storage.
 //
 //aarohi:hotpath
 func (m *Manager) runBatch(w *managerWorker, eb *eventBatch) {
@@ -211,11 +221,12 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch) {
 	w.mu.Lock()
 	for i := range eb.entries {
 		e := &eb.entries[i]
-		e.tok.Phrase = core.NoPhrase
-		if id, ok := w.pred.Scanner().Scan(e.msg); ok {
-			e.tok.Phrase = id
+		node := eb.buf[e.off : e.off+e.nodeLen]
+		tok := core.Token{Phrase: core.NoPhrase, Time: e.time, Node: bufString(node)}
+		if id, ok := w.pred.Scanner().ScanBytes(eb.buf[e.off+e.nodeLen : e.off+e.nodeLen+e.msgLen]); ok {
+			tok.Phrase = id
 		}
-		m.feed(w, e.tok, obs != nil)
+		m.feed(w, tok, obs != nil)
 	}
 	for _, tok := range eb.toks {
 		m.feed(w, tok, obs != nil)
@@ -223,7 +234,6 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch) {
 	w.pred.linesScanned += eb.discarded
 	w.pred.discarded += eb.discarded
 	w.mu.Unlock()
-	m.putBatch(eb)
 	<-w.slots
 	for i := range w.outs {
 		m.results <- w.outs[i]
@@ -232,10 +242,16 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch) {
 	w.outs = w.outs[:0]
 	if obs != nil && len(w.events) > 0 {
 		(*obs)(w.index, w.events)
-		clear(w.events) // the beats' nodes may alias ingest chunks
 		w.events = w.events[:0]
 	}
+	m.putBatch(eb)
 }
+
+// bufString returns b, a node's bytes in an eventBatch's buf, as a string
+// without copying. The string lives as long as the batch: from the worker's
+// scan to the observer's return, after which putBatch recycles buf. The
+// predictor and the arbiter copy a node the first time they keep it.
+func bufString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // feed hands one parseable line's token to w's parse — a core.NoPhrase token
 // is counted as scanned and discarded — collecting the output it produced
@@ -292,8 +308,10 @@ func fnvIndex[T ~string | ~[]byte](key T, n int) int {
 // index, after the batch's outputs are on Results and before its next
 // message, so fn has seen every line submitted before a Flush when it
 // returns. Calls from different workers run concurrently; a node's events
-// come from its one worker. evs is reused and its nodes may alias ingest
-// buffers: fn copies what it keeps. nil clears the hook.
+// come from its one worker. evs and the events' Node strings are valid only
+// until fn returns: the slice is reused and the nodes are views of the
+// batch's storage, which is recycled after the call, so fn copies what it
+// keeps. nil clears the hook.
 func (m *Manager) SetObserver(fn func(worker int, evs []core.Event)) {
 	if fn == nil {
 		m.observer.Store(nil)
@@ -322,7 +340,9 @@ func (m *Manager) ProcessLine(line string) error {
 // Malformed lines are skipped and counted in parseErrs. After Close the whole
 // batch is rejected with ErrClosed and nothing is enqueued. Lines of one
 // batch reach each node's worker in slice order; ordering across concurrent
-// callers is unspecified. Safe for concurrent use.
+// callers is unspecified. lines need only be valid until the call returns:
+// each line's node and message are copied into the batch bound for its
+// worker. Safe for concurrent use.
 //
 //aarohi:hotpath
 func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
@@ -338,7 +358,12 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 			continue
 		}
 		eb := m.shardOf(b, node)
-		eb.entries = append(eb.entries, batchEntry{tok: core.Token{Time: ts, Node: node}, msg: msg})
+		off := len(eb.buf)
+		if off+len(node)+len(msg) > cap(eb.buf) || len(eb.entries) == cap(eb.entries) {
+			eb.grow(len(node)+len(msg), lines, len(m.workers))
+		}
+		eb.buf = append(append(eb.buf, node...), msg...)
+		eb.entries = append(eb.entries, batchEntry{time: ts, off: off, nodeLen: len(node), msgLen: len(msg)})
 		n++
 	}
 	if n == 0 {
@@ -346,6 +371,27 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 		return parseErrs, nil
 	}
 	return parseErrs, m.dispatch(b, n)
+}
+
+// grow is the cold path of ProcessLineBatch's copy-in: it makes room in eb
+// for one more line of n bytes, jumping to an even share of the call's lines
+// across the workers instead of doubling up from nothing, so a shell reaches
+// its working size in one or two allocations, not a dozen.
+func (eb *eventBatch) grow(n int, lines []string, workers int) {
+	if len(eb.buf)+n > cap(eb.buf) {
+		bytes := 0
+		for _, line := range lines {
+			bytes += len(line)
+		}
+		buf := make([]byte, len(eb.buf), max(len(eb.buf)+n, 2*cap(eb.buf), bytes/workers))
+		copy(buf, eb.buf)
+		eb.buf = buf
+	}
+	if len(eb.entries) == cap(eb.entries) {
+		entries := make([]batchEntry, len(eb.entries), max(1, 2*cap(eb.entries), len(lines)/workers))
+		copy(entries, eb.entries)
+		eb.entries = entries
+	}
 }
 
 // shardOf returns the batch of b bound for node's worker, taking a shell from
@@ -413,9 +459,9 @@ func (m *Manager) getBatch() *eventBatch {
 }
 
 func (m *Manager) putBatch(eb *eventBatch) {
-	clear(eb.entries) // drop node/msg string references before pooling
-	clear(eb.toks)
-	eb.entries, eb.toks, eb.discarded = eb.entries[:0], eb.toks[:0], 0
+	recycle.Release(eb.buf)
+	clear(eb.toks) // drop the scan stage's node strings before pooling
+	eb.entries, eb.buf, eb.toks, eb.discarded = eb.entries[:0], eb.buf[:0], eb.toks[:0], 0
 	select {
 	case m.batchFree <- eb:
 	default:

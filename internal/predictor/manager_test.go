@@ -3,6 +3,7 @@ package predictor
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lexgen"
 	"repro/internal/loggen"
+	"repro/internal/recycle"
 )
 
 // predKey canonicalizes a prediction for set comparison.
@@ -321,6 +323,7 @@ func eventKey(e core.Event) string {
 // the discarded lines kept as NoPhrase tokens (which counts them as
 // ProcessLineBatch does). A nil observer clears the hook.
 func TestManagerObserverOrder(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
 	log := genLog(t, 13, 5, 2)
 	var lines []string
 	for i, line := range log.Lines() {
@@ -383,11 +386,14 @@ func TestManagerObserverOrder(t *testing.T) {
 				defer mu.Unlock()
 				calls++
 				for _, e := range evs {
-					if o, ok := owner[e.Node]; ok && o != w {
-						t.Errorf("workers=%d %s: node %s reported by workers %d and %d", workers, path, e.Node, o, w)
+					// e.Node is a view of the batch's storage, valid only
+					// until the observer returns: the maps keep a copy.
+					node := strings.Clone(e.Node)
+					if o, ok := owner[node]; ok && o != w {
+						t.Errorf("workers=%d %s: node %s reported by workers %d and %d", workers, path, node, o, w)
 					}
-					owner[e.Node] = w
-					got[e.Node] = append(got[e.Node], eventKey(e))
+					owner[node] = w
+					got[node] = append(got[node], eventKey(e))
 				}
 			})
 			submit := func(lines []string) {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/lexgen"
 	"repro/internal/loggen"
 	"repro/internal/predictor"
+	"repro/internal/recycle"
 	"repro/internal/wal"
 )
 
@@ -246,6 +247,7 @@ func diffRuns(t *testing.T, label string, want, got pipeRun) {
 // configuration reproduces a sequential predictor's outputs, journals its
 // input in order, and ends in the state of an arbiter fed in stream order.
 func TestBatchPipelineEquivalence(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
 	dialects := []*loggen.Dialect{
 		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectBGP, loggen.DialectCassandra,
 	}

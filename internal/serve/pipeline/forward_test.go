@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -14,8 +15,19 @@ type recordSink struct {
 }
 
 func (s *recordSink) ProcessBatch(batch []string) {
-	s.batches = append(s.batches, append([]string(nil), batch...))
+	batch = cloneLines(batch)
+	s.batches = append(s.batches, batch)
 	s.lines = append(s.lines, batch...)
+}
+
+// cloneLines copies a Sink batch: its lines are views of the pipeline's
+// storage, valid only until ProcessBatch returns.
+func cloneLines(batch []string) []string {
+	out := make([]string, len(batch))
+	for i, line := range batch {
+		out[i] = strings.Clone(line)
+	}
+	return out
 }
 
 func drainAll(p *Pipeline) {

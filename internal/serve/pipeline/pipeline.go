@@ -6,14 +6,17 @@
 // shard layer; this package knows nothing about journals, predictors or
 // shards — only queue discipline (Block backpressure vs Shed drop-and-count),
 // producer registration (so a drain can close the queue with no writer left
-// behind), and batch formation. It imports nothing above the standard
-// library.
+// behind), batch formation, and the storage the queued lines live in. It
+// imports nothing but the standard library and internal/recycle.
 package pipeline
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
+
+	"repro/internal/recycle"
 )
 
 // Policy says what happens when the ingest queue is full.
@@ -31,9 +34,10 @@ const (
 
 // Sink consumes drained lines, one pump batch at a time. ProcessBatch runs on
 // the pump goroutine and must fully process its input before returning —
-// "pump exited" means every accepted line reached the Sink. The slice is
-// reused for the next batch after the call returns; implementations must not
-// retain it.
+// "pump exited" means every accepted line reached the Sink. The slice and
+// its lines are valid until ProcessBatch returns: the pump then reuses the
+// slice for the next batch and the lines' bytes for new lines, so an
+// implementation copies whatever it keeps.
 type Sink interface {
 	ProcessBatch(batch []string)
 }
@@ -42,10 +46,31 @@ type Sink interface {
 // made one cross-daemon hop (it arrived over a peer-forwarded connection):
 // the pump routes those to the forward sink, which must process them locally
 // no matter what the placement table says — a line never travels twice.
+// line is a view of the slab numbered slab.
 type entry struct {
 	line string
 	fwd  bool
+	slab uint32
 }
+
+// slab is one block of the pipeline's line storage. Accepted lines are
+// copied into the newest slab in arrival order, so slabs empty in the order
+// they filled: a slab is free once the batch holding its last line has been
+// through the Sink.
+type slab struct {
+	buf []byte // len is the bytes handed out
+	seq uint32 // numbers slabs in fill order (wrapping)
+}
+
+// slabSize is the size of one slab: half a socket read, so a Block queue's
+// worth of ordinary log lines (4096 × ~100 bytes) spans a dozen slabs and
+// the pool stays as small as the queue. A longer line gets a slab of its own,
+// which is not kept for reuse.
+const slabSize = 32 << 10
+
+// maxFreeSlabs bounds the slabs kept for reuse when a backlog drains; the
+// rest are left to the garbage collector. Steady ingest cycles one or two.
+const maxFreeSlabs = 16
 
 // Config parameterizes a Pipeline. Callers pass already-defaulted values
 // (the serve layer owns configuration policy); New only guards against
@@ -83,8 +108,9 @@ type Pipeline struct {
 	fwdSink Sink
 
 	// The queue is a ring of lines under one mutex. A producer copies a whole
-	// chunk of lines in per lock round-trip and the pump copies a whole batch
-	// out, so the per-line cost on either side is a 24-byte move, not a
+	// chunk of lines in per lock round-trip — each line's bytes into a slab,
+	// its view into the ring — and the pump copies a whole batch of views
+	// out, so the per-line cost on either side is a copy, not a
 	// synchronization.
 	mu     sync.Mutex
 	ring   []entry
@@ -98,13 +124,22 @@ type Pipeline struct {
 	pumpIdle bool
 	wake     chan struct{}
 
+	// Line storage, under mu: slabs holds every slab with a queued line or a
+	// line of the batch being cut, oldest first, and the last is filled next;
+	// freeSlabs are empty slabs kept for reuse; slabSeq is the newest slab's
+	// number.
+	slabs     []*slab
+	freeSlabs []*slab
+	slabSeq   uint32
+
 	// The batch being cut. Owned by the pump goroutine. batchStarved says the
 	// last take stopped short only because the queue ran empty — waiting
-	// could still grow the batch.
+	// could still grow the batch. batchSlab is the slab of its last line.
 	batch        []string
 	batchFwd     bool
 	batchBytes   int
 	batchStarved bool
+	batchSlab    uint32
 
 	accepted  atomic.Int64
 	dropped   atomic.Int64
@@ -149,8 +184,10 @@ func New(cfg Config, sink Sink) *Pipeline {
 		sink:    sink,
 		fwdSink: fwd,
 		ring:    make([]entry, cfg.QueueSize),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		// Preallocated so that releasing slabs never grows it.
+		freeSlabs: make([]*slab, 0, maxFreeSlabs),
+		wake:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	p.room.L = &p.mu
 	return p
@@ -177,7 +214,8 @@ func (p *Pipeline) EndProduce() { p.prodWG.Done() }
 
 // Ingest enqueues one raw log line under the configured overflow policy.
 // The caller must hold a producer registration. Reports whether the line
-// was accepted.
+// was accepted. An accepted line is copied into the pipeline's own storage,
+// so line need only be valid until Ingest returns.
 //
 //aarohi:hotpath
 func (p *Pipeline) Ingest(line string) bool {
@@ -188,8 +226,9 @@ func (p *Pipeline) Ingest(line string) bool {
 // IngestBatch enqueues a chunk of lines in order with one lock round-trip
 // and returns how many were accepted — always a prefix: Block waits for room
 // (splitting the chunk when it is larger than the space left) and accepts
-// them all, Shed accepts what fits and counts the rest in Dropped. lines is
-// not retained.
+// them all, Shed accepts what fits and counts the rest in Dropped. Accepted
+// lines are copied into the pipeline's own storage and dropped ones are not
+// copied at all, so lines need only be valid until IngestBatch returns.
 //
 //aarohi:hotpath
 func (p *Pipeline) IngestBatch(lines []string) int {
@@ -223,7 +262,9 @@ func (p *Pipeline) enqueue(lines []string, fwd bool) int {
 			tail -= len(p.ring)
 		}
 		for _, line := range lines[sent : sent+k] {
-			p.ring[tail] = entry{line: line, fwd: fwd}
+			e := &p.ring[tail]
+			e.line, e.slab = p.store(line)
+			e.fwd = fwd
 			if tail++; tail == len(p.ring) {
 				tail = 0
 			}
@@ -244,6 +285,71 @@ func (p *Pipeline) enqueue(lines []string, fwd bool) int {
 		p.dropped.Add(int64(len(lines) - sent))
 	}
 	return sent
+}
+
+// store copies line into the newest slab, starting a slab when it does not
+// fit, and returns the copy with the slab's number. Caller holds p.mu.
+//
+//aarohi:hotpath
+func (p *Pipeline) store(line string) (string, uint32) {
+	var s *slab
+	if k := len(p.slabs); k > 0 {
+		s = p.slabs[k-1]
+	}
+	if s == nil || cap(s.buf)-len(s.buf) < len(line) {
+		s = p.newSlab(len(line))
+	}
+	off := len(s.buf)
+	s.buf = append(s.buf, line...)
+	// A view of pipeline-owned storage: the slab is neither written over nor
+	// released until the batch holding this line has returned from the Sink
+	// (releaseBatch), which is as long as the Sink contract lets it live.
+	return unsafe.String(unsafe.SliceData(s.buf[off:]), len(line)), s.seq
+}
+
+// newSlab appends an empty slab with room for n bytes to p.slabs — a reused
+// one when n fits a standard slab and one is free. Caller holds p.mu.
+func (p *Pipeline) newSlab(n int) *slab {
+	var s *slab
+	if k := len(p.freeSlabs); k > 0 && n <= slabSize {
+		s = p.freeSlabs[k-1]
+		p.freeSlabs[k-1] = nil
+		p.freeSlabs = p.freeSlabs[:k-1]
+	} else {
+		s = &slab{buf: make([]byte, 0, max(n, slabSize))}
+	}
+	p.slabSeq++
+	s.seq = p.slabSeq
+	p.slabs = append(p.slabs, s)
+	return s
+}
+
+// releaseBatch frees the storage of the batch that just returned from the
+// Sink, with p.mu held: every slab filled before the one holding the batch's
+// last line, and that one too when no queued line is left in any slab.
+//
+//aarohi:hotpath
+func (p *Pipeline) releaseBatch() {
+	k := 0
+	if p.n == 0 {
+		k = len(p.slabs)
+	}
+	for k < len(p.slabs) && int32(p.slabs[k].seq-p.batchSlab) < 0 {
+		k++
+	}
+	for i, s := range p.slabs[:k] {
+		p.slabs[i] = nil
+		recycle.Release(s.buf)
+		if cap(s.buf) == slabSize && len(p.freeSlabs) < maxFreeSlabs {
+			s.buf = s.buf[:0]
+			p.freeSlabs = append(p.freeSlabs, s)
+		}
+	}
+	if k > 0 {
+		n := copy(p.slabs, p.slabs[k:])
+		clear(p.slabs[n:])
+		p.slabs = p.slabs[:n]
+	}
 }
 
 // Draining reports whether StartDrain has been called.
@@ -357,13 +463,17 @@ func (p *Pipeline) pumpBatches() {
 	}
 }
 
-// next starts a new pump batch: it waits until a line is queued and takes up
-// to limit lines. It reports false once the queue is closed and empty.
+// next releases the previous batch's storage and starts a new pump batch: it
+// waits until a line is queued and takes up to limit lines. It reports false
+// once the queue is closed and empty.
 //
 //aarohi:hotpath
 func (p *Pipeline) next(limit int) bool {
-	p.batch, p.batchBytes = p.batch[:0], 0
 	p.mu.Lock()
+	if len(p.batch) > 0 {
+		p.releaseBatch()
+	}
+	p.batch, p.batchBytes = p.batch[:0], 0
 	for p.n == 0 {
 		if p.closed {
 			p.mu.Unlock()
@@ -396,7 +506,7 @@ func (p *Pipeline) take(limit int) {
 		}
 		p.batch = append(p.batch, e.line)
 		p.batchBytes += len(e.line)
-		e.line = "" // the slot must not pin the line's chunk until it is overwritten
+		p.batchSlab = e.slab
 		if p.head++; p.head == len(p.ring) {
 			p.head = 0
 		}

@@ -2,9 +2,12 @@ package pipeline
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/recycle"
 )
 
 func numbered(prefix string, n int) []string {
@@ -209,7 +212,7 @@ func TestCloseQueueLosesNothing(t *testing.T) {
 // is dispatched when the age runs out even if nothing else comes.
 func TestBatchAgeWaitsForPartialBatch(t *testing.T) {
 	batches := make(chan []string, 8)
-	sink := sinkFunc(func(b []string) { batches <- append([]string(nil), b...) })
+	sink := sinkFunc(func(b []string) { batches <- cloneLines(b) })
 	p := New(Config{QueueSize: 64, BatchMax: 4, BatchAge: 2 * time.Second}, sink)
 	p.Start()
 	if !p.BeginProduce() {
@@ -271,4 +274,36 @@ func TestIngestDoesNotAllocate(t *testing.T) {
 	}
 	p.EndProduce()
 	drainAll(p)
+}
+
+// TestSinkLinesLiveUntilReturn: accepted lines are the pipeline's copies —
+// the caller's strings are untouched — and their storage is released once
+// the batch holding them has returned from the Sink: a Sink that keeps the
+// views (this one, deliberately) reads poison after the drain.
+func TestSinkLinesLiveUntilReturn(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
+	var kept, seen []string
+	sink := sinkFunc(func(b []string) {
+		kept = append(kept, b...)
+		seen = append(seen, cloneLines(b)...)
+	})
+	p := New(Config{QueueSize: 64, BatchMax: 4}, sink)
+	p.Start()
+	if !p.BeginProduce() {
+		t.Fatal("BeginProduce refused")
+	}
+	lines := append(numbered("x", 10), "", "y") // an empty line has no bytes to copy
+	if n := p.IngestBatch(lines); n != len(lines) {
+		t.Fatalf("accepted %d of %d", n, len(lines))
+	}
+	p.EndProduce()
+	drainAll(p)
+	if fmt.Sprint(seen) != fmt.Sprint(lines) || fmt.Sprint(lines) != fmt.Sprint(append(numbered("x", 10), "", "y")) {
+		t.Fatalf("sink saw %v while the batch was live; input now %v", seen, lines)
+	}
+	for _, line := range kept {
+		if line != strings.Repeat(string(rune(recycle.PoisonByte)), len(line)) {
+			t.Fatalf("line %q kept past its batch still reads as a line: its storage was never released", line)
+		}
+	}
 }

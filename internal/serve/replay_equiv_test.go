@@ -17,6 +17,7 @@ import (
 	"repro/internal/lexgen"
 	"repro/internal/loggen"
 	"repro/internal/predictor"
+	"repro/internal/recycle"
 	"repro/internal/registry"
 	"repro/internal/wal"
 )
@@ -50,6 +51,7 @@ func arbSnapshot(t *testing.T, s *Server) []byte {
 }
 
 func TestReplayMatchesLiveRun(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
 	// The four dialects whose models pass the registry's vet gate.
 	dialects := []*loggen.Dialect{
 		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectCassandra, loggen.DialectHadoop,

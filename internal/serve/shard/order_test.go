@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lexgen"
 	"repro/internal/predictor"
+	"repro/internal/recycle"
 	"repro/internal/wal"
 )
 
@@ -95,6 +96,7 @@ func newArbiterLocal(model *predictor.Model, workers int, publish func(predictor
 // must place the restart at the first post-failure line, as in-order delivery
 // does; its up-since time sets the node's flap evidence.
 func TestArbiterRestartInOneBatch(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
 	model := xc30Model(t)
 	const node = "c0-0c0s1n2"
 	var lines []string
@@ -164,6 +166,7 @@ func workerOf(node string, workers int) int {
 // delivery leaves them: FC2 one true positive, no false one. A poll must not
 // settle a's evidence against a clock a's own worker has not reached.
 func TestArbiterChainLedgerUnderLag(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
 	model := xc30Model(t)
 	for _, workers := range []int{1, 2} {
 		name := map[int]string{1: "stalled-publish", 2: "lagging-worker"}[workers]

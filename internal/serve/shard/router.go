@@ -5,7 +5,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/recycle"
 	"repro/internal/ring"
 )
 
@@ -29,12 +31,30 @@ type Router struct {
 	pending  []atomic.Int64 // lines handed to a worker, not yet submitted
 	flushErr []error        // last Flush error per worker slot
 	wg       sync.WaitGroup
+
+	// free recycles sub-batch shells between ProcessBatch and the workers:
+	// a non-blocking receive (a miss allocates cold) and a non-blocking send.
+	free chan *subBatch
+
+	// ProcessBatch's scratch, reused across calls: each line's shard, and
+	// per shard the sub-batch being filled and the bytes it needs.
+	lineShard []int
+	subs      []*subBatch
+	subBytes  []int
+}
+
+// subBatch is one shard's share of a pump batch. The worker submits it after
+// ProcessBatch has returned, when the pump's lines are no longer valid, so it
+// carries its own copy: lines are views of buf.
+type subBatch struct {
+	lines []string
+	buf   []byte
 }
 
 // routerMsg is one unit of worker work: a sub-batch to submit, or (when
 // flush is non-nil) a barrier — the worker flushes its shard and signals.
 type routerMsg struct {
-	batch []string
+	sub   *subBatch
 	flush *sync.WaitGroup
 }
 
@@ -63,6 +83,11 @@ func NewRouter(shards []*Local) *Router {
 	r.chans = make([]chan routerMsg, len(shards))
 	r.pending = make([]atomic.Int64, len(shards))
 	r.flushErr = make([]error, len(shards))
+	// Each worker holds up to routerChanDepth queued sub-batches and one it
+	// is submitting, and ProcessBatch fills one per shard.
+	r.free = make(chan *subBatch, len(shards)*(routerChanDepth+2))
+	r.subs = make([]*subBatch, len(shards))
+	r.subBytes = make([]int, len(shards))
 	for i := range shards {
 		r.chans[i] = make(chan routerMsg, routerChanDepth)
 		r.wg.Add(1)
@@ -104,26 +129,76 @@ func (r *Router) shardFor(line string) int {
 }
 
 // ProcessBatch splits one pump batch by owning shard and hands each shard
-// its sub-batch. Sub-batches are freshly allocated — workers consume them
-// asynchronously while the pump reuses the input slice — but the cost
-// amortizes over the batch (a handful of allocations per hundreds of lines),
-// so the ingest hot path still benchmarks at 0 allocs/op.
+// its sub-batch. batch is only valid for the call, like any Sink input. One
+// shard submits it in place; several copy each line into a recycled
+// sub-batch for the shard's worker, so steady-state routing allocates
+// nothing. Calls must not overlap: the pump is the one caller.
+//
+//aarohi:hotpath
 func (r *Router) ProcessBatch(batch []string) {
 	if r.ring == nil {
 		r.shards[0].SubmitBatch(batch)
 		return
 	}
-	subs := make([][]string, len(r.shards))
-	for _, line := range batch {
-		i := r.shardFor(line)
-		subs[i] = append(subs[i], line)
+	if len(batch) > cap(r.lineShard) {
+		//aarohi:allow hotpath grows to the largest pump batch once
+		r.lineShard = make([]int, len(batch))
 	}
-	for i, sub := range subs {
-		if len(sub) == 0 {
+	lineShard := r.lineShard[:len(batch)]
+	clear(r.subBytes)
+	for j, line := range batch {
+		i := r.shardFor(line)
+		lineShard[j] = i
+		r.subBytes[i] += len(line)
+	}
+	for j, line := range batch {
+		i := lineShard[j]
+		sb := r.subs[i]
+		if sb == nil {
+			sb = r.getSub(r.subBytes[i])
+			r.subs[i] = sb
+		}
+		off := len(sb.buf)
+		sb.buf = append(sb.buf, line...) // within the capacity getSub reserved: earlier views stay put
+		// A view of the sub-batch's own storage, which is released only
+		// after the shard's worker has submitted it (putSub).
+		sb.lines = append(sb.lines, unsafe.String(unsafe.SliceData(sb.buf[off:]), len(line)))
+	}
+	for i, sb := range r.subs {
+		if sb == nil {
 			continue
 		}
-		r.pending[i].Add(int64(len(sub)))
-		r.chans[i] <- routerMsg{batch: sub}
+		r.subs[i] = nil
+		r.pending[i].Add(int64(len(sb.lines)))
+		r.chans[i] <- routerMsg{sub: sb}
+	}
+}
+
+// getSub returns an empty sub-batch shell with room for n bytes of lines.
+//
+//aarohi:hotpath
+func (r *Router) getSub(n int) *subBatch {
+	var sb *subBatch
+	select {
+	case sb = <-r.free:
+	default:
+		//aarohi:allow hotpath cold: the freelist is empty until the workers have returned their first shells
+		sb = &subBatch{}
+	}
+	if cap(sb.buf) < n {
+		//aarohi:allow hotpath grows each shell to the largest sub-batch once
+		sb.buf = make([]byte, 0, max(n, 2*cap(sb.buf)))
+	}
+	return sb
+}
+
+// putSub releases a submitted sub-batch's storage and recycles the shell.
+func (r *Router) putSub(sb *subBatch) {
+	recycle.Release(sb.buf)
+	sb.lines, sb.buf = sb.lines[:0], sb.buf[:0]
+	select {
+	case r.free <- sb:
+	default:
 	}
 }
 
@@ -137,8 +212,9 @@ func (r *Router) worker(i int) {
 			msg.flush.Done()
 			continue
 		}
-		r.shards[i].SubmitBatch(msg.batch)
-		r.pending[i].Add(-int64(len(msg.batch)))
+		r.shards[i].SubmitBatch(msg.sub.lines)
+		r.pending[i].Add(-int64(len(msg.sub.lines)))
+		r.putSub(msg.sub)
 	}
 }
 

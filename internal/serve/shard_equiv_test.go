@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/loggen"
 	"repro/internal/predictor"
+	"repro/internal/recycle"
 	"repro/internal/registry"
 )
 
@@ -79,6 +80,7 @@ func runSharded(t *testing.T, d *loggen.Dialect, lines []string, shards int, tcp
 // server reproduces the -shards 1 prediction stream exactly (multiset of
 // outputs, order per node).
 func TestShardedPredictionEquivalence(t *testing.T) {
+	recycle.PoisonForTest(t.Cleanup)
 	// Four dialect families that pass the vet admission gate (Shards > 1
 	// requires Config.Model, and models are vetted on boot; BG/P's inventory
 	// deliberately carries shadowed templates, so it cannot be admitted).

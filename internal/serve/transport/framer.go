@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
+	"unsafe"
+
+	"repro/internal/recycle"
 )
 
 // readBufSize is the framer's read buffer: one socket read hands the layers
@@ -21,10 +23,12 @@ var errLineTooLong = errors.New("line exceeds the maximum line length")
 // every read and grows, by doubling up to maxLine, only while one line
 // overflows it. arm, when non-nil, runs before every read.
 //
-// Each emit gets the lines one read completed, in order, as substrings of one
-// freshly copied string — the only per-chunk allocation besides the first
-// growth of the slice emit receives, which is reused for the next call and
-// must not be retained. Framing is bufio.Scanner's with ScanLines: a trailing
+// Each emit gets the lines one read completed, in order, as views of buf —
+// nothing is copied and, once the slice emit receives has grown to the
+// largest chunk, nothing is allocated. A line, like the slice, is valid only
+// until emit returns: the framer then releases those bytes and moves the
+// partial last line to the front of buf for the next read, so emit copies
+// whatever it keeps. Framing is bufio.Scanner's with ScanLines: a trailing
 // "\r" is stripped, empty lines are skipped, whatever is buffered when the
 // read fails — an unterminated last line included — is delivered before
 // returning, io.EOF returns nil, and a line that fills a buffer already at
@@ -45,12 +49,14 @@ func readLines(r io.Reader, buf []byte, n, maxLine int, arm func(), emit func(li
 			end = searched + i
 		}
 		if end >= 0 {
-			//aarohi:allow hotpath one copy per chunk, not per line: the read buffer is reused, so the lines need a home of their own
-			lines = splitLines(lines[:0], string(buf[:end]))
-			n = copy(buf, buf[min(end+1, n):n])
-			if len(lines) > 0 {
+			// emit reads the lines in place, so it must run before the tail
+			// moves over them.
+			if lines = splitLines(lines[:0], buf[:end]); len(lines) > 0 {
 				emit(lines)
 			}
+			done := min(end+1, n)
+			recycle.Release(buf[:done])
+			n = copy(buf, buf[done:n])
 		}
 		if rerr != nil {
 			if rerr == io.EOF {
@@ -77,23 +83,27 @@ func readLines(r io.Reader, buf []byte, n, maxLine int, arm func(), emit func(li
 	}
 }
 
-// splitLines appends chunk's non-empty lines to dst as substrings, stripping
-// one trailing "\r" from each. The last line need not be terminated.
+// splitLines appends chunk's non-empty lines to dst as views of chunk's
+// bytes, stripping one trailing "\r" from each. The last line need not be
+// terminated.
 //
 //aarohi:hotpath
-func splitLines(dst []string, chunk string) []string {
+func splitLines(dst []string, chunk []byte) []string {
 	for len(chunk) > 0 {
 		line := chunk
-		if i := strings.IndexByte(chunk, '\n'); i >= 0 {
+		if i := bytes.IndexByte(chunk, '\n'); i >= 0 {
 			line, chunk = chunk[:i], chunk[i+1:]
 		} else {
-			chunk = ""
+			chunk = nil
 		}
 		if l := len(line); l > 0 && line[l-1] == '\r' {
 			line = line[:l-1]
 		}
-		if line != "" {
-			dst = append(dst, line)
+		if len(line) > 0 {
+			// A view, not a copy: chunk is readLines' own read buffer, which
+			// is neither written nor released until emit has returned, and
+			// the line's lifetime ends there.
+			dst = append(dst, unsafe.String(&line[0], len(line)))
 		}
 	}
 	return dst
@@ -101,7 +111,8 @@ func splitLines(dst []string, chunk string) []string {
 
 // submit hands one chunk to the layers below and returns how many lines were
 // accepted: through batch — the explicit chunk path the serve layer wires —
-// when set, else line by line through the Ingestor.
+// when set, else line by line through the Ingestor. Either way the lines are
+// only lent for the call.
 //
 //aarohi:hotpath
 func submit(ing Ingestor, batch func(lines []string) int, lines []string) int {

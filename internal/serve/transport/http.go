@@ -47,7 +47,8 @@ func (h *HTTP) Handle(pattern string, handler http.HandlerFunc) {
 }
 
 // SetBatchIngest wires the chunk path for POST /ingest, as TCP.SetBatchIngest
-// does for the line listener. Call before Start.
+// does for the line listener, with the same lifetime: the lines are valid
+// only until fn returns. Call before Start.
 func (h *HTTP) SetBatchIngest(fn func(lines []string) int) { h.batch = fn }
 
 // Start binds addr and begins serving.

@@ -69,8 +69,9 @@ func NewTCP(cfg Config, ing Ingestor, readTimeout time.Duration) *TCP {
 func (t *TCP) SetHijacker(h Hijacker) { t.hijack = h }
 
 // SetBatchIngest wires the chunk path: every socket read's lines go to fn as
-// one call (the slice is reused — fn must not retain it) instead of one
-// Ingestor.Ingest call per line. Call before Start. The wiring is explicit
+// one call instead of one Ingestor.Ingest call per line. The slice and its
+// lines are views of the connection's reused read buffer, valid only until fn
+// returns: fn copies what it keeps. Call before Start. The wiring is explicit
 // rather than discovered by type-asserting the Ingestor, so an Ingestor that
 // wraps another to observe Ingest keeps seeing every line.
 func (t *TCP) SetBatchIngest(fn func(lines []string) int) { t.batch = fn }
@@ -201,7 +202,9 @@ func (t *TCP) handleConn(c net.Conn) {
 
 // ReadLines frames newline-terminated lines off c until it fails, handing
 // emit the lines of each socket read as one chunk (see readLines for the
-// framing rules and the slice's lifetime). rd, when non-nil, is the hijack
+// framing rules). The lines are views of one read buffer that ReadLines
+// reuses for the connection's life: each is valid only until emit returns,
+// so emit copies what it keeps. rd, when non-nil, is the hijack
 // peel's reader over c: its unread bytes come first and it is not used
 // again. The idle read deadline is armed once per read — never once a drain
 // has begun, so it cannot extend the drain deadline Shutdown set. io.EOF is

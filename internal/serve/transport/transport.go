@@ -26,7 +26,9 @@ type Ingestor interface {
 	// EndProduce releases a BeginProduce registration.
 	EndProduce()
 	// Ingest submits one raw log line under a held registration, reporting
-	// whether it was accepted (false = shed at a full queue).
+	// whether it was accepted (false = shed at a full queue). line may be a
+	// view of the connection's reused read buffer: it is valid only until
+	// Ingest returns, so an implementation copies what it keeps.
 	Ingest(line string) bool
 	// Draining reports whether shutdown has begun.
 	Draining() bool

@@ -31,7 +31,7 @@ go build -o /dev/null ./cmd/aarohid
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> aarohilint ./... (repo invariants: hotpath, lockblock, mustclose, durable, layering)"
+echo "==> aarohilint ./... (repo invariants: hotpath, lockblock, mustclose, durable, layering, unsafe)"
 go run ./cmd/aarohilint ./...
 
 echo "==> go test -race ./..."
@@ -47,16 +47,20 @@ go test -race -run 'TestServe|TestAarohid|TestCluster' ./internal/serve .
 echo "==> serve persistence and crash tests under contention (-count=3 -cpu 1,2)"
 go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/serve
 
-# Live runs that a replay must reproduce, and the swap and shadow paths, once
-# more under the race detector: they race the fan-out against the pump.
-# Affordable because a model now compiles once per version, not once per
-# shard x worker.
+# Live runs that a replay must reproduce, the batch and shard equivalence
+# suites, and the swap and shadow paths, once more under the race detector:
+# they race the fan-out against the pump. Affordable because a model now
+# compiles once per version, not once per shard x worker.
 # The per-node order tests race the workers that feed the arbiter against
 # the fan-out, a stalled Publish and each other.
+# The equivalence and order tests turn on recycle.TestHookPoison themselves:
+# every recycled line store (framer buffer, pipeline slab, router sub-batch,
+# manager batch) is overwritten as it is released, so a line kept past its
+# lifetime fails them here rather than one run in N in production.
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
-echo "==> serve replay, swap and shadow tests, per-node order tests (race, -count=5)"
-go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|Swap|Shadow' ./internal/serve
-go test -race -count=5 -run "$ORDER_TESTS" ./internal/serve/shard ./internal/predictor
+echo "==> serve replay, equivalence, swap and shadow tests, per-node order tests (race, -count=5, poisoned line stores)"
+go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|Swap|Shadow' ./internal/serve
+go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk" ./internal/serve/shard ./internal/predictor
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
 # one after another, several finish chunks out of journal order. The default
