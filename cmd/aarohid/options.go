@@ -225,7 +225,6 @@ func (o *options) serveConfig(model *registry.Model) serve.Config {
 		SnapshotInterval: o.SnapshotInterval,
 		Fsync:            o.Fsync,
 		Model:            model,
-		Workers:          o.Workers,
 		Shards:           o.Shards,
 		Arbiter:          o.Arbiter,
 		Cluster:          o.Cluster,

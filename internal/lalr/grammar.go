@@ -18,8 +18,8 @@ import (
 	"strings"
 )
 
-// Symbol identifies a grammar symbol. Terminals occupy 0..NumTerminals-1,
-// with EOF reserved as symbol 0; nonterminals follow from NumTerminals
+// Symbol identifies a grammar symbol. Terminals occupy 0..numTerminals-1,
+// with EOF reserved as symbol 0; nonterminals follow from numTerminals
 // upward.
 type Symbol int
 
@@ -141,12 +141,6 @@ func New(numTerminals int, start Symbol, prods []Production, names []string) (*G
 	g.computeFirst()
 	return g, nil
 }
-
-// NumTerminals returns the terminal count including EOF.
-func (g *Grammar) NumTerminals() int { return g.numTerminals }
-
-// NumSymbols returns the total symbol count including the augmented start.
-func (g *Grammar) NumSymbols() int { return g.numSymbols }
 
 // NumProductions returns the user production count (excluding augmentation).
 func (g *Grammar) NumProductions() int { return len(g.prods) - 1 }

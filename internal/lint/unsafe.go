@@ -8,8 +8,7 @@ import (
 // Unsafe confines package unsafe to the packages that own recycled line
 // storage. The ingest path hands lines across layers as string views of
 // buffers it reuses — the framer's read buffer (transport), the queue's slabs
-// (pipeline), the router's sub-batches (shard), the manager's worker batches
-// (predictor) — and each view is valid only until the call that received it
+// (pipeline), the manager's worker batches (predictor) — and each view is valid only until the call that received it
 // returns. That is sound only where the code that makes the view also owns,
 // releases and reuses the storage, with the lifetime written down beside the
 // unsafe.String. Anywhere else a view is an alias nobody is accounting for,
@@ -21,7 +20,7 @@ import (
 var Unsafe = &Analyzer{
 	Name: "unsafe",
 	Doc: "allow package unsafe only in the packages that own recycled line storage " +
-		"(transport, pipeline, shard, predictor); everywhere else a line is copied, not aliased",
+		"(transport, pipeline, predictor); everywhere else a line is copied, not aliased",
 	Run: runUnsafe,
 }
 
@@ -30,7 +29,6 @@ var Unsafe = &Analyzer{
 var unsafeOwners = map[string]bool{
 	"transport": true,
 	"pipeline":  true,
-	"shard":     true,
 	"predictor": true,
 }
 
@@ -48,7 +46,7 @@ func runUnsafe(p *Pass) error {
 		}
 		for _, imp := range f.Imports {
 			if name, err := strconv.Unquote(imp.Path.Value); err == nil && name == "unsafe" {
-				p.Reportf(imp.Pos(), "%s must not import unsafe: only the packages that own recycled line storage (transport, pipeline, shard, predictor) may hand out views of it; copy instead", path)
+				p.Reportf(imp.Pos(), "%s must not import unsafe: only the packages that own recycled line storage (transport, pipeline, predictor) may hand out views of it; copy instead", path)
 			}
 		}
 	}

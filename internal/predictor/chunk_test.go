@@ -12,7 +12,7 @@ import (
 )
 
 // The serve layer hands the predictor lines that are views of storage it
-// recycles — the pipeline's slabs, the router's sub-batches — valid only
+// recycles — the framer's read buffer, the pipeline's slabs — valid only
 // until the call returns, and the manager carries each line's node to its
 // worker in a batch buffer that it recycles in turn. Anything that outlives
 // the batch — a driver's map key, a prediction's node — must be a copy: an

@@ -180,6 +180,10 @@ func (model *Model) NewManager(workers int) *Manager {
 // Model returns the compiled model every worker runs.
 func (m *Manager) Model() *Model { return m.model }
 
+// Workers returns the manager's predictor worker count (GOMAXPROCS already
+// resolved), so a replacement manager can be built with the same count.
+func (m *Manager) Workers() int { return len(m.workers) }
+
 // Fingerprint returns the model fingerprint (chains + inventory + options).
 func (m *Manager) Fingerprint() uint64 { return m.model.fingerprint }
 

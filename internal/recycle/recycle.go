@@ -1,6 +1,6 @@
 // Package recycle is what the ingest path's recycled byte stores share: the
-// framer's read buffer, the pipeline's line slabs, the router's per-shard
-// sub-batches and the predictor manager's per-worker batches. Each of those
+// framer's read buffer, the pipeline's line slabs and the predictor
+// manager's per-worker batches. Each of those
 // hands out lines that are views of storage it reuses, valid only until the
 // call that received them returns. A consumer that keeps such a line past
 // that point reads whatever the store holds next — silently, and only when

@@ -44,16 +44,17 @@ type PeerMap struct {
 	peers map[string]Peer
 	// resolved[i] is the live owner of member i (takeover chain applied).
 	resolved []string
-	// shardRings caches the per-peer shard sub-ring by shard count: every
-	// peer with S shards uses the identical ring over shard-000..shard-S-1,
-	// the same placement function the daemon's local Router uses.
-	shardRings map[int]*Ring
+	// shardRings[i] is member i's shard sub-ring, nil when it has one shard.
+	// Every peer with S shards shares the identical ring over
+	// shard-000..shard-S-1, the same placement function the daemon's local
+	// Router uses.
+	shardRings []*Ring
 	live       int
 }
 
 // ShardMemberName is the ring member name of local shard i — zero-padded so
 // the sorted member list indexes shards in numeric order. The shard Router
-// must use the same names so a forwarded line lands on the shard its owner
+// names its members with it, so a forwarded line lands on the shard its owner
 // would pick locally.
 func ShardMemberName(i int) string {
 	// fmt.Sprintf-free: this runs only at ring construction, but keeping the
@@ -68,10 +69,7 @@ func ShardMemberName(i int) string {
 // NewPeerMap builds the placement table over the full ever-known peer set.
 // replicas <= 0 selects DefaultReplicas for the peer ring.
 func NewPeerMap(replicas int, peers []Peer) *PeerMap {
-	pm := &PeerMap{
-		peers:      make(map[string]Peer, len(peers)),
-		shardRings: make(map[int]*Ring),
-	}
+	pm := &PeerMap{peers: make(map[string]Peer, len(peers))}
 	names := make([]string, 0, len(peers))
 	for _, p := range peers {
 		if p.Shards <= 0 {
@@ -85,13 +83,6 @@ func NewPeerMap(replicas int, peers []Peer) *PeerMap {
 		if p.Alive {
 			pm.live++
 		}
-		if _, ok := pm.shardRings[p.Shards]; !ok {
-			members := make([]string, p.Shards)
-			for i := range members {
-				members[i] = ShardMemberName(i)
-			}
-			pm.shardRings[p.Shards] = New(0, members...)
-		}
 	}
 	pm.ring = New(replicas, names...)
 	// Resolve every member's live owner once: a dead peer's heir is the next
@@ -100,8 +91,22 @@ func NewPeerMap(replicas int, peers []Peer) *PeerMap {
 	// same single owner for every key.
 	members := pm.ring.Members()
 	pm.resolved = make([]string, len(members))
+	pm.shardRings = make([]*Ring, len(members))
+	byCount := make(map[int]*Ring)
 	for i, name := range members {
 		pm.resolved[i] = pm.heirOf(members, i, name)
+		n := pm.peers[name].Shards
+		if n == 1 {
+			continue
+		}
+		if byCount[n] == nil {
+			shards := make([]string, n)
+			for j := range shards {
+				shards[j] = ShardMemberName(j)
+			}
+			byCount[n] = New(0, shards...)
+		}
+		pm.shardRings[i] = byCount[n]
 	}
 	return pm
 }
@@ -139,43 +144,24 @@ func (pm *PeerMap) Peer(name string) (Peer, bool) {
 	return p, ok
 }
 
-// Lookup places one key. Allocation-free: the forwarding hot path calls this
-// once per ingested line.
+// Lookup places one key: it hashes the key once and finds both the home
+// peer and, with the same hash, the key's shard within the home peer's shard
+// set — the placement the home peer's Router applies, so forward-then-route,
+// route-locally and route-into-an-adopted-shard all agree. Allocation-free:
+// the forwarding hot path calls this once per ingested line.
 //
 //aarohi:hotpath
 func (pm *PeerMap) Lookup(key string) Placement {
-	return pm.place(pm.ring.LookupIndex(key))
-}
-
-// LookupBytes is Lookup for a byte-slice key.
-//
-//aarohi:hotpath
-func (pm *PeerMap) LookupBytes(key []byte) Placement {
-	return pm.place(pm.ring.LookupIndexBytes(key))
-}
-
-//aarohi:hotpath
-func (pm *PeerMap) place(i int) Placement {
+	h := hashString(key)
+	i := pm.ring.lookupHash(h)
 	if i < 0 {
 		return Placement{Shard: -1}
 	}
-	home := pm.ring.Members()[i]
-	return Placement{Home: home, Owner: pm.resolved[i], Shard: 0}
-}
-
-// ShardOf places key within home's local shard set — the same function the
-// owner's Router applies, so forward-then-route and route-locally agree.
-func (pm *PeerMap) ShardOf(home, key string) int {
-	p, ok := pm.peers[home]
-	if !ok {
-		return 0
+	pl := Placement{Home: pm.ring.members[i], Owner: pm.resolved[i]}
+	if sr := pm.shardRings[i]; sr != nil {
+		pl.Shard = sr.lookupHash(h)
 	}
-	if r := pm.shardRings[p.Shards]; r != nil {
-		if i := r.LookupIndex(key); i >= 0 {
-			return i
-		}
-	}
-	return 0
+	return pl
 }
 
 // Successor returns the next live peer clockwise from name in sorted member

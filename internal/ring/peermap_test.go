@@ -87,25 +87,42 @@ func TestPeerMapAllDead(t *testing.T) {
 	}
 }
 
-func TestPeerMapShardOfMatchesRouterPlacement(t *testing.T) {
-	// The peer map's shard sub-ring must be the exact placement the shard
-	// Router computes locally, or a forwarded line would land on the wrong
-	// shard at its owner. Replicate the Router's construction here.
-	const shards = 4
-	members := make([]string, shards)
-	for i := range members {
-		members[i] = ShardMemberName(i)
+func TestPeerMapLookupShardMatchesRouterPlacement(t *testing.T) {
+	// Lookup's shard must be the exact placement the home peer's shard
+	// Router computes, or a forwarded line — or a dead peer's line fed into
+	// its adopted shards — would land on the wrong shard and lose its node's
+	// partial match. Replicate the Router's construction here, for homes of
+	// every shard count in one map.
+	peers := []Peer{
+		{Name: "a", Shards: 1, Alive: true},
+		{Name: "b", Shards: 2, Alive: false},
+		{Name: "c", Shards: 4, Alive: true},
 	}
-	routerRing := New(0, members...)
-	pm := NewPeerMap(0, []Peer{{Name: "a", Shards: shards, Alive: true}})
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("node-%04d", i)
-		if got, want := pm.ShardOf("a", key), routerRing.LookupIndex(key); got != want {
-			t.Fatalf("key %q: ShardOf=%d router=%d", key, got, want)
+	routers := map[string]*Ring{}
+	for _, p := range peers {
+		members := make([]string, p.Shards)
+		for i := range members {
+			members[i] = ShardMemberName(i)
 		}
+		routers[p.Name] = New(0, members...)
 	}
-	if got := pm.ShardOf("nosuch", "k"); got != 0 {
-		t.Fatalf("ShardOf(unknown peer) = %d, want 0", got)
+	pm := NewPeerMap(0, peers)
+	used := map[string]map[int]bool{}
+	for i := 0; i < 3000; i++ {
+		key := fmt.Sprintf("node-%04d", i)
+		pl := pm.Lookup(key)
+		if got, want := pl.Shard, routers[pl.Home].LookupIndex(key); got != want {
+			t.Fatalf("key %q homed on %q: Lookup shard %d, router %d", key, pl.Home, got, want)
+		}
+		if used[pl.Home] == nil {
+			used[pl.Home] = map[int]bool{}
+		}
+		used[pl.Home][pl.Shard] = true
+	}
+	for _, p := range peers {
+		if len(used[p.Name]) != p.Shards {
+			t.Fatalf("peer %q (%d shards): keys landed on shards %v", p.Name, p.Shards, used[p.Name])
+		}
 	}
 }
 
@@ -122,12 +139,12 @@ func TestShardMemberName(t *testing.T) {
 
 func TestPeerMapLookupAllocs(t *testing.T) {
 	pm := NewPeerMap(0, testPeers(map[string]bool{"a": true, "b": false, "c": true}))
-	key := []byte("node-0042")
+	key := "node-0042"
 	if n := testing.AllocsPerRun(200, func() {
-		if p := pm.LookupBytes(key); p.Owner == "" {
+		if p := pm.Lookup(key); p.Owner == "" {
 			t.Fatal("no owner")
 		}
 	}); n != 0 {
-		t.Fatalf("LookupBytes allocates %v/op, hot path must be 0", n)
+		t.Fatalf("Lookup allocates %v/op, hot path must be 0", n)
 	}
 }

@@ -54,9 +54,6 @@ func New(replicas int, members ...string) *Ring {
 // into this slice. The caller must not mutate it.
 func (r *Ring) Members() []string { return r.members }
 
-// Replicas reports the virtual-node count per member.
-func (r *Ring) Replicas() int { return r.replicas }
-
 // Add inserts a member and rebuilds the circle. Reports whether the member
 // was new. Only keys whose circle successor is now one of the new member's
 // virtual nodes move; everything else keeps its owner.
@@ -122,14 +119,6 @@ func (r *Ring) LookupIndex(key string) int {
 	return r.lookupHash(hashString(key))
 }
 
-// LookupIndexBytes is LookupIndex for a byte-slice key, avoiding a string
-// conversion on the hot path.
-//
-//aarohi:hotpath
-func (r *Ring) LookupIndexBytes(key []byte) int {
-	return r.lookupHash(hashBytes(key))
-}
-
 // Lookup returns the owning member for key ("" on an empty ring).
 func (r *Ring) Lookup(key string) string {
 	i := r.LookupIndex(key)
@@ -169,9 +158,8 @@ func (r *Ring) String() string {
 	return fmt.Sprintf("ring(%d members × %d vnodes)", len(r.members), r.replicas)
 }
 
-// FNV-1a 64 with a splitmix64 finalizer: inlined (hash.Hash64 would allocate
-// per call) and duplicated over string/[]byte so both Lookup paths stay
-// conversion-free. Raw FNV-1a clusters on short sequential inputs like the
+// FNV-1a 64 with a splitmix64 finalizer, inlined (hash.Hash64 would allocate
+// per call). Raw FNV-1a clusters on short sequential inputs like the
 // "m#0", "m#1", ... vnode labels — skewing member load by 2× — so the
 // avalanche mix is load-bearing, not decoration.
 const (
@@ -194,16 +182,6 @@ func hashString(s string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return mix64(h)
-}
-
-//aarohi:hotpath
-func hashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
 		h *= fnvPrime64
 	}
 	return mix64(h)

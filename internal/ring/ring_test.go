@@ -47,15 +47,6 @@ func TestPlacementDeterminism(t *testing.T) {
 	}
 }
 
-func TestLookupBytesMatchesString(t *testing.T) {
-	r := New(64, "a", "b", "c")
-	for _, k := range testKeys(1000) {
-		if r.LookupIndex(k) != r.LookupIndexBytes([]byte(k)) {
-			t.Fatalf("key %q: string and bytes lookups disagree", k)
-		}
-	}
-}
-
 func TestEmptyAndSingle(t *testing.T) {
 	r := New(0)
 	if got := r.LookupIndex("x"); got != -1 {

@@ -89,15 +89,25 @@ func BenchmarkServeIngest(b *testing.B) {
 	b.Run("wal-off", func(b *testing.B) {
 		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncOff})
 	})
+	model := &registry.Model{
+		Chains:    loggen.DialectXC30.Chains(),
+		Templates: loggen.DialectXC30.Inventory(),
+		Options:   predictor.Options{},
+	}
 	// The consistent-hash router in front of one local shard, no
-	// persistence: the synchronous pass-through, whose tax should be nil
-	// against nowal.
+	// persistence: the batch is handed through whole, whose tax should be
+	// nil against nowal.
 	b.Run("shards1", func(b *testing.B) {
-		run(b, Config{Shards: 1, Model: &registry.Model{
-			Chains:    loggen.DialectXC30.Chains(),
-			Templates: loggen.DialectXC30.Inventory(),
-			Options:   predictor.Options{},
-		}})
+		run(b, Config{Shards: 1, Model: model})
+	})
+	// Two shards: the router splits each batch and submits both shares on
+	// the pump.
+	b.Run("shards2", func(b *testing.B) {
+		run(b, Config{Shards: 2, Model: model})
+	})
+	// Two shards fsyncing every batch: their syncs run one after the other.
+	b.Run("shards2-wal-always", func(b *testing.B) {
+		run(b, Config{Shards: 2, Model: model, DataDir: b.TempDir(), Fsync: wal.SyncAlways})
 	})
 	// Forwarded hop: cluster mode with a static table that omits this
 	// daemon, so every line makes the one cross-daemon hop — placement

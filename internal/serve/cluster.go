@@ -344,14 +344,14 @@ func (c *cluster) takeover(m gossip.Member) {
 		n = 1
 	}
 	s := c.s
+	workers := s.manager().Workers()
 	shards := make([]*shard.Local, 0, n)
 	for i := 0; i < n; i++ {
-		sh := shard.New(s.bootModel.NewManager(s.cfg.Workers), shard.Config{
+		sh := shard.New(s.bootModel.NewManager(workers), shard.Config{
 			Index:          i,
 			Dir:            c.recv.Dir(m.Name, i),
 			Fsync:          s.cfg.Fsync,
 			WALSegmentSize: s.cfg.WALSegmentSize,
-			Workers:        s.cfg.Workers,
 			Arbiter:        s.cfg.Arbiter,
 			Logf:           s.cfg.Logf,
 			Publish:        s.hub.publish,

@@ -10,6 +10,8 @@ import (
 	"repro/internal/loggen"
 	"repro/internal/predictor"
 	"repro/internal/registry"
+	"repro/internal/ring"
+	"repro/internal/serve/shard"
 )
 
 // In-process cluster tests: several Servers wired into one cluster inside a
@@ -310,11 +312,36 @@ func TestClusterGossipTakeover(t *testing.T) {
 
 	// Phase 2: the stream keeps flowing into a; the dead peer's node IDs now
 	// resolve to the heir's adopted shards.
+	heir.cluster.mu.Lock()
+	adoptedB := heir.cluster.adopted["b"]
+	heir.cluster.mu.Unlock()
+	if len(adoptedB) != 2 {
+		t.Fatalf("heir holds %d of b's shards, want 2", len(adoptedB))
+	}
+	before := []int64{adoptedB[0].Stats().Lines, adoptedB[1].Stats().Lines}
 	base := shardLines(a) + shardLines(c) + adoptedLines(heir)
 	streamLines(t, a, phase2)
 	waitFor(t, 20*time.Second, "phase-2 lines to be processed", func() bool {
 		return shardLines(a)+shardLines(c)+adoptedLines(heir) == base+int64(len(phase2))
 	})
+	// Each of b's node IDs must reach the adopted shard b's own two-shard
+	// router placed it on, where its partial match lives.
+	bRouter := ring.New(0, shard.MemberName(0), shard.MemberName(1))
+	pm := a.cluster.view.Load().pm
+	want := make([]int64, 2)
+	for _, line := range phase2 {
+		if key := shard.RouteKey(line); pm.Lookup(key).Home == "b" {
+			want[bRouter.LookupIndex(key)]++
+		}
+	}
+	if want[1] == 0 {
+		t.Fatal("no phase-2 line of b's places on its shard 1: the per-shard check is vacuous")
+	}
+	for i, sh := range adoptedB {
+		if got := sh.Stats().Lines - before[i]; got != want[i] {
+			t.Errorf("adopted shard %d of b got %d phase-2 lines, b's router places %d there", i, got, want[i])
+		}
+	}
 	for name, s := range servers {
 		if name == "b" {
 			continue

@@ -29,7 +29,6 @@ func newModelTestServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	cfg.Model = &model
-	cfg.Workers = 2
 	s := New(mgr, cfg)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)

@@ -181,7 +181,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 						t.Fatal(err)
 					}
 					s := New(mgr, Config{
-						TCPAddr: "off", Overflow: Block, Workers: 3,
+						TCPAddr: "off", Overflow: Block,
 						DataDir: dir, Fsync: wal.SyncOff, Model: &model,
 						Arbiter: arbCfg,
 					})

@@ -14,10 +14,10 @@
 //
 // This package is the composition root: it wires transports over the
 // pipeline, the pipeline over the shard Router (which consistent-hashes each
-// line's node ID onto one of Config.Shards partitions), and the lifecycle
-// Group over the shard set. With Shards == 1 the router is a synchronous
-// pass-through and the daemon's on-disk layout is byte-identical to the
-// pre-sharding monolith.
+// line's node ID onto one of Config.Shards partitions and submits each
+// partition's share on the pump goroutine), and the lifecycle Group over the
+// shard set. With Shards == 1 the router hands each batch through whole and
+// the daemon's on-disk layout is byte-identical to the pre-sharding monolith.
 package serve
 
 import (
@@ -148,10 +148,6 @@ type Config struct {
 	// New was built from — the registry admits it as the boot version with
 	// that Manager's compiled form.
 	Model *registry.Model
-	// Workers is the predictor worker count used when the server builds a
-	// replacement Manager during a hot-swap (0 = GOMAXPROCS). It should match
-	// the worker count of the Manager passed to New.
-	Workers int
 
 	// Arbiter, when non-nil, enables failure arbitration: a phi-accrual
 	// heartbeat detector fed by every parsed line, fused with chain-accept
@@ -286,10 +282,6 @@ type ShardStatus struct {
 	// Lines and ParseErrors count what this shard's submitter processed.
 	Lines       int64 `json:"lines"`
 	ParseErrors int64 `json:"parse_errors"`
-	// Pending is the number of lines queued to the shard's router worker but
-	// not yet submitted (always 0 in single-shard mode — the pipeline queue
-	// is the only buffer there).
-	Pending int `json:"pending"`
 	// Nodes is the number of node states the shard's Manager holds.
 	Nodes int `json:"nodes"`
 	// WALOffset is the shard journal's last index (0 when persistence is
@@ -382,7 +374,6 @@ func (s *Server) shardConfig(i int) shard.Config {
 		Dir:            dir,
 		Fsync:          s.cfg.Fsync,
 		WALSegmentSize: s.cfg.WALSegmentSize,
-		Workers:        s.cfg.Workers,
 		Arbiter:        s.cfg.Arbiter,
 		Logf:           s.cfg.Logf,
 		Publish:        s.hub.publish,
@@ -411,10 +402,11 @@ func (s *Server) Start() error {
 		s.manager().Close()
 		return err
 	}
-	// Extra shards run the boot manager's compiled model: boot compiles it
-	// once, whatever the shard and worker counts.
+	// Extra shards run the boot manager's compiled model with its worker
+	// count: boot compiles it once, whatever the shard and worker counts.
+	workers := s.manager().Workers()
 	for i := 1; i < s.cfg.Shards; i++ {
-		s.shards = append(s.shards, shard.New(s.bootModel.NewManager(s.cfg.Workers), s.shardConfig(i)))
+		s.shards = append(s.shards, shard.New(s.bootModel.NewManager(workers), s.shardConfig(i)))
 	}
 	s.group = lifecycle.NewGroup(s.shards, lifecycle.Config{
 		SnapshotInterval: s.cfg.SnapshotInterval,
@@ -622,7 +614,6 @@ func (s *Server) Status() Status {
 			Index:       i,
 			Lines:       stats.Lines,
 			ParseErrors: stats.ParseErrors,
-			Pending:     s.router.Pending(i),
 			Nodes:       stats.Manager.Nodes,
 		}
 		if ws := sh.WALStatus(); ws != nil {

@@ -82,7 +82,7 @@ func sameArbiter(t *testing.T, got, want *arbiter.Arbiter) {
 
 func newArbiterLocal(model *predictor.Model, workers int, publish func(predictor.Output)) *Local {
 	l := New(model.NewManager(workers), Config{
-		Fsync: wal.SyncOff, Workers: workers,
+		Fsync:   wal.SyncOff,
 		Arbiter: &arbiter.Config{AlertThreshold: 1e-9, Horizon: 20 * time.Minute},
 		Logf:    func(string, ...any) {},
 		Publish: publish,

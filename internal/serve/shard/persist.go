@@ -201,9 +201,9 @@ func (l *Local) bootSwitchModel(fp string) error {
 	if err != nil {
 		return err
 	}
-	next := model.NewManager(l.cfg.Workers)
-	l.attachArbiter(next)
 	old := l.Manager()
+	next := model.NewManager(old.Workers())
+	l.attachArbiter(next)
 	l.setManager(next)
 	old.Close()
 	return nil

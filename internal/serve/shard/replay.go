@@ -322,7 +322,7 @@ func (l *Local) replayJournal(wl *wal.Log, from uint64, rec *RecoveryStatus) err
 // original swap migrated it (same AdoptState tiers).
 func (l *Local) replaySwap(model *predictor.Model) error {
 	old := l.Manager()
-	next := model.NewManager(l.cfg.Workers)
+	next := model.NewManager(old.Workers())
 	// The fan-out is consuming (recovery mode), so the barrier completes.
 	if err := old.Flush(); err != nil {
 		next.Close()

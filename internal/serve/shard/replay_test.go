@@ -37,7 +37,7 @@ func xc30Model(t testing.TB) *predictor.Model {
 func newTestLocal(t testing.TB, model *predictor.Model, dir string, workers int, arb bool) *Local {
 	t.Helper()
 	cfg := Config{
-		Dir: dir, Fsync: wal.SyncOff, Workers: workers,
+		Dir: dir, Fsync: wal.SyncOff,
 		Logf:    func(string, ...any) {},
 		Publish: func(predictor.Output) {},
 	}

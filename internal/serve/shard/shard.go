@@ -2,8 +2,9 @@
 // a predictor.Manager with its write-ahead journal, snapshots, arbiter and
 // shadow evaluation — everything that must stay consistent for one partition
 // of the node space. The serve layer feeds a Local through the Router (which
-// implements the pipeline's Sink over a consistent-hash ring) and the
-// lifecycle layer drives recovery, snapshots and model swaps across all
+// implements the pipeline's Sink over a consistent-hash ring and submits
+// every shard's share on the pump goroutine; a shard's parallelism is its
+// Manager's predictor workers) and the lifecycle layer drives recovery, snapshots and model swaps across all
 // shards. Layering: shard sits below transport, pipeline and lifecycle and
 // must import none of them; it may import ring and the domain packages
 // (predictor, wal, arbiter, registry).
@@ -40,9 +41,6 @@ type Config struct {
 	Fsync wal.SyncPolicy
 	// WALSegmentSize overrides the journal segment size (0 = wal default).
 	WALSegmentSize int64
-	// Workers is the predictor worker count used when the shard builds a
-	// replacement Manager during swap or replay (0 = GOMAXPROCS).
-	Workers int
 	// Arbiter, when non-nil, gives the shard its own failure arbiter, fed by
 	// the manager's workers (Manager.SetObserver).
 	Arbiter *arbiter.Config
@@ -58,7 +56,7 @@ type Config struct {
 // used to hold once per process. Lifecycle: New → Start (fan-out) → Open
 // (restore the newest snapshot and replay the journal tail — Restore is
 // boot-time only) → SubmitBatch from a single dispatcher goroutine (the
-// pipeline pump or a Router worker) → FinishIngest (final snapshot, manager
+// pipeline pump, through the Router) → FinishIngest (final snapshot, manager
 // closed) → Close.
 type Local struct {
 	cfg Config
@@ -153,10 +151,6 @@ func (l *Local) Stats() Stats {
 
 // Flush blocks until every output for already-submitted lines is published.
 func (l *Local) Flush() error { return l.Manager().Flush() }
-
-// SetTracker installs (or clears, with nil) the shared shadow agreement
-// tracker the fan-out records primary predictions into.
-func (l *Local) SetTracker(t *Tracker) { l.tracker.Store(t) }
 
 // SubmitBatch journals and dispatches one batch under snapMu: every line is
 // framed into a reused record buffer, the group hits the WAL as one

@@ -63,7 +63,7 @@ func (l *Local) SwapModel(model *predictor.Model) (*SwapReport, error) {
 	fp := model.FingerprintHex()
 	rep := &SwapReport{From: old.FingerprintHex(), To: fp}
 	// Build the replacement before the submitter pauses.
-	next := model.NewManager(l.cfg.Workers)
+	next := model.NewManager(old.Workers())
 	// The replacement inherits the arbiter feed (shadows never do — they
 	// would count every event the primary already reported twice).
 	l.attachArbiter(next)
@@ -178,7 +178,6 @@ type shadowRun struct {
 	fp      string
 	mgr     *predictor.Manager
 	tracker *Tracker
-	carried bool
 	stop    chan struct{}
 	done    chan struct{}
 }
@@ -246,10 +245,11 @@ func (t *Tracker) Counts() (primary, shadow, agreed int64, pendingP, pendingS in
 // Reports whether parse state carried over. The caller serializes against
 // swaps and other shadow operations.
 func (l *Local) StartShadow(model *predictor.Model, tr *Tracker) (bool, error) {
-	if l.Manager() == nil {
+	cur := l.Manager()
+	if cur == nil {
 		return false, fmt.Errorf("serve: shard %d not started", l.cfg.Index)
 	}
-	mgr := model.NewManager(l.cfg.Workers)
+	mgr := model.NewManager(cur.Workers())
 	sh := &shadowRun{
 		fp: model.FingerprintHex(), mgr: mgr, tracker: tr,
 		stop: make(chan struct{}), done: make(chan struct{}),
@@ -278,12 +278,11 @@ func (l *Local) StartShadow(model *predictor.Model, tr *Tracker) (bool, error) {
 	if err != nil {
 		return fail(fmt.Errorf("serve: seeding shadow state: %w", err))
 	}
-	sh.carried = mig.StateCarried
 	go l.shadowConsume(sh)
 	l.shadow = sh
 	l.tracker.Store(tr)
 	l.snapMu.Unlock()
-	return sh.carried, nil
+	return mig.StateCarried, nil
 }
 
 // StopShadow discards the shard's running shadow. report, when non-nil, runs
@@ -324,14 +323,6 @@ func (l *Local) ShadowManager() *predictor.Manager {
 		return nil
 	}
 	return l.shadow.mgr
-}
-
-// ShadowCarried reports whether the running shadow adopted the primary's
-// parse state whole (false when none runs).
-func (l *Local) ShadowCarried() bool {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
-	return l.shadow != nil && l.shadow.carried
 }
 
 // shadowConsume drains the shadow manager's results into the agreement

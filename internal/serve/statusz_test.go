@@ -47,7 +47,6 @@ func TestStatuszGolden(t *testing.T) {
 				Index:       0,
 				Lines:       512,
 				ParseErrors: 1,
-				Pending:     2,
 				Nodes:       3,
 				WALOffset:   512,
 				Snapshots:   2,
@@ -64,7 +63,6 @@ func TestStatuszGolden(t *testing.T) {
 				Index:       1,
 				Lines:       483,
 				ParseErrors: 1,
-				Pending:     0,
 				Nodes:       3,
 				WALOffset:   483,
 				Snapshots:   2,

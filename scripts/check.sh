@@ -54,9 +54,9 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # The per-node order tests race the workers that feed the arbiter against
 # the fan-out, a stalled Publish and each other.
 # The equivalence and order tests turn on recycle.TestHookPoison themselves:
-# every recycled line store (framer buffer, pipeline slab, router sub-batch,
-# manager batch) is overwritten as it is released, so a line kept past its
-# lifetime fails them here rather than one run in N in production.
+# every recycled line store (framer buffer, pipeline slab, manager batch) is
+# overwritten as it is released, so a line kept past its lifetime fails them
+# here rather than one run in N in production.
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
 echo "==> serve replay, equivalence, swap and shadow tests, per-node order tests (race, -count=5, poisoned line stores)"
 go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|Swap|Shadow' ./internal/serve
