@@ -182,31 +182,70 @@ type NodeStatus struct {
 }
 
 // Status assembles the arbitration block: aggregate counters, the per-chain
-// precision ledger, and the top nodes by fused probability.
-func (a *Arbiter) Status() Status {
+// precision ledger, and the top nodes by fused probability. It is StatusOf
+// over this one arbiter.
+func (a *Arbiter) Status() Status { return StatusOf(a) }
+
+// StatusOf assembles one arbitration block over arbiters that partition the
+// node space (a daemon's shards) and share one Config. Counters sum and the
+// stream clock is the latest; chain ledgers merge by name, with the link
+// probability recomputed from the summed tp/fp; the top nodes merge in Alerts
+// order, capped at MaxStatusNodes. Over one arbiter the block is its own.
+func StatusOf(arbs ...*Arbiter) Status {
+	var st Status
+	if len(arbs) == 0 {
+		return st
+	}
+	ledger := make(map[string]*chainStat)
+	for _, a := range arbs {
+		a.addStatus(&st, ledger)
+	}
+	for name, cs := range ledger {
+		st.Chains = append(st.Chains, ChainStatus{
+			Chain: name, TP: cs.tp, FP: cs.fp, LinkProb: arbs[0].linkProb(cs),
+		})
+	}
+	sort.Slice(st.Chains, func(i, j int) bool { return st.Chains[i].Chain < st.Chains[j].Chain })
+	sort.Slice(st.Top, func(i, j int) bool {
+		x, y := st.Top[i], st.Top[j]
+		if x.Score != y.Score {
+			return x.Score > y.Score
+		}
+		return x.Node < y.Node
+	})
+	if n := arbs[0].cfg.MaxStatusNodes; len(st.Top) > n {
+		st.Top = st.Top[:n]
+	}
+	return st
+}
+
+// addStatus folds a's counters, chain ledger and scored nodes into st and
+// ledger.
+func (a *Arbiter) addStatus(st *Status, ledger map[string]*chainStat) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := Status{
-		StreamClock: a.clock,
-		Nodes:       len(a.nodes),
-		Heartbeats:  a.counts[core.EventBeat],
-		Predictions: a.counts[core.EventPrediction],
-		Failures:    a.counts[core.EventFailure],
-
-		DroppedNodes: a.droppedNodes,
+	if a.clock.After(st.StreamClock) {
+		st.StreamClock = a.clock
 	}
+	st.Nodes += len(a.nodes)
+	st.Heartbeats += a.counts[core.EventBeat]
+	st.Predictions += a.counts[core.EventPrediction]
+	st.Failures += a.counts[core.EventFailure]
+	st.DroppedNodes += a.droppedNodes
 	// Settle expired chain evidence first, as Alerts does, so the ledger
 	// reported below already counts it.
 	for _, ns := range a.nodes {
 		a.resolveNode(ns)
 	}
 	for name, cs := range a.chain {
-		st.Chains = append(st.Chains, ChainStatus{
-			Chain: name, TP: cs.tp, FP: cs.fp, LinkProb: a.linkProb(cs),
-		})
+		sum := ledger[name]
+		if sum == nil {
+			sum = &chainStat{}
+			ledger[name] = sum
+		}
+		sum.tp += cs.tp
+		sum.fp += cs.fp
 	}
-	sort.Slice(st.Chains, func(i, j int) bool { return st.Chains[i].Chain < st.Chains[j].Chain })
-
 	var al Alert
 	for _, ns := range a.nodes {
 		if ns.down {
@@ -219,15 +258,4 @@ func (a *Arbiter) Status() Status {
 			Samples: ns.intervals.n, LastSeen: ns.lastSeen,
 		})
 	}
-	sort.Slice(st.Top, func(i, j int) bool {
-		x, y := st.Top[i], st.Top[j]
-		if x.Score != y.Score {
-			return x.Score > y.Score
-		}
-		return x.Node < y.Node
-	})
-	if len(st.Top) > a.cfg.MaxStatusNodes {
-		st.Top = st.Top[:a.cfg.MaxStatusNodes]
-	}
-	return st
 }

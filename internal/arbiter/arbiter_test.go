@@ -3,6 +3,7 @@ package arbiter
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -197,6 +198,47 @@ func TestChainPrecisionResolution(t *testing.T) {
 	// Beta posterior (1+4)/(2+5) with the default 4/1 prior.
 	if got, want := st.Chains[0].LinkProb, 5.0/7.0; got != want {
 		t.Fatalf("link probability = %v, want %v", got, want)
+	}
+}
+
+// StatusOf over arbiters that split the node space must report the block
+// one arbiter over every node reports: counters sum, chain ledgers merge with
+// the link probability recomputed, and the capped top list merges in Alerts
+// order.
+func TestStatusOfPartitionsMatchWhole(t *testing.T) {
+	cfg := Config{Horizon: 10 * time.Minute, MaxStatusNodes: 3}
+	whole := New(cfg)
+	parts := []*Arbiter{New(cfg), New(cfg)}
+	end := at(30 * time.Minute)
+	for i := 0; i < 8; i++ {
+		node := fmt.Sprintf("n%d", i)
+		step := time.Duration(5+i) * time.Second
+		for _, a := range []*Arbiter{whole, parts[i%2]} {
+			last := feedRegular(a, node, at(0), step, 20)
+			switch i % 4 {
+			case 0:
+				a.ObservePrediction(node, "fc_a", last.Add(time.Second))
+				a.ObserveFailure(node, last.Add(2*time.Minute))
+			case 1:
+				a.ObservePrediction(node, "fc_a", last.Add(time.Second))
+			case 2:
+				a.ObservePrediction(node, "fc_b", last.Add(time.Second))
+			}
+			a.ObserveHeartbeat(node, end.Add(-time.Duration(i)*time.Minute))
+		}
+	}
+	// One beat in each partition at end puts every stream clock there, so
+	// evidence expires alike in the whole and in the parts.
+	for i, node := range []string{"n0", "n1"} {
+		whole.ObserveHeartbeat(node, end)
+		parts[i].ObserveHeartbeat(node, end)
+	}
+	got, want := mustJSON(t, StatusOf(parts...)), mustJSON(t, whole.Status())
+	if got != want {
+		t.Fatalf("StatusOf over the partitions:\n%s\nwant the whole arbiter's:\n%s", got, want)
+	}
+	if st := whole.Status(); len(st.Top) != 3 || len(st.Chains) != 2 || st.Chains[0].TP == 0 || st.Chains[0].FP == 0 {
+		t.Fatalf("fixture does not exercise the cap and the ledger merge: %+v", st)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 //	transport ──▶ (Ingestor interface only)
 //	pipeline  ──▶ (Sink interface only)
 //	shard     ──▶ ring + domain packages
-//	lifecycle ──▶ shard
+//	lifecycle ──▶ shard, never the cluster plane (gossip, ship)
 //	serve     ──▶ everything (composition root)
 //	ring      ──▶ nothing above internal/core
 //	gossip    ──▶ ring + domain packages, never a serve layer
@@ -69,8 +69,8 @@ var layerRules = map[string]struct {
 		reason: "shards are driven by the layers above and never call back up",
 	},
 	"lifecycle": {
-		deny:   map[string]bool{"transport": true, "pipeline": true, "serve": true},
-		reason: "lifecycle coordinates shards and must not reach the ingest path",
+		deny:   map[string]bool{"transport": true, "pipeline": true, "serve": true, "gossip": true, "ship": true},
+		reason: "lifecycle coordinates shards, knows peers by name only, and must not reach the ingest path",
 	},
 	// The cluster plane sits beside the daemon, not above it: the serve layer
 	// composes gossip and ship, so neither may reach back into any serve

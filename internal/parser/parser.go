@@ -67,6 +67,17 @@ type Stats struct {
 	Matches int
 }
 
+// Add folds another driver's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Tokens += o.Tokens
+	s.Irrelevant += o.Irrelevant
+	s.Consumed += o.Consumed
+	s.Skipped += o.Skipped
+	s.Interleaved += o.Interleaved
+	s.TimeoutResets += o.TimeoutResets
+	s.Matches += o.Matches
+}
+
 // Driver is the per-node online parser.
 type Driver struct {
 	rs      *core.RuleSet

@@ -614,19 +614,8 @@ func (m *Manager) Stats() Stats {
 	var st Stats
 	for _, w := range m.workers {
 		w.mu.Lock()
-		ws := w.pred.Stats()
+		st.Add(w.pred.Stats())
 		w.mu.Unlock()
-		st.LinesScanned += ws.LinesScanned
-		st.Tokens += ws.Tokens
-		st.Discarded += ws.Discarded
-		st.Nodes += ws.Nodes
-		st.Parser.Tokens += ws.Parser.Tokens
-		st.Parser.Irrelevant += ws.Parser.Irrelevant
-		st.Parser.Consumed += ws.Parser.Consumed
-		st.Parser.Skipped += ws.Parser.Skipped
-		st.Parser.Interleaved += ws.Parser.Interleaved
-		st.Parser.TimeoutResets += ws.Parser.TimeoutResets
-		st.Parser.Matches += ws.Parser.Matches
 	}
 	return st
 }

@@ -324,6 +324,16 @@ type Stats struct {
 	Parser parser.Stats
 }
 
+// Add folds another predictor's counters into s: every field is a count, so
+// the fold is a sum. Workers, shards and shadows all aggregate through it.
+func (s *Stats) Add(o Stats) {
+	s.LinesScanned += o.LinesScanned
+	s.Tokens += o.Tokens
+	s.Discarded += o.Discarded
+	s.Nodes += o.Nodes
+	s.Parser.Add(o.Parser)
+}
+
 // FCRelatedFraction returns the fraction of events that tokenized — the
 // Fig. 12 quantity ("fraction of FC-related phrases eventually tokenized").
 func (s Stats) FCRelatedFraction() float64 {
@@ -342,14 +352,7 @@ func (p *Predictor) Stats() Stats {
 		Nodes:        len(p.drivers),
 	}
 	for _, d := range p.drivers {
-		ds := d.Stats()
-		st.Parser.Tokens += ds.Tokens
-		st.Parser.Irrelevant += ds.Irrelevant
-		st.Parser.Consumed += ds.Consumed
-		st.Parser.Skipped += ds.Skipped
-		st.Parser.Interleaved += ds.Interleaved
-		st.Parser.TimeoutResets += ds.TimeoutResets
-		st.Parser.Matches += ds.Matches
+		st.Parser.Add(d.Stats())
 	}
 	return st
 }

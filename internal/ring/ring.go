@@ -10,6 +10,7 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -25,9 +26,8 @@ type point struct {
 	owner int32 // index into members
 }
 
-// Ring is an immutable-placement consistent-hash circle. The zero value is
-// unusable; construct with New. Methods are not safe for concurrent mutation
-// (Add/Remove); concurrent Lookups against a fixed ring are safe.
+// Ring is an immutable consistent-hash circle. The zero value is unusable;
+// construct with New. Concurrent lookups are safe.
 type Ring struct {
 	replicas int
 	members  []string // sorted, unique
@@ -42,62 +42,14 @@ func New(replicas int, members ...string) *Ring {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	r := &Ring{replicas: replicas}
-	for _, m := range members {
-		r.insertMember(m)
-	}
-	r.rebuild()
-	return r
-}
-
-// Members returns the member list in sorted order. LookupIndex values index
-// into this slice. The caller must not mutate it.
-func (r *Ring) Members() []string { return r.members }
-
-// Add inserts a member and rebuilds the circle. Reports whether the member
-// was new. Only keys whose circle successor is now one of the new member's
-// virtual nodes move; everything else keeps its owner.
-func (r *Ring) Add(member string) bool {
-	if !r.insertMember(member) {
-		return false
-	}
-	r.rebuild()
-	return true
-}
-
-// Remove deletes a member and rebuilds the circle. Reports whether the
-// member existed. Only keys the removed member owned move (to their next
-// circle successor); everything else keeps its owner.
-func (r *Ring) Remove(member string) bool {
-	i := sort.SearchStrings(r.members, member)
-	if i >= len(r.members) || r.members[i] != member {
-		return false
-	}
-	r.members = append(r.members[:i], r.members[i+1:]...)
-	r.rebuild()
-	return true
-}
-
-// insertMember adds member to the sorted set, reporting whether it was new.
-func (r *Ring) insertMember(member string) bool {
-	i := sort.SearchStrings(r.members, member)
-	if i < len(r.members) && r.members[i] == member {
-		return false
-	}
-	r.members = append(r.members, "")
-	copy(r.members[i+1:], r.members[i:])
-	r.members[i] = member
-	return true
-}
-
-// rebuild regenerates every virtual node from the member list. Placement is
-// a pure function of (members, replicas): virtual node j of member m sits at
-// fnv64a(m + "#" + j), ties broken by member index so equal-hash collisions
-// are still deterministic.
-func (r *Ring) rebuild() {
-	r.points = r.points[:0]
+	sorted := slices.Clone(members)
+	slices.Sort(sorted)
+	r := &Ring{replicas: replicas, members: slices.Compact(sorted)}
+	// Placement is a pure function of (members, replicas): virtual node j of
+	// member m sits at fnv64a(m + "#" + j), ties broken by member index so
+	// equal-hash collisions are still deterministic.
 	for mi, m := range r.members {
-		for j := 0; j < r.replicas; j++ {
+		for j := 0; j < replicas; j++ {
 			h := hashString(m + "#" + strconv.Itoa(j))
 			r.points = append(r.points, point{hash: h, owner: int32(mi)})
 		}
@@ -108,7 +60,12 @@ func (r *Ring) rebuild() {
 		}
 		return r.points[i].owner < r.points[j].owner
 	})
+	return r
 }
+
+// Members returns the member list in sorted order. LookupIndex values index
+// into this slice. The caller must not mutate it.
+func (r *Ring) Members() []string { return r.members }
 
 // LookupIndex returns the owning member's index (into Members) for key, or
 // -1 on an empty ring. Allocation-free: the router calls this once per
@@ -117,15 +74,6 @@ func (r *Ring) rebuild() {
 //aarohi:hotpath
 func (r *Ring) LookupIndex(key string) int {
 	return r.lookupHash(hashString(key))
-}
-
-// Lookup returns the owning member for key ("" on an empty ring).
-func (r *Ring) Lookup(key string) string {
-	i := r.LookupIndex(key)
-	if i < 0 {
-		return ""
-	}
-	return r.members[i]
 }
 
 // lookupHash finds the first virtual node at or clockwise of h (wrapping).

@@ -174,7 +174,7 @@ func referenceArbiterRun(t *testing.T, lines []string) (fp string, preds, fails 
 	})
 	defer shutdownServer(t, s)
 	ingestAll(t, s, lines)
-	if err := s.flushAll(); err != nil {
+	if err := s.router.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Status().Arbiter
@@ -215,7 +215,7 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 				// Snapshot while the arbiter holds live phi windows and
 				// pending chain evidence, then keep streaming a little so
 				// there is a tail to replay.
-				if err := s1.snapshot(); err != nil {
+				if err := s1.shards[0].Snapshot(); err != nil {
 					t.Fatal(err)
 				}
 				ingestAll(t, s1, lines[half:half+half/2])
@@ -232,7 +232,7 @@ func TestServeArbiterCrashRecovery(t *testing.T) {
 				rest = lines[half+half/2:]
 			}
 			ingestAll(t, s2, rest)
-			if err := s2.flushAll(); err != nil {
+			if err := s2.router.Flush(); err != nil {
 				t.Fatal(err)
 			}
 

@@ -112,18 +112,18 @@ func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int,
 	if tcpSeed != 0 {
 		feedTCP(t, s, lines, tcpSeed)
 	} else {
-		if !s.beginProduce() {
+		if !s.pipe.BeginProduce() {
 			t.Fatal("server draining before any ingest")
 		}
 		for i, line := range lines {
-			s.ingest(line)
+			s.pipe.Ingest(line)
 			if chunked && i%37 == 36 {
 				// Let the pump catch up so the next batch starts mid-stream at
 				// an arbitrary boundary — the forced partial-drain case.
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
-		s.endProduce()
+		s.pipe.EndProduce()
 	}
 	shutdownServer(t, s)
 
@@ -140,7 +140,7 @@ func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int,
 	sort.Strings(run.keys)
 
 	var abuf bytes.Buffer
-	if err := s.arb.Snapshot(&abuf); err != nil {
+	if err := s.shards[0].Arbiter().Snapshot(&abuf); err != nil {
 		t.Fatal(err)
 	}
 	run.arb = abuf.Bytes()

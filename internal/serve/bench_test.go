@@ -57,20 +57,20 @@ func BenchmarkServeIngest(b *testing.B) {
 				b.Fatal(err)
 			}
 		}()
-		if !s.beginProduce() {
+		if !s.pipe.BeginProduce() {
 			b.Fatal("server already draining")
 		}
-		defer s.endProduce()
+		defer s.pipe.EndProduce()
 
 		b.SetBytes(avg)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ingest(lines[i%len(lines)])
+			s.pipe.Ingest(lines[i%len(lines)])
 		}
 		// Barrier: every enqueued line fully processed — through the router
 		// and every shard's manager — before the clock stops.
-		if err := s.flushAll(); err != nil {
+		if err := s.router.Flush(); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -166,16 +166,16 @@ func benchForwardedHop(b *testing.B, lines []string, avg int64) {
 			b.Fatal(err)
 		}
 	}()
-	if !s.beginProduce() {
+	if !s.pipe.BeginProduce() {
 		b.Fatal("server already draining")
 	}
-	defer s.endProduce()
+	defer s.pipe.EndProduce()
 
 	b.SetBytes(avg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ingest(lines[i%len(lines)])
+		s.pipe.Ingest(lines[i%len(lines)])
 	}
 	// Barrier: every enqueued line counted out the forwarding client before
 	// the clock stops. The discard peer never pushes back, so the only

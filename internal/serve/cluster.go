@@ -3,9 +3,7 @@ package serve
 import (
 	"bufio"
 	"net"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -88,20 +86,6 @@ type ClusterStatus struct {
 	Adopted []AdoptedStatus `json:"adopted,omitempty"`
 }
 
-// AdoptedStatus describes one takeover.
-type AdoptedStatus struct {
-	Peer   string `json:"peer"`
-	Shards int    `json:"shards"`
-	// Recovered is the number of outputs re-derived from the shipped
-	// journals during adoption.
-	Recovered int `json:"recovered"`
-	// Lines counts lines submitted to the adopted shards since the
-	// takeover (the replayed journal is not included) — together with the
-	// boot shards' line counters it lets an operator account for every
-	// line the cluster accepted.
-	Lines int64 `json:"lines"`
-}
-
 // clusterView is the immutable placement the hot path reads: the PeerMap
 // plus each peer's forwarding address. Rebuilt wholesale on every membership
 // change and swapped in atomically.
@@ -111,6 +95,7 @@ type clusterView struct {
 }
 
 // cluster wires gossip, placement, forwarding and takeover into the Server.
+// The shards it adopts belong to the Server's lifecycle Group.
 type cluster struct {
 	s   *Server
 	cfg ClusterConfig
@@ -121,10 +106,6 @@ type cluster struct {
 	shipper *ship.Shipper  // nil without DataDir or in static mode
 
 	view atomic.Pointer[clusterView]
-
-	mu        sync.Mutex
-	adopted   map[string][]*shard.Local // dead peer name → its shards
-	adoptedCh chan struct{}             // closed+replaced on each adoption
 
 	forwardedOut atomic.Int64
 	forwardErrs  atomic.Int64
@@ -139,12 +120,7 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 }
 
 func newCluster(s *Server, cfg ClusterConfig) *cluster {
-	return &cluster{
-		s:         s,
-		cfg:       cfg.withDefaults(),
-		adopted:   make(map[string][]*shard.Local),
-		adoptedCh: make(chan struct{}),
-	}
+	return &cluster{s: s, cfg: cfg.withDefaults()}
 }
 
 // start spins up the cluster plane. The TCP listener must already be bound
@@ -246,38 +222,6 @@ func (c *cluster) close() {
 	if c.recv != nil {
 		c.recv.Close()
 	}
-	c.mu.Lock()
-	shards := c.adoptedShards()
-	c.mu.Unlock()
-	for _, sh := range shards {
-		sh.Close()
-	}
-}
-
-// adoptedShards flattens the adoption map in deterministic (peer, index)
-// order. c.mu held.
-func (c *cluster) adoptedShards() []*shard.Local {
-	names := make([]string, 0, len(c.adopted))
-	for name := range c.adopted {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []*shard.Local
-	for _, name := range names {
-		out = append(out, c.adopted[name]...)
-	}
-	return out
-}
-
-// finishIngest runs on the pump goroutine after the queue drains: the
-// adopted shards get the same final checkpoint as the boot shards.
-func (c *cluster) finishIngest(skipFinalSnapshot bool) {
-	c.mu.Lock()
-	shards := c.adoptedShards()
-	c.mu.Unlock()
-	for _, sh := range shards {
-		sh.FinishIngest(skipFinalSnapshot)
-	}
 }
 
 // onChange runs on the gossip notify goroutine after every membership
@@ -322,82 +266,25 @@ func (c *cluster) rebuildView() []gossip.Member {
 	return members
 }
 
-// takeover adopts one confirmed-dead peer's shards from the shipped mirror.
-// Idempotent: a peer is adopted at most once per process lifetime (a later
-// rejoin re-homes its keys back via the alive override; the mirror custody
-// ends when this process does).
+// takeover adopts one confirmed-dead peer's shards from the shipped mirror
+// into the Group, at most once per peer (the Group's claim).
 func (c *cluster) takeover(m gossip.Member) {
-	c.mu.Lock()
-	if _, done := c.adopted[m.Name]; done {
-		c.mu.Unlock()
+	s := c.s
+	if !s.group.Claim(m.Name) {
 		return
 	}
-	c.adopted[m.Name] = nil // claim before the slow work; nil = in progress
-	c.mu.Unlock()
-
 	// No new ship sessions for the peer; its mirror journals close so the
 	// adopting shards can open them exclusively.
 	c.recv.Release(m.Name)
 
-	n := m.Shards
-	if n <= 0 {
-		n = 1
+	workers := s.shards[0].Manager().Workers()
+	shards := make([]*shard.Local, max(m.Shards, 1))
+	for i := range shards {
+		cfg := s.shardConfig(i)
+		cfg.Dir = c.recv.Dir(m.Name, i)
+		shards[i] = shard.New(s.bootModel.NewManager(workers), cfg)
 	}
-	s := c.s
-	workers := s.manager().Workers()
-	shards := make([]*shard.Local, 0, n)
-	for i := 0; i < n; i++ {
-		sh := shard.New(s.bootModel.NewManager(workers), shard.Config{
-			Index:          i,
-			Dir:            c.recv.Dir(m.Name, i),
-			Fsync:          s.cfg.Fsync,
-			WALSegmentSize: s.cfg.WALSegmentSize,
-			Arbiter:        s.cfg.Arbiter,
-			Logf:           s.cfg.Logf,
-			Publish:        s.hub.publish,
-		})
-		if err := s.group.Adopt(sh); err != nil {
-			s.cfg.Logf("serve: takeover %s shard %d: %v", m.Name, i, err)
-			continue
-		}
-		shards = append(shards, sh)
-		s.cfg.Logf("serve: adopted %s shard %d (%d recovered outputs)", m.Name, i, len(sh.Recovered()))
-	}
-
-	c.mu.Lock()
-	c.adopted[m.Name] = shards
-	close(c.adoptedCh) // wake forwarded-lane waiters
-	c.adoptedCh = make(chan struct{})
-	c.mu.Unlock()
-}
-
-// adoptedShard resolves (home peer, shard index) to an adopted shard. When
-// the takeover is still in flight (a forwarded line raced the adoption),
-// wait blocks up to the deadline for it to complete.
-func (c *cluster) adoptedShard(home string, idx int, wait time.Duration) *shard.Local {
-	deadline := time.Now().Add(wait)
-	for {
-		c.mu.Lock()
-		shards, claimed := c.adopted[home]
-		ch := c.adoptedCh
-		c.mu.Unlock()
-		if shards != nil {
-			if idx < len(shards) {
-				return shards[idx]
-			}
-			return nil // shard failed to adopt
-		}
-		if !claimed && wait <= 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
+	s.group.Adopt(m.Name, shards)
 }
 
 // status assembles the /statusz cluster block.
@@ -425,21 +312,7 @@ func (c *cluster) status() *ClusterStatus {
 			st.ShipTarget = target
 		}
 	}
-	c.mu.Lock()
-	names := make([]string, 0, len(c.adopted))
-	for name := range c.adopted {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		row := AdoptedStatus{Peer: name, Shards: len(c.adopted[name])}
-		for _, sh := range c.adopted[name] {
-			row.Recovered += len(sh.Recovered())
-			row.Lines += sh.Stats().Lines
-		}
-		st.Adopted = append(st.Adopted, row)
-	}
-	c.mu.Unlock()
+	st.Adopted = c.s.group.AdoptedStatus()
 	return st
 }
 
@@ -537,7 +410,7 @@ func (k *clusterSink) ProcessBatch(batch []string) {
 			if k.fromForward {
 				wait = 5 * time.Second
 			}
-			if sh := c.adoptedShard(pl.Home, pl.Shard, wait); sh != nil {
+			if sh := c.s.group.Adopted(pl.Home, pl.Shard, wait); sh != nil {
 				k.adopted[sh] = append(k.adopted[sh], line)
 			} else {
 				c.misrouted.Add(1)

@@ -80,24 +80,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// streamLines sends lines over the TCP line protocol and closes the
-// connection.
-func streamLines(t *testing.T, s *Server, lines []string) {
-	t.Helper()
-	conn, err := DialLines(s.TCPAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range lines {
-		if err := conn.Send(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := conn.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // shardLines sums the lines processed by a server's boot shards.
 func shardLines(s *Server) int64 {
 	var n int64
@@ -110,7 +92,7 @@ func shardLines(s *Server) int64 {
 // adoptedLines sums the lines processed by a server's adopted shards.
 func adoptedLines(s *Server) int64 {
 	var n int64
-	for _, sh := range s.cluster.adoptedShards() {
+	for _, sh := range s.group.Shards()[len(s.shards):] {
 		n += sh.Stats().Lines
 	}
 	return n
@@ -312,11 +294,9 @@ func TestClusterGossipTakeover(t *testing.T) {
 
 	// Phase 2: the stream keeps flowing into a; the dead peer's node IDs now
 	// resolve to the heir's adopted shards.
-	heir.cluster.mu.Lock()
-	adoptedB := heir.cluster.adopted["b"]
-	heir.cluster.mu.Unlock()
-	if len(adoptedB) != 2 {
-		t.Fatalf("heir holds %d of b's shards, want 2", len(adoptedB))
+	adoptedB := []*shard.Local{heir.group.Adopted("b", 0, 0), heir.group.Adopted("b", 1, 0)}
+	if adoptedB[0] == nil || adoptedB[1] == nil {
+		t.Fatalf("heir holds %v of b's shards, want both", adoptedB)
 	}
 	before := []int64{adoptedB[0].Stats().Lines, adoptedB[1].Stats().Lines}
 	base := shardLines(a) + shardLines(c) + adoptedLines(heir)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"repro/internal/serve/transport"
 )
 
 // The transport layer owns the listeners and the routes it can serve from
@@ -70,7 +72,7 @@ func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
 // count. Unlike the default subscription mode this is a point-in-time read,
 // not a stream: callers poll it.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if s.arb == nil {
+	if s.cfg.Arbiter == nil {
 		http.Error(w, "arbiter disabled", http.StatusNotFound)
 		return
 	}
@@ -109,12 +111,12 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Status())
+	transport.WriteJSON(w, s.Status())
 }
 
 // handlePeers serves GET /peers: the cluster membership view — every peer
 // this daemon knows with state, incarnation and addresses — plus the local
 // forwarding/shipping counters. Mounted only in cluster mode.
 func (s *Server) handlePeers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.cluster.status())
+	transport.WriteJSON(w, s.cluster.status())
 }

@@ -70,17 +70,23 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Group owns the daemon's shards collectively: boot, snapshots, swaps and
-// shadow evaluation all fan out from here so every shard stays on the same
-// model version.
+// Group is the one owner of every shard the daemon serves: the boot shards
+// and the shards adopted from dead peers (takeover.go). Boot, snapshots, the
+// final checkpoint and shutdown visit all of them — boot shards in index
+// order, then adopted ones in (peer, index) order; swaps and shadow
+// evaluation fan out over the boot shards so they stay on one model version.
 type Group struct {
 	cfg    Config
-	shards []*shard.Local
+	shards []*shard.Local // boot shards, immutable after NewGroup
 
-	// adopted holds shards taken over from dead peers (see takeover.go).
-	// Guarded by adoptMu; g.shards itself stays immutable after NewGroup.
-	adoptMu sync.Mutex
-	adopted []*shard.Local
+	// adopted maps a dead peer to its shards in the peer's index order (nil
+	// while the claiming takeover runs; a nil entry failed to open).
+	// adoptedCh is closed and replaced on each adoption; finished is set by
+	// FinishIngest, after which no peer is adopted. All guarded by adoptMu.
+	adoptMu   sync.Mutex
+	adopted   map[string][]*shard.Local
+	adoptedCh chan struct{}
+	finished  bool
 
 	// reg is the admitted-model store (nil when the daemon has no model).
 	// swapMu serializes swaps, shadow starts/stops and reloads.
@@ -103,7 +109,23 @@ type Group struct {
 
 // NewGroup builds a Group over the daemon's shards (index order).
 func NewGroup(shards []*shard.Local, cfg Config) *Group {
-	return &Group{cfg: cfg, shards: shards}
+	return &Group{
+		cfg:       cfg,
+		shards:    shards,
+		adopted:   make(map[string][]*shard.Local),
+		adoptedCh: make(chan struct{}),
+	}
+}
+
+// Shards returns every shard the Group owns: the boot shards in index order,
+// then the adopted ones in (peer, index) order.
+func (g *Group) Shards() []*shard.Local {
+	all := append([]*shard.Local(nil), g.shards...)
+	_, adopted := g.adoptedPeers()
+	for _, list := range adopted {
+		all = append(all, list...)
+	}
+	return all
 }
 
 // Registry exposes the model store (nil when the daemon has no model).
@@ -204,19 +226,33 @@ func (g *Group) StopSnapshots() {
 	g.snapStop = nil
 }
 
-// SnapshotAll checkpoints every shard — boot shards and adopted ones —
-// logging (not aborting on) per-shard failures — a shard that misses a
-// snapshot just replays a longer tail.
+// SnapshotAll checkpoints every shard, logging (not aborting on) per-shard
+// failures — a shard that misses a snapshot just replays a longer tail.
 func (g *Group) SnapshotAll() {
-	for _, sh := range g.shards {
+	for _, sh := range g.Shards() {
 		if err := sh.Snapshot(); err != nil {
 			g.cfg.Logf("serve: snapshot: %v", err)
 		}
 	}
-	for _, sh := range g.Adopted() {
-		if err := sh.Snapshot(); err != nil {
-			g.cfg.Logf("serve: snapshot (adopted): %v", err)
-		}
+}
+
+// FinishIngest runs once the last line has been submitted: every shard takes
+// its final checkpoint (unless skipped — crash-recovery tests emulate a
+// kill) and closes its manager. No peer is adopted afterwards.
+func (g *Group) FinishIngest(skipFinalSnapshot bool) {
+	g.adoptMu.Lock()
+	g.finished = true
+	g.adoptMu.Unlock()
+	for _, sh := range g.Shards() {
+		sh.FinishIngest(skipFinalSnapshot)
+	}
+}
+
+// Close tears every shard down after FinishIngest: shadows are discarded,
+// fan-outs drain and journals close (each shard logs its own close error).
+func (g *Group) Close() {
+	for _, sh := range g.Shards() {
+		sh.Close()
 	}
 }
 
@@ -432,7 +468,7 @@ func (g *Group) StopShadow() (*ShadowStatus, error) {
 	}
 	var mstats predictor.Stats
 	for _, sh := range g.shards {
-		if err := sh.StopShadow(func(m *predictor.Manager) { sumStats(&mstats, m.Stats()) }); err != nil {
+		if err := sh.StopShadow(func(m *predictor.Manager) { mstats.Add(m.Stats()) }); err != nil {
 			return nil, err
 		}
 	}
@@ -471,7 +507,7 @@ func (g *Group) shadowStatusLocked() *ShadowStatus {
 	}
 	for _, sh := range g.shards {
 		if m := sh.ShadowManager(); m != nil {
-			sumStats(&st.Manager, m.Stats())
+			st.Manager.Add(m.Stats())
 		}
 	}
 	return st
@@ -494,23 +530,3 @@ func (g *Group) ModelStatus() *ModelStatus {
 		CompileSeconds:   model.CompileTime().Seconds(),
 	}
 }
-
-// sumStats folds one manager's counters into an aggregate — the multi-shard
-// view of /statusz sums what a single manager used to report alone.
-func sumStats(dst *predictor.Stats, s predictor.Stats) {
-	dst.LinesScanned += s.LinesScanned
-	dst.Tokens += s.Tokens
-	dst.Discarded += s.Discarded
-	dst.Nodes += s.Nodes
-	dst.Parser.Tokens += s.Parser.Tokens
-	dst.Parser.Irrelevant += s.Parser.Irrelevant
-	dst.Parser.Consumed += s.Parser.Consumed
-	dst.Parser.Skipped += s.Parser.Skipped
-	dst.Parser.Interleaved += s.Parser.Interleaved
-	dst.Parser.TimeoutResets += s.Parser.TimeoutResets
-	dst.Parser.Matches += s.Parser.Matches
-}
-
-// SumManagerStats is the exported fold the serve layer uses for the
-// aggregate /statusz manager block in multi-shard mode.
-func SumManagerStats(dst *predictor.Stats, s predictor.Stats) { sumStats(dst, s) }

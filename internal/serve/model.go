@@ -38,10 +38,6 @@ import (
 // was live when it was written, and the Group aligns shards whose journals
 // diverged (a crash between per-shard swaps). See lifecycle.Group.
 
-// errModelDisabled is returned by model-lifecycle calls on a server built
-// without Config.Model.
-var errModelDisabled = lifecycle.ErrModelDisabled
-
 // Registry exposes the model store (nil when Config.Model is unset).
 func (s *Server) Registry() *registry.Registry { return s.group.Registry() }
 
@@ -147,7 +143,7 @@ type ModelsList struct {
 
 func (s *Server) modelAPIEnabled(w http.ResponseWriter) bool {
 	if s.group.Registry() == nil {
-		http.Error(w, errModelDisabled.Error(), http.StatusNotFound)
+		http.Error(w, lifecycle.ErrModelDisabled.Error(), http.StatusNotFound)
 		return false
 	}
 	return true
@@ -157,7 +153,7 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 	if !s.modelAPIEnabled(w) {
 		return
 	}
-	body, err := readBody(r, 32<<20)
+	body, err := transport.ReadBody(r, 32<<20)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -190,7 +186,7 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		res.Shadow = st
 	}
 	w.WriteHeader(http.StatusCreated)
-	writeJSONBody(w, res)
+	transport.WriteJSONBody(w, res)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -209,7 +205,7 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	if st := s.group.ShadowStatus(); st != nil {
 		list.Shadow = st.Fingerprint
 	}
-	writeJSON(w, list)
+	transport.WriteJSON(w, list)
 }
 
 func (s *Server) handleModelActivate(w http.ResponseWriter, r *http.Request) {
@@ -229,7 +225,7 @@ func (s *Server) handleModelActivate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	writeJSON(w, sw)
+	transport.WriteJSON(w, sw)
 }
 
 func (s *Server) handleModelRollback(w http.ResponseWriter, _ *http.Request) {
@@ -241,7 +237,7 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	writeJSON(w, sw)
+	transport.WriteJSON(w, sw)
 }
 
 func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
@@ -261,7 +257,7 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	writeJSON(w, st)
+	transport.WriteJSON(w, st)
 }
 
 func (s *Server) handleShadowStop(w http.ResponseWriter, _ *http.Request) {
@@ -273,11 +269,11 @@ func (s *Server) handleShadowStop(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	writeJSON(w, st)
+	transport.WriteJSON(w, st)
 }
 
 func decodeFingerprintBody(w http.ResponseWriter, r *http.Request) (string, bool) {
-	body, err := readBody(r, 4096)
+	body, err := transport.ReadBody(r, 4096)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return "", false
@@ -294,13 +290,4 @@ func decodeFingerprintBody(w http.ResponseWriter, r *http.Request) (string, bool
 		return "", false
 	}
 	return req.Fingerprint, true
-}
-
-// writeJSON and friends wrap the transport helpers — the serve handlers
-// mounted via transport.Handle use the same encoding the transport's own
-// routes do.
-func writeJSON(w http.ResponseWriter, v any)     { transport.WriteJSON(w, v) }
-func writeJSONBody(w http.ResponseWriter, v any) { transport.WriteJSONBody(w, v) }
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	return transport.ReadBody(r, limit)
 }

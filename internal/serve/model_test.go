@@ -80,22 +80,6 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-func streamAll(t *testing.T, s *Server, lines []string) {
-	t.Helper()
-	conn, err := DialLines(s.TCPAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range lines {
-		if err := conn.Send(line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := conn.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestModelHotSwapZeroLoss streams a log in two segments with an activation
 // swap between them: no accepted line is lost across the swap, the in-flight
 // parse state carries (identical automaton), every prediction still fires,
@@ -105,7 +89,7 @@ func TestModelHotSwapZeroLoss(t *testing.T) {
 	s := newModelTestServer(t, Config{Overflow: Block, QueueSize: 64})
 	lines := genTestLog(t, 5, 3).Lines()
 	k := len(lines) * 2 / 5
-	fpA := s.manager().FingerprintHex()
+	fpA := s.shards[0].Manager().FingerprintHex()
 
 	cl := &Client{Base: s.httpBase()}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -115,7 +99,7 @@ func TestModelHotSwapZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	streamAll(t, s, lines[:k])
+	streamLines(t, s, lines[:k])
 
 	up := variantModel()
 	up.Activate = true
@@ -135,7 +119,7 @@ func TestModelHotSwapZeroLoss(t *testing.T) {
 	}
 	fpB := res.Model.Fingerprint
 
-	streamAll(t, s, lines[k:])
+	streamLines(t, s, lines[k:])
 
 	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer scancel()
@@ -192,7 +176,7 @@ func TestModelHotSwapZeroLoss(t *testing.T) {
 func TestModelSwapsUnderConcurrentLoad(t *testing.T) {
 	s := newModelTestServer(t, Config{Overflow: Block, QueueSize: 64})
 	lines := genTestLog(t, 11, 4).Lines()
-	fpA := s.manager().FingerprintHex()
+	fpA := s.shards[0].Manager().FingerprintHex()
 
 	up := variantModel()
 	code, body := postJSON(t, s.httpBase()+"/model", up)
@@ -264,7 +248,7 @@ func TestModelSwapsUnderConcurrentLoad(t *testing.T) {
 // back, restoring the prior version as active.
 func TestModelRollback(t *testing.T) {
 	s := newModelTestServer(t, Config{})
-	fpA := s.manager().FingerprintHex()
+	fpA := s.shards[0].Manager().FingerprintHex()
 
 	up := prunedModel()
 	up.Activate = true
@@ -279,7 +263,7 @@ func TestModelRollback(t *testing.T) {
 	if res.Swap.StateCarried {
 		t.Fatalf("pruned automaton carried state: %+v", res.Swap)
 	}
-	if got := s.manager().FingerprintHex(); got != res.Model.Fingerprint {
+	if got := s.shards[0].Manager().FingerprintHex(); got != res.Model.Fingerprint {
 		t.Fatalf("active manager %s, want %s", got, res.Model.Fingerprint)
 	}
 
@@ -294,7 +278,7 @@ func TestModelRollback(t *testing.T) {
 	if sw.To != fpA || sw.Trigger != "rollback" {
 		t.Fatalf("rollback report %+v", sw)
 	}
-	if got := s.manager().FingerprintHex(); got != fpA {
+	if got := s.shards[0].Manager().FingerprintHex(); got != fpA {
 		t.Fatalf("active manager after rollback %s, want %s", got, fpA)
 	}
 	// History exhausted: a second rollback is refused.
@@ -324,10 +308,10 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 	}
 	fpB := res.Model.Fingerprint
 
-	streamAll(t, s, lines)
+	streamLines(t, s, lines)
 	// Barriers: primary outputs through the tracker, shadow outputs through
 	// its consumer.
-	if err := s.manager().Flush(); err != nil {
+	if err := s.shards[0].Manager().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	sh := s.shards[0].ShadowManager()
@@ -364,7 +348,7 @@ func TestShadowEvaluationAndPromote(t *testing.T) {
 	if !sw.Promoted || !sw.StateCarried || sw.Trigger != "promote" {
 		t.Fatalf("promotion report %+v", sw)
 	}
-	if got := s.manager().FingerprintHex(); got != fpB {
+	if got := s.shards[0].Manager().FingerprintHex(); got != fpB {
 		t.Fatalf("active manager %s, want promoted %s", got, fpB)
 	}
 	st = s.Status()
@@ -426,9 +410,9 @@ func TestModelEpochRecovery(t *testing.T) {
 	s := newModelTestServer(t, cfg)
 	lines := genTestLog(t, 9, 2).Lines()
 	k := len(lines) / 2
-	fpA := s.manager().FingerprintHex()
+	fpA := s.shards[0].Manager().FingerprintHex()
 
-	streamAll(t, s, lines[:k])
+	streamLines(t, s, lines[:k])
 	up := variantModel()
 	up.Activate = true
 	code, body := postJSON(t, s.httpBase()+"/model", up)
@@ -443,7 +427,7 @@ func TestModelEpochRecovery(t *testing.T) {
 	if res.Swap.WALEpochIndex == 0 {
 		t.Fatalf("swap wrote no WAL epoch: %+v", res.Swap)
 	}
-	streamAll(t, s, lines[k:])
+	streamLines(t, s, lines[k:])
 
 	// Crash (no final snapshot): the whole journal replays on next boot.
 	s.testSkipFinalSnapshot = true
@@ -458,7 +442,7 @@ func TestModelEpochRecovery(t *testing.T) {
 	if st.Model == nil || st.Model.Active != fpB {
 		t.Fatalf("recovered active model %+v, want %s", st.Model, fpB)
 	}
-	if got := s2.manager().FingerprintHex(); got != fpB {
+	if got := s2.shards[0].Manager().FingerprintHex(); got != fpB {
 		t.Fatalf("recovered manager runs %s, want %s", got, fpB)
 	}
 	if st.Recovery == nil || st.Recovery.ReplayedSwaps != 1 {
@@ -513,7 +497,7 @@ func TestModelCompiledOncePerVersion(t *testing.T) {
 		return res.Model.Fingerprint
 	}
 
-	boot := s.manager().Model()
+	boot := s.shards[0].Manager().Model()
 	fpA := boot.FingerprintHex()
 	onModel(s, boot, "boot")
 	if compiled(s, fpA) != boot {
@@ -543,9 +527,14 @@ func TestModelCompiledOncePerVersion(t *testing.T) {
 	shutdownServer(t, s)
 	s2 := newModelTestServer(t, cfg)
 	for i, sh := range s2.shards {
-		if rec := sh.Recovery(); rec == nil || rec.ReplayedSwaps != 1 {
+		if rec := sh.Stats().Recovery; rec == nil || rec.ReplayedSwaps != 1 {
 			t.Fatalf("shard %d recovery %+v, want 1 replayed swap", i, rec)
 		}
+	}
+	// The top-level block is the shards' sum: both epoch records, replayed
+	// with every journaled line.
+	if rec := s2.Status().Recovery; rec == nil || rec.ReplayedSwaps != 2 || rec.ReplayedRecords != uint64(len(lines)+2) {
+		t.Fatalf("top-level recovery %+v, want 2 replayed swaps in %d records", rec, len(lines)+2)
 	}
 	onModel(s2, compiled(s2, fpB), "replayed epoch")
 

@@ -76,16 +76,41 @@ func ingestAll(t *testing.T, s *Server, lines []string) {
 	}
 }
 
-// ingestBacklog is the number of accepted lines that are neither scanned nor
-// rejected as malformed yet, up to a per-boot constant. It sums the counters
-// /statusz reports without reading /statusz, whose arbiter block settles
-// pending chain evidence against a stream clock that heartbeats may have moved
-// past outputs still in flight.
+// streamLines sends lines over the TCP line protocol, closes the connection
+// and, like ingestAll, returns once every line is accepted and processed: a
+// closed connection means queued, not scanned. A line forwarded to its owning
+// peer counts as processed here.
+func streamLines(t *testing.T, s *Server, lines []string) {
+	t.Helper()
+	want := s.pipe.Accepted() + int64(len(lines))
+	idle := ingestBacklog(s)
+	conn, err := DialLines(s.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range lines {
+		if err := conn.Send(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "streamed lines to be processed", func() bool {
+		return s.pipe.Accepted() == want && s.pipe.Depth() == 0 && ingestBacklog(s) == idle
+	})
+}
+
+// ingestBacklog is the number of accepted lines that are neither scanned,
+// rejected as malformed nor handed to a peer yet, up to a per-boot constant.
 func ingestBacklog(s *Server) int64 {
 	n := s.pipe.Accepted()
-	for _, sh := range s.shards {
+	for _, sh := range s.group.Shards() {
 		st := sh.Stats()
 		n -= int64(st.Manager.LinesScanned) + st.ParseErrors
+	}
+	if c := s.cluster; c != nil {
+		n -= c.forwardedOut.Load() + c.misrouted.Load()
 	}
 	return n
 }
@@ -253,7 +278,7 @@ func TestServeMidStreamSnapshotAndCrash(t *testing.T) {
 	a.testSkipFinalSnapshot = true
 	subA := a.Subscribe(1 << 16)
 	ingestAll(t, a, lines[:half])
-	if err := a.snapshot(); err != nil {
+	if err := a.shards[0].Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	stA := a.Status()

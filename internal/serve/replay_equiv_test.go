@@ -40,11 +40,12 @@ func attributedKey(out predictor.Output) string {
 
 func arbSnapshot(t *testing.T, s *Server) []byte {
 	t.Helper()
-	if s.arb == nil {
+	arb := s.shards[0].Arbiter()
+	if arb == nil {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := s.arb.Snapshot(&buf); err != nil {
+	if err := arb.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -196,7 +197,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				sub := live.Subscribe(1 << 17)
 				feed := func(lines []string) {
 					ingestAll(t, live, lines)
-					if err := live.flushAll(); err != nil {
+					if err := live.router.Flush(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -286,7 +287,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				if rec.ReplayBytes == 0 || rec.ReplaySeconds <= 0 || rec.SnapshotLoadSeconds+rec.ReplaySeconds > rec.DurationSeconds {
 					t.Errorf("recovery timing split is inconsistent: %+v", rec)
 				}
-				if got := re.manager().FingerprintHex(); got != up.Model.Fingerprint {
+				if got := re.shards[0].Manager().FingerprintHex(); got != up.Model.Fingerprint {
 					t.Errorf("replay ended on model %s, the journal's swap went to %s", got, up.Model.Fingerprint)
 				}
 			})

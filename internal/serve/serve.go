@@ -57,9 +57,9 @@ const (
 type (
 	// IngestResult is the POST /ingest response body.
 	IngestResult = transport.IngestResult
-	// WALStatus is the /statusz journal block (per shard).
+	// WALStatus is the /statusz journal block.
 	WALStatus = shard.WALStatus
-	// RecoveryStatus is the /statusz recovery block (per shard).
+	// RecoveryStatus is the /statusz recovery block.
 	RecoveryStatus = shard.RecoveryStatus
 	// SwapReport describes one model hot-swap (aggregated across shards).
 	SwapReport = shard.SwapReport
@@ -67,6 +67,8 @@ type (
 	ModelStatus = lifecycle.ModelStatus
 	// ShadowStatus is the /statusz shadow block.
 	ShadowStatus = lifecycle.ShadowStatus
+	// AdoptedStatus is one takeover's row in the /statusz cluster block.
+	AdoptedStatus = lifecycle.AdoptedStatus
 )
 
 // Config parameterizes a Server. The zero value serves HTTP and TCP on
@@ -237,9 +239,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Status is the /statusz document: server counters plus the live Manager
-// snapshot. lines accepted + lines dropped always equals the lines producers
-// attempted to enqueue.
+// Status is the /statusz document: server counters, one row per shard, and
+// the daemon-wide manager, journal, recovery and arbiter blocks, each the
+// fold of the rows' blocks (at one shard, the row's own). lines accepted +
+// lines dropped always equals the lines producers attempted to enqueue.
 type Status struct {
 	UptimeSeconds   float64         `json:"uptime_seconds"`
 	Draining        bool            `json:"draining"`
@@ -254,13 +257,10 @@ type Status struct {
 	Subscribers     int             `json:"subscribers"`
 	SubscriberDrops int64           `json:"subscriber_drops"`
 	Manager         predictor.Stats `json:"manager"`
-	// Shards is the per-shard block: one entry per partition, in index
-	// order. With several shards the WAL/Recovery/Arbiter detail lives here
-	// and the top-level blocks are nil; Manager above is the sum.
-	Shards []ShardStatus `json:"shards"`
+	// Shards is the per-shard block: one row per partition, in index order.
+	Shards []shard.Stats `json:"shards"`
 	// WAL and Recovery describe the durability layer; nil when DataDir is
-	// unset (WAL), no recovery context exists (Recovery), or Shards > 1
-	// (see Shards).
+	// unset.
 	WAL      *WALStatus      `json:"wal,omitempty"`
 	Recovery *RecoveryStatus `json:"recovery,omitempty"`
 	// Model and Shadow describe the model lifecycle; nil when Config.Model is
@@ -268,41 +268,11 @@ type Status struct {
 	Model  *ModelStatus  `json:"model,omitempty"`
 	Shadow *ShadowStatus `json:"shadow,omitempty"`
 	// Arbiter is the live arbitration block (per-node phi, fused scores,
-	// chain precision ledger); nil when Config.Arbiter is unset or
-	// Shards > 1 (per-shard summaries live in Shards).
+	// chain precision ledger); nil when Config.Arbiter is unset.
 	Arbiter *arbiter.Status `json:"arbiter,omitempty"`
 	// Cluster is the peer membership / forwarding / shipping block; nil when
 	// Config.Cluster is unset.
 	Cluster *ClusterStatus `json:"cluster,omitempty"`
-}
-
-// ShardStatus is one partition's row in the /statusz per-shard block.
-type ShardStatus struct {
-	Index int `json:"index"`
-	// Lines and ParseErrors count what this shard's submitter processed.
-	Lines       int64 `json:"lines"`
-	ParseErrors int64 `json:"parse_errors"`
-	// Nodes is the number of node states the shard's Manager holds.
-	Nodes int `json:"nodes"`
-	// WALOffset is the shard journal's last index (0 when persistence is
-	// off).
-	WALOffset uint64 `json:"wal_offset"`
-	// Snapshots is the number of snapshots this shard has written.
-	Snapshots int64 `json:"snapshots"`
-	// Arbiter summarizes the shard's arbiter (nil when disabled).
-	Arbiter *ArbiterSummary `json:"arbiter,omitempty"`
-}
-
-// ArbiterSummary is the compact per-shard arbitration view: counters plus
-// the current alert count (the full block with per-chain ledgers is the
-// top-level Arbiter field in single-shard mode).
-type ArbiterSummary struct {
-	Nodes       int    `json:"nodes"`
-	Down        int    `json:"down"`
-	Heartbeats  uint64 `json:"heartbeats"`
-	Predictions uint64 `json:"predictions"`
-	Failures    uint64 `json:"failures"`
-	Alerts      int    `json:"alerts"`
 }
 
 // Server is the streaming ingestion daemon core. Construct with New, bind
@@ -312,19 +282,16 @@ type Server struct {
 	hub   *hub
 	start time.Time
 
-	// shards are the daemon's partitions in index order; shards[0] wraps the
-	// Manager passed to New. router consistent-hashes lines onto them and
-	// group drives their shared lifecycle. All three are wired by Start.
+	// shards are the daemon's boot partitions in index order; shards[0]
+	// wraps the Manager passed to New. router consistent-hashes lines onto
+	// them; group owns them, and the shards adopted from dead peers, from
+	// boot to close. Both are wired by Start.
 	shards []*shard.Local
 	router *shard.Router
 	group  *lifecycle.Group
 	pipe   *pipeline.Pipeline
 	tcp    *transport.TCP
 	http   *transport.HTTP
-
-	// arb is shard 0's arbiter — the whole daemon's in single-shard mode
-	// (nil when Config.Arbiter is unset).
-	arb *arbiter.Arbiter
 
 	// bootModel is the compiled model of the Manager passed to New; extra
 	// shards and adopted cluster shards start on it.
@@ -357,7 +324,6 @@ func New(m *predictor.Manager, cfg Config) *Server {
 		bootModel: m.Model(),
 	}
 	s.shards = []*shard.Local{shard.New(m, s.shardConfig(0))}
-	s.arb = s.shards[0].Arbiter()
 	return s
 }
 
@@ -380,12 +346,6 @@ func (s *Server) shardConfig(i int) shard.Config {
 	}
 }
 
-// manager returns shard 0's active Manager (hot-swaps replace it).
-func (s *Server) manager() *predictor.Manager { return s.shards[0].Manager() }
-
-// snapshot checkpoints shard 0 (the whole daemon in single-shard mode).
-func (s *Server) snapshot() error { return s.shards[0].Snapshot() }
-
 // Start recovers persisted state (when DataDir is set), then binds the
 // configured listeners and starts the ingest pump and the prediction
 // fan-out. It returns once the server is accepting traffic — recovery
@@ -399,12 +359,12 @@ func (s *Server) Start() error {
 	s.start = time.Now()
 
 	if err := s.cfg.Validate(); err != nil {
-		s.manager().Close()
+		s.shards[0].Manager().Close()
 		return err
 	}
 	// Extra shards run the boot manager's compiled model with its worker
 	// count: boot compiles it once, whatever the shard and worker counts.
-	workers := s.manager().Workers()
+	workers := s.shards[0].Manager().Workers()
 	for i := 1; i < s.cfg.Shards; i++ {
 		s.shards = append(s.shards, shard.New(s.bootModel.NewManager(workers), s.shardConfig(i)))
 	}
@@ -428,10 +388,9 @@ func (s *Server) Start() error {
 		sh.Start()
 	}
 	if err := s.group.Boot(); err != nil {
-		for _, sh := range s.shards {
-			sh.Manager().Close()
-			sh.Close() // best effort: the boot error is the one to surface
-		}
+		// Best effort: the boot error is the one to surface.
+		s.group.FinishIngest(true)
+		s.group.Close()
 		return err
 	}
 	if s.cfg.DataDir != "" {
@@ -445,24 +404,19 @@ func (s *Server) Start() error {
 		BatchMax:      s.cfg.BatchMax,
 		BatchMaxBytes: s.cfg.BatchMaxBytes,
 		BatchAge:      s.cfg.BatchAge,
-		// OnDrained runs on the pump goroutine after the queue empties: the
-		// final checkpoint and manager close, while the fan-outs the snapshot
-		// barriers need are still alive.
-		OnDrained: func() { s.router.FinishIngest(s.testSkipFinalSnapshot) },
+		// OnDrained runs on the pump goroutine after the queue empties: every
+		// shard's final checkpoint and manager close, while the fan-outs the
+		// snapshot barriers need are still alive.
+		OnDrained: func() { s.group.FinishIngest(s.testSkipFinalSnapshot) },
 	}
 	var sink pipeline.Sink = s.router
 	if s.cfg.Cluster != nil {
 		// Cluster mode interposes placement between the pump and the Router:
-		// the primary sink may forward lines to peers, the Forward sink
-		// handles lines that already hopped, and adopted shards join the
-		// final checkpoint.
+		// the primary sink may forward lines to peers, and the Forward sink
+		// handles lines that already hopped.
 		s.cluster = newCluster(s, *s.cfg.Cluster)
 		sink = newClusterSink(s.cluster, false)
 		pcfg.Forward = newClusterSink(s.cluster, true)
-		pcfg.OnDrained = func() {
-			s.router.FinishIngest(s.testSkipFinalSnapshot)
-			s.cluster.finishIngest(s.testSkipFinalSnapshot)
-		}
 	}
 	s.pipe = pipeline.New(pcfg, sink)
 	s.pipe.TestHookDelay = s.testHookPumpDelay
@@ -474,10 +428,9 @@ func (s *Server) Start() error {
 			s.tcp.StopAccepting()
 		}
 		s.group.StopSnapshots()
-		s.router.FinishIngest(true)
-		for _, sh := range s.shards {
-			sh.Close() // unwinding: the listener error is the one to surface
-		}
+		// Unwinding: the listener error is the one to surface.
+		s.group.FinishIngest(true)
+		s.group.Close()
 		s.hub.close()
 		return err
 	}
@@ -549,49 +502,25 @@ func (s *Server) Subscribe(buffer int) *Subscription {
 	return s.hub.subscribe(buffer)
 }
 
-// beginProduce registers a queue producer; it fails once draining so the
-// queue can be closed safely. Callers must pair a true return with
-// endProduce.
-func (s *Server) beginProduce() bool { return s.pipe.BeginProduce() }
-
-func (s *Server) endProduce() { s.pipe.EndProduce() }
-
-// ingest enqueues one raw log line under the configured overflow policy.
-// The caller must hold a producer registration. Reports whether the line
-// was accepted.
-func (s *Server) ingest(line string) bool { return s.pipe.Ingest(line) }
-
-// isDraining reports whether Shutdown has begun.
-func (s *Server) isDraining() bool { return s.pipe.Draining() }
-
-// flushAll blocks until every line already dispatched has been fully
-// processed by its shard — the cross-shard barrier benchmarks use.
-func (s *Server) flushAll() error { return s.router.Flush() }
-
-// Recovered returns the outputs re-derived during boot-time replay — in
-// arrival order, concatenated across shards in index order. HTTP subscribers
-// can fetch them with GET /predictions?replay=recovered; embedded callers
-// use this accessor.
+// Recovered returns the outputs re-derived during boot-time replay and peer
+// takeovers — in arrival order, concatenated across the boot shards in index
+// order, then the adopted shards in (peer, index) order. HTTP subscribers can
+// fetch them with GET /predictions?replay=recovered; embedded callers use
+// this accessor.
 func (s *Server) Recovered() []predictor.Output {
 	var out []predictor.Output
-	for _, sh := range s.shards {
+	for _, sh := range s.group.Shards() {
 		out = append(out, sh.Recovered()...)
-	}
-	if s.cluster != nil {
-		// Adopted shards replayed a dead peer's shipped journal; their
-		// recovered outputs are part of this daemon's answer now.
-		for _, sh := range s.cluster.adoptedShards() {
-			out = append(out, sh.Recovered()...)
-		}
 	}
 	return out
 }
 
-// Status snapshots the server counters and the live Manager stats.
+// Status snapshots the server counters and one row per boot shard, and folds
+// the rows into the daemon-wide blocks.
 func (s *Server) Status() Status {
 	st := Status{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Draining:        s.isDraining(),
+		Draining:        s.pipe.Draining(),
 		Overflow:        string(s.cfg.Overflow),
 		LinesAccepted:   s.pipe.Accepted(),
 		LinesDropped:    s.pipe.Dropped(),
@@ -601,46 +530,27 @@ func (s *Server) Status() Status {
 		SubscriberDrops: s.hub.dropped.Load(),
 		Model:           s.group.ModelStatus(),
 		Shadow:          s.group.ShadowStatus(),
+		Shards:          make([]shard.Stats, len(s.shards)),
 	}
 	if s.tcp != nil {
 		st.OpenConns = s.tcp.Open()
 		st.TotalConns = s.tcp.Total()
 	}
-	st.Shards = make([]ShardStatus, len(s.shards))
+	var arbs []*arbiter.Arbiter
 	for i, sh := range s.shards {
-		stats := sh.Stats()
-		st.ParseErrors += stats.ParseErrors
-		row := ShardStatus{
-			Index:       i,
-			Lines:       stats.Lines,
-			ParseErrors: stats.ParseErrors,
-			Nodes:       stats.Manager.Nodes,
-		}
-		if ws := sh.WALStatus(); ws != nil {
-			row.WALOffset = ws.LastIndex
-			row.Snapshots = ws.SnapshotsWritten
-		}
-		if arb := sh.Arbiter(); arb != nil {
-			as := arb.Status()
-			row.Arbiter = &ArbiterSummary{
-				Nodes:       as.Nodes,
-				Down:        as.Down,
-				Heartbeats:  as.Heartbeats,
-				Predictions: as.Predictions,
-				Failures:    as.Failures,
-				Alerts:      len(arb.Alerts()),
-			}
-		}
+		row := sh.Stats()
 		st.Shards[i] = row
-		if len(s.shards) == 1 {
-			// Single-shard: the top-level blocks keep their pre-sharding shape.
-			st.Manager = stats.Manager
-			st.WAL = sh.WALStatus()
-			st.Recovery = sh.Recovery()
-			st.Arbiter = s.arbiterStatus()
-		} else {
-			lifecycle.SumManagerStats(&st.Manager, stats.Manager)
+		st.ParseErrors += row.ParseErrors
+		st.Manager.Add(row.Manager)
+		st.WAL = st.WAL.Add(row.WAL)
+		st.Recovery = st.Recovery.Add(row.Recovery)
+		if arb := sh.Arbiter(); arb != nil {
+			arbs = append(arbs, arb)
 		}
+	}
+	if arbs != nil {
+		as := arbiter.StatusOf(arbs...)
+		st.Arbiter = &as
 	}
 	if s.cluster != nil {
 		st.Cluster = s.cluster.status()
@@ -653,15 +563,11 @@ func (s *Server) Status() Status {
 // single arbiter produces (nil when arbitration is disabled). Shards
 // partition the node space, so the merge is a disjoint union.
 func (s *Server) Alerts() []arbiter.Alert {
-	if s.arb == nil {
-		return nil
-	}
-	if len(s.shards) == 1 {
-		return s.arb.Alerts()
-	}
 	var alerts []arbiter.Alert
 	for _, sh := range s.shards {
-		alerts = sh.Arbiter().AlertsInto(alerts)
+		if arb := sh.Arbiter(); arb != nil {
+			alerts = arb.AlertsInto(alerts)
+		}
 	}
 	sort.Slice(alerts, func(i, j int) bool {
 		if alerts[i].Score != alerts[j].Score {
@@ -670,16 +576,6 @@ func (s *Server) Alerts() []arbiter.Alert {
 		return alerts[i].Node < alerts[j].Node
 	})
 	return alerts
-}
-
-// arbiterStatus assembles the /statusz arbitration block (nil when disabled;
-// single-shard only — multi-shard daemons report per-shard summaries).
-func (s *Server) arbiterStatus() *arbiter.Status {
-	if s.arb == nil {
-		return nil
-	}
-	st := s.arb.Status()
-	return &st
 }
 
 // Shutdown drains the server gracefully: stop accepting connections and
@@ -724,19 +620,18 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 
 	// 4. No producers remain: stop the periodic snapshotter, close the
-	// queue, let the pump flush every accepted line through the router into
-	// the shards (each writes its final snapshot and closes its Manager),
-	// then close the shards — running shadows are discarded, fan-outs drain,
-	// journals close last — and release subscribers.
+	// queue, let the pump flush every accepted line into the shards (each
+	// writes its final snapshot and closes its Manager), stop the cluster
+	// plane (no takeover or journal read after this), then close every shard
+	// — running shadows are discarded, fan-outs drain, journals close last —
+	// and release subscribers.
 	s.group.StopSnapshots()
 	s.pipe.CloseQueue()
 	<-s.pipe.Done()
-	for _, sh := range s.shards {
-		sh.Close()
-	}
 	if s.cluster != nil {
 		s.cluster.close()
 	}
+	s.group.Close()
 	s.hub.close()
 
 	// 5. Tear down HTTP last so /statusz and /predictions stay observable

@@ -37,6 +37,27 @@ type WALStatus struct {
 	LastSnapshotIndex uint64 `json:"last_snapshot_index"`
 }
 
+// Add folds another shard's journal block into w and returns the result (a
+// nil block is absent; w is copied before its first change). Each journal
+// numbers its records from 1, so indices and counts sum; first_index, the
+// oldest retained record, takes the minimum.
+func (w *WALStatus) Add(o *WALStatus) *WALStatus {
+	if o == nil {
+		return w
+	}
+	if w == nil {
+		c := *o
+		return &c
+	}
+	w.Enabled = w.Enabled || o.Enabled
+	w.FirstIndex = min(w.FirstIndex, o.FirstIndex)
+	w.LastIndex += o.LastIndex
+	w.Segments += o.Segments
+	w.SnapshotsWritten += o.SnapshotsWritten
+	w.LastSnapshotIndex += o.LastSnapshotIndex
+	return w
+}
+
 // RecoveryStatus is the /statusz recovery block, describing what boot-time
 // replay did.
 type RecoveryStatus struct {
@@ -60,6 +81,31 @@ type RecoveryStatus struct {
 	// that reached the parser; over ReplayedRecords it is the restart's
 	// FC-related fraction (the paper's Fig. 12).
 	ReplayTokens uint64 `json:"replay_tokens,omitempty"`
+}
+
+// Add folds another shard's recovery block into r and returns the result,
+// the way WALStatus.Add does: performed if either was, everything else sums
+// (boot opens the shards one after another, so durations add up too).
+func (r *RecoveryStatus) Add(o *RecoveryStatus) *RecoveryStatus {
+	if o == nil {
+		return r
+	}
+	if r == nil {
+		c := *o
+		return &c
+	}
+	r.Performed = r.Performed || o.Performed
+	r.SnapshotIndex += o.SnapshotIndex
+	r.ReplayedRecords += o.ReplayedRecords
+	r.ReplayErrors += o.ReplayErrors
+	r.RecoveredOutputs += o.RecoveredOutputs
+	r.DurationSeconds += o.DurationSeconds
+	r.SnapshotLoadSeconds += o.SnapshotLoadSeconds
+	r.ReplaySeconds += o.ReplaySeconds
+	r.ReplayBytes += o.ReplayBytes
+	r.ReplayedSwaps += o.ReplayedSwaps
+	r.ReplayTokens += o.ReplayTokens
+	return r
 }
 
 func (l *Local) walDir() string  { return filepath.Join(l.cfg.Dir, "wal") }
@@ -254,8 +300,8 @@ func (l *Local) Snapshot() error {
 	return nil
 }
 
-// WALStatus assembles the /statusz journal block (nil when disabled).
-func (l *Local) WALStatus() *WALStatus {
+// walStatus assembles the shard's journal block (nil when disabled).
+func (l *Local) walStatus() *WALStatus {
 	if l.wlog == nil {
 		return nil
 	}
@@ -269,9 +315,6 @@ func (l *Local) WALStatus() *WALStatus {
 		LastSnapshotIndex: l.lastSnapshotIdx.Load(),
 	}
 }
-
-// Recovery returns the boot-time recovery report (nil when none ran).
-func (l *Local) Recovery() *RecoveryStatus { return l.recovery }
 
 // The accessors below expose the journal read-side for shard shipping (the
 // serve layer adapts them into the ship Source interface). All are safe

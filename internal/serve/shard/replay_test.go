@@ -239,7 +239,7 @@ func TestReplayEmptyJournalStartsNothing(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("recovering an empty journal left %d goroutines running, %d before", after, before)
 	}
-	if rec := l.Recovery(); rec == nil || rec.Performed || rec.ReplayedRecords != 0 {
+	if rec := l.Stats().Recovery; rec == nil || rec.Performed || rec.ReplayedRecords != 0 {
 		t.Fatalf("recovery of an empty journal: %+v", rec)
 	}
 }
@@ -288,7 +288,7 @@ func TestReplayMemoryBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec := l.Recovery(); rec.ReplayedRecords != uint64(n) {
+		if rec := l.Stats().Recovery; rec.ReplayedRecords != uint64(n) {
 			t.Fatalf("replayed %d records, journaled %d", rec.ReplayedRecords, n)
 		}
 		return <-peak

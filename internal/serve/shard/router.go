@@ -115,7 +115,9 @@ func (r *Router) Flush() error {
 }
 
 // FinishIngest runs after the pump drains: every shard checkpoints and
-// closes its manager.
+// closes its manager. The daemon finishes its shards through its lifecycle
+// Group; this is kept only because bench/ compiles against it, until
+// ROADMAP item 1(b) rebuilds the bench stubs.
 func (r *Router) FinishIngest(skipFinalSnapshot bool) {
 	for _, sh := range r.shards {
 		sh.FinishIngest(skipFinalSnapshot)

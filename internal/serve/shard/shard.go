@@ -20,14 +20,22 @@ import (
 	"repro/internal/wal"
 )
 
-// Stats is a shard's live counter block.
+// Stats is a shard's row in /statusz: its live counters plus its own
+// journal, recovery and arbitration blocks, the same types the daemon's top
+// level folds them into.
 type Stats struct {
+	Index int `json:"index"`
 	// Lines is the number of lines submitted to this shard.
-	Lines int64
+	Lines int64 `json:"lines"`
 	// ParseErrors counts submitted lines the manager could not parse.
-	ParseErrors int64
+	ParseErrors int64 `json:"parse_errors"`
 	// Manager is the predictor's counter snapshot.
-	Manager predictor.Stats
+	Manager predictor.Stats `json:"manager"`
+	// WAL and Recovery are nil without a data dir; Arbiter is nil when
+	// arbitration is off.
+	WAL      *WALStatus      `json:"wal,omitempty"`
+	Recovery *RecoveryStatus `json:"recovery,omitempty"`
+	Arbiter  *arbiter.Status `json:"arbiter,omitempty"`
 }
 
 // Config parameterizes a Local shard. Callers pass already-defaulted values.
@@ -140,13 +148,21 @@ func (l *Local) Arbiter() *arbiter.Arbiter { return l.arb }
 // Index returns the shard's position in the daemon's shard list.
 func (l *Local) Index() int { return l.cfg.Index }
 
-// Stats reports the shard's live counters.
+// Stats reports the shard's /statusz row.
 func (l *Local) Stats() Stats {
-	return Stats{
+	st := Stats{
+		Index:       l.cfg.Index,
 		Lines:       l.lines.Load(),
 		ParseErrors: l.parseErrors.Load(),
 		Manager:     l.Manager().Stats(),
+		WAL:         l.walStatus(),
+		Recovery:    l.recovery,
 	}
+	if l.arb != nil {
+		as := l.arb.Status()
+		st.Arbiter = &as
+	}
+	return st
 }
 
 // Flush blocks until every output for already-submitted lines is published.

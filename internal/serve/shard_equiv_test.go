@@ -53,13 +53,13 @@ func runSharded(t *testing.T, d *loggen.Dialect, lines []string, shards int, tcp
 	if tcpSeed != 0 {
 		feedTCP(t, s, lines, tcpSeed)
 	} else {
-		if !s.beginProduce() {
+		if !s.pipe.BeginProduce() {
 			t.Fatal("server draining before any ingest")
 		}
 		for _, line := range lines {
-			s.ingest(line)
+			s.pipe.Ingest(line)
 		}
-		s.endProduce()
+		s.pipe.EndProduce()
 	}
 	shutdownServer(t, s)
 
