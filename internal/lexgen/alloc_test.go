@@ -23,26 +23,39 @@ func allocTestScanner(t *testing.T) *Scanner {
 	return s
 }
 
+// TestScanAllocFree pins Scan and ScanBytes at zero allocations on each
+// shortcut of the packed scan: a message that reaches an accelerated state
+// (the trailing wildcard, found with IndexByte), one that crosses an interior
+// wildcard, and one that dies inside a literal run.
 func TestScanAllocFree(t *testing.T) {
 	s := allocTestScanner(t)
 	_, _, msg, err := ParseLine(allocTestLine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := s.Scan(msg); !ok {
-			t.Fatal("FC message not matched")
+	for _, c := range []struct {
+		name, msg string
+		match     bool
+	}{
+		{"accelerated", msg, true},
+		{"interior wildcard", "Lustre: 0x5a cannot find peer c0-0c0s1n2 on o2ib", true},
+		{"dies in a literal run", "DVS: verify_filesXstem: magic value", false},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := s.Scan(c.msg); ok != c.match {
+				t.Fatalf("%s: Scan(%q) ok = %v", c.name, c.msg, ok)
+			}
+		}); allocs > 0 {
+			t.Fatalf("%s: Scan allocates %.1f objects per run, want 0", c.name, allocs)
 		}
-	}); allocs > 0 {
-		t.Fatalf("Scan allocates %.1f objects per run, want 0", allocs)
-	}
-	msgBytes := []byte(msg)
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := s.ScanBytes(msgBytes); !ok {
-			t.Fatal("FC message not matched")
+		msgBytes := []byte(c.msg)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := s.ScanBytes(msgBytes); ok != c.match {
+				t.Fatalf("%s: ScanBytes(%q) ok = %v", c.name, c.msg, ok)
+			}
+		}); allocs > 0 {
+			t.Fatalf("%s: ScanBytes allocates %.1f objects per run, want 0", c.name, allocs)
 		}
-	}); allocs > 0 {
-		t.Fatalf("ScanBytes allocates %.1f objects per run, want 0", allocs)
 	}
 }
 

@@ -34,8 +34,9 @@ type Options struct {
 	// SkipMinimization keeps the raw subset-construction DFA instead of the
 	// minimized one — for the table-size ablation only.
 	SkipMinimization bool
-	// SkipPacking keeps the dense 256-way tables instead of the
-	// equivalence-class packed form — for the table-size ablation only.
+	// SkipPacking keeps the dense 256-way tables instead of the packed scan
+	// table (byte classes, literal runs, accelerated wildcards) — for the
+	// table-size ablation only.
 	SkipPacking bool
 }
 
@@ -127,8 +128,9 @@ func (s *Scanner) NumTemplates() int { return s.set.Size() }
 // NumStates reports the combined DFA size, for diagnostics and ablations.
 func (s *Scanner) NumStates() int { return s.set.NumStates() }
 
-// TableBytes reports the transition-table footprint (packed when packing is
-// enabled).
+// TableBytes reports the scan-table footprint: the packed table (rows,
+// literal runs and the byte-class map), or the dense 256-way tables when
+// SkipPacking kept them.
 func (s *Scanner) TableBytes() int { return s.set.TableBytes() }
 
 // NumClasses reports the input equivalence classes (0 when unpacked).

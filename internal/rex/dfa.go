@@ -243,7 +243,7 @@ func (s *Set) NumStates() int { return len(s.d.states) }
 // when no pattern matches a prefix of input.
 func (s *Set) Match(input []byte) (id, length int) {
 	if s.packed != nil {
-		return packedRun(s.packed, input)
+		return scanPacked(s.packed, input)
 	}
 	return dfaRun(s.d, input)
 }
@@ -253,7 +253,7 @@ func (s *Set) Match(input []byte) (id, length int) {
 // fresh []byte.
 func (s *Set) MatchString(input string) (id, length int) {
 	if s.packed != nil {
-		return packedRun(s.packed, input)
+		return scanPacked(s.packed, input)
 	}
 	return dfaRun(s.d, input)
 }

@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzCompileAndMatch feeds arbitrary pattern/input pairs: Compile must
+// FuzzCompileAndMatch feeds arbitrary pattern/input pairs. The fuzz pattern
+// is split at NUL bytes into one to three patterns of one set. Compile must
 // either fail cleanly or produce a matcher that never panics, whose minimized
-// tables equal the 256-column oracle's, and whose minimized/packed forms agree
-// with the original.
+// tables equal the 256-column oracle's, and whose minimized, packed scan gives
+// the unminimized dense DFA's (id, length) on the input, as a string and as a
+// []byte.
 func FuzzCompileAndMatch(f *testing.F) {
 	seeds := []struct{ pattern, input string }{
 		{"abc", "abc"},
@@ -19,6 +21,20 @@ func FuzzCompileAndMatch(f *testing.F) {
 		{"", ""},
 		{"[^\\n]*", "anything goes"},
 		{"((((deep))))", "deep"},
+		// A trailing .* (an accelerated accepting state).
+		{"DVS: verify .*", "DVS: verify magic 0x6969"},
+		// A literal run cut short by the end of the input.
+		{"Kernel panic - not syncing: .*", "Kernel pan"},
+		// A '\n' after an accelerated state, trailing and interior.
+		{"ab.*", "abcd\nef"},
+		{"Lustre: .* cannot find peer .*", "Lustre: x cannot\n find peer y"},
+		// Several patterns sharing prefixes and wildcards.
+		{"DVS: verify.*\x00DVS: file.*\x00Lustre: .* peer .*", "Lustre: a peer b"},
+		{"abc\x00abcdef\x00ab.*f", "abcdeg"},
+		// Two literal runs that join: "p" ends where "qabcd"'s suffix starts.
+		{"(xq|yp)abcd", "ypabcd"},
+		// '\n' shares its byte class with \x0b, which also leaves.
+		{"a[^\\n\x0b]*", "abc\x0bdef"},
 	}
 	for _, s := range seeds {
 		f.Add(s.pattern, s.input)
@@ -30,24 +46,32 @@ func FuzzCompileAndMatch(f *testing.F) {
 		if strings.Count(pattern, "*")+strings.Count(pattern, "+") > 8 {
 			return
 		}
-		re, err := Compile(pattern)
+		patterns := strings.SplitN(pattern, "\x00", 3)
+		set, err := CompileSet(patterns)
 		if err != nil {
 			return
 		}
-		got := re.Match([]byte(input))
-		set, err := CompileSet([]string{pattern})
+		re, err := Compile(patterns[0])
 		if err != nil {
-			t.Fatalf("CompileSet failed where Compile succeeded: %v", err)
+			t.Fatalf("Compile failed where CompileSet succeeded: %v", err)
 		}
 		if err := checkMinimizeOracle(set.d); err != nil {
-			t.Fatalf("pattern %q: %v", pattern, err)
+			t.Fatalf("patterns %q: %v", patterns, err)
 		}
+		wantID, wantLen := dfaRun(set.d, input)
 		set.Minimize()
 		set.Pack()
-		id, n := set.Match([]byte(input))
-		full := id == 0 && n == len(input)
-		if full != got {
-			t.Fatalf("pattern %q input %q: Regexp=%v Set(min+pack) full-match=%v", pattern, input, got, full)
+		id, n := set.MatchString(input)
+		if id != wantID || n != wantLen {
+			t.Fatalf("patterns %q input %q: packed (%d, %d), dense (%d, %d)", patterns, input, id, n, wantID, wantLen)
+		}
+		if bid, bn := set.Match([]byte(input)); bid != id || bn != n {
+			t.Fatalf("patterns %q input %q: MatchString (%d, %d), Match (%d, %d)", patterns, input, id, n, bid, bn)
+		}
+		// Pattern 0 wins every tie, so it matches the whole input exactly
+		// when the set's longest match is pattern 0 over all of it.
+		if full, got := id == 0 && n == len(input), re.MatchString(input); full != got {
+			t.Fatalf("patterns %q input %q: Regexp=%v Set(min+pack) full-match=%v", patterns, input, got, full)
 		}
 	})
 }

@@ -109,3 +109,26 @@ func checkMinimizeOracle(d *dfa) error {
 	}
 	return nil
 }
+
+// NewPackedOracle compiles patterns into one minimized set and returns a
+// check that the packed scan table gives the dense dfaRun's (id, length) on
+// an input, as a string and as a []byte. Exported to the external tests, which
+// feed it dialect inventories and generated messages.
+func NewPackedOracle(patterns []string) (func(input string) error, error) {
+	s, err := CompileSet(patterns)
+	if err != nil {
+		return nil, err
+	}
+	s.Minimize()
+	s.Pack()
+	return func(input string) error {
+		wantID, wantLen := dfaRun(s.d, input)
+		if id, n := scanPacked(s.packed, input); id != wantID || n != wantLen {
+			return fmt.Errorf("packed scan of %q = (%d, %d), dense (%d, %d)", input, id, n, wantID, wantLen)
+		}
+		if id, n := scanPacked(s.packed, []byte(input)); id != wantID || n != wantLen {
+			return fmt.Errorf("packed scan of []byte %q = (%d, %d), dense (%d, %d)", input, id, n, wantID, wantLen)
+		}
+		return nil
+	}, nil
+}

@@ -111,3 +111,51 @@ func BenchmarkPackedVsPlainScan(b *testing.B) {
 		}
 	})
 }
+
+// TestPackedLayoutKinds: template-shaped patterns lay out every kind of
+// state the scan treats specially — literal runs, accelerated non-accepting
+// states (an interior wildcard) and accelerated accepting states (a trailing
+// one) — and each shortcut gives the dense DFA's answer at its edges.
+func TestPackedLayoutKinds(t *testing.T) {
+	s, err := CompileSet([]string{"DVS: verify_filesystem: .*", "Lustre: .* cannot find peer .*", "DVS: file_node_down"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Minimize()
+	dense := s.d
+	s.Pack()
+	p := s.packed
+	if lits := (p.plainLo - 1) / 3; lits == 0 {
+		t.Error("no literal-run heads")
+	}
+	if p.acceptLo == p.accelLo {
+		t.Error("no accelerated non-accepting state (interior wildcard)")
+	}
+	if p.accelHi == p.acceptLo {
+		t.Error("no accelerated accepting state (trailing wildcard)")
+	}
+	for _, in := range []string{
+		"DVS: verify_filesystem: magic 0x6969",
+		"DVS: verify_filesystem: magic\n0x6969",
+		"DVS: verify_filesystem: ",
+		"DVS: verify_files",      // the input ends inside a literal run
+		"DVS: verify_filesXstem", // a mismatch inside a literal run
+		"DVS: file_node_down",
+		"DVS: file_node_downstairs",
+		"Lustre: 12 cannot find peer c0-0c0s1n2",
+		"Lustre: 12 cannot find peer c0-0c0s1n2\nmore",
+		"Lustre: cannot cannot find peer ",
+		"Lustre: 12 cannot\nfind peer x",
+		"Lustre: 12 cannot find pe",
+		"",
+		"\n",
+	} {
+		wantID, wantLen := dfaRun(dense, in)
+		if id, n := s.MatchString(in); id != wantID || n != wantLen {
+			t.Errorf("MatchString(%q) = (%d, %d), dense (%d, %d)", in, id, n, wantID, wantLen)
+		}
+		if id, n := s.Match([]byte(in)); id != wantID || n != wantLen {
+			t.Errorf("Match(%q) = (%d, %d), dense (%d, %d)", in, id, n, wantID, wantLen)
+		}
+	}
+}

@@ -59,7 +59,11 @@ func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
 			if err := enc.Encode(out); err != nil {
 				return // client gone
 			}
-			fl.Flush()
+			// Flush once the subscription is drained: a burst of outputs
+			// costs one write, and the last of it is never held back.
+			if len(sub.Out()) == 0 {
+				fl.Flush()
+			}
 		case <-r.Context().Done():
 			return
 		}

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/loggen"
+	"repro/internal/parser"
 	"repro/internal/predictor"
 )
 
@@ -49,6 +51,36 @@ func genTestLog(t *testing.T, seed int64, failures int) *loggen.Log {
 }
 
 func (s *Server) httpBase() string { return "http://" + s.HTTPAddr().String() }
+
+// TestPredictionsStreamDeliversBurst: /predictions flushes only when its
+// subscription is drained, so a burst goes out in few writes — and the last
+// output of a burst must still arrive with nothing published after it.
+func TestPredictionsStreamDeliversBurst(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	outs, _, err := (&Client{Base: s.httpBase()}).Predictions(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	for i := 0; i < n; i++ {
+		s.hub.publish(predictor.Output{Prediction: &parser.Prediction{Node: fmt.Sprint("n", i), Length: i}})
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case out, ok := <-outs:
+			if !ok {
+				t.Fatalf("stream ended after %d of %d outputs", i, n)
+			}
+			if p := out.Prediction; p == nil || p.Length != i {
+				t.Fatalf("output %d = %+v, want prediction %d", i, out, i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("received %d of %d outputs; the rest of the burst was never flushed", i, n)
+		}
+	}
+}
 
 // TestServeEndToEndTCP is the acceptance-criteria test: one injected failure
 // streamed over the TCP line protocol yields exactly one prediction on the

@@ -37,6 +37,11 @@ go run ./cmd/aarohilint ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The committed scanner benchmark runs once so it keeps compiling and
+# running; for numbers, run it with -count and compare parent and change.
+echo "==> scanner benchmark smoke (BenchmarkScanDialect, -benchtime 1x)"
+go test -run '^$' -bench BenchmarkScanDialect -benchtime 1x ./internal/lexgen
+
 echo "==> serve integration (race): loopback daemon and cluster end-to-end"
 go test -race -run 'TestServe|TestAarohid|TestCluster' ./internal/serve .
 
