@@ -3,6 +3,7 @@ package lexgen_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lexgen"
@@ -15,7 +16,9 @@ import (
 
 // FuzzParseLine: ParseLine must never panic, must round-trip every line
 // FormatLine can produce, and ParseLineBytes must agree with it on every
-// input — error or not, timestamp, node and message.
+// input — error or not, timestamp, node and message. Every accepted
+// timestamp is the one time.Parse(RFC3339Nano) reads from the same field:
+// in the canonical shape the fast path decodes, the identical value (==).
 func FuzzParseLine(f *testing.F) {
 	f.Add("2015-03-14T04:58:57.640Z c0-0c2s0n2 DVS: verify_filesystem: x")
 	f.Add("")
@@ -25,6 +28,11 @@ func FuzzParseLine(f *testing.F) {
 	f.Add("2015-03-14T04:58:57.640Z nodeonly")
 	f.Add("2015-03-14T05:58:57.64+01:00 c0-0c2s0n2 slow-path timestamp")
 	f.Add("2015-02-29T04:58:57.640Z c0-0c2s0n2 no such day")
+	f.Add("2016-02-29T23:59:59.999Z c0-0c2s0n2 leap day")
+	f.Add("0000-03-01T00:00:00.000Z n year zero")
+	f.Add("1969-12-31T23:59:59.999Z n before the epoch")
+	f.Add("2015-03-14T04:58:57Z abc def: a shorter timestamp, a space at 24")
+	f.Add("2015-03-14T04:58:57.640Z  two spaces")
 	f.Fuzz(func(t *testing.T, line string) {
 		ts, node, msg, err := lexgen.ParseLine(line)
 		bts, bnode, bmsg, berr := lexgen.ParseLineBytes([]byte(line))
@@ -36,6 +44,17 @@ func FuzzParseLine(f *testing.F) {
 		}
 		if !bts.Equal(ts) || bts.Location().String() != ts.Location().String() || string(bnode) != node || string(bmsg) != msg {
 			t.Fatalf("ParseLine(%q) = (%v, %q, %q), ParseLineBytes = (%v, %q, %q)", line, ts, node, msg, bts, bnode, bmsg)
+		}
+		field := line[:strings.IndexByte(line, ' ')]
+		want, werr := time.Parse(time.RFC3339Nano, field)
+		if werr != nil || !want.Equal(ts) {
+			t.Fatalf("ParseLine(%q) timestamp %v, time.Parse = (%v, %v)", line, ts, want, werr)
+		}
+		if len(field) == 24 && field[23] == 'Z' && (ts != want || bts != want) {
+			t.Fatalf("canonical timestamp %q: ParseLine %#v, ParseLineBytes %#v, time.Parse %#v", field, ts, bts, want)
+		}
+		if rest := line[len(field)+1:]; node+" "+msg != rest || strings.IndexByte(rest, ' ') != len(node) {
+			t.Fatalf("ParseLine(%q) = (%q, %q), not the fields after the first space", line, node, msg)
 		}
 		if node == "" {
 			t.Fatalf("empty node accepted from %q", line)

@@ -185,13 +185,15 @@ const LineFormat = "2006-01-02T15:04:05.000Z07:00"
 //
 //aarohi:hotpath
 func ParseLine(line string) (ts time.Time, node, msg string, err error) {
-	sp1 := strings.IndexByte(line, ' ')
-	if sp1 < 0 {
-		return time.Time{}, "", "", errNoTimestamp(line)
-	}
-	ts, err = parseTimestamp(line[:sp1])
-	if err != nil {
-		return time.Time{}, "", "", errBadTimestamp(err)
+	sp1 := canonicalLen
+	ts, ok := parseCanonicalField(line)
+	if !ok {
+		if sp1 = strings.IndexByte(line, ' '); sp1 < 0 {
+			return time.Time{}, "", "", errNoTimestamp(line)
+		}
+		if ts, err = parseTimestamp(line[:sp1]); err != nil {
+			return time.Time{}, "", "", errBadTimestamp(err)
+		}
 	}
 	rest := line[sp1+1:]
 	sp2 := strings.IndexByte(rest, ' ')
@@ -208,13 +210,15 @@ func ParseLine(line string) (ts time.Time, node, msg string, err error) {
 //
 //aarohi:hotpath
 func ParseLineBytes(line []byte) (ts time.Time, node, msg []byte, err error) {
-	sp1 := bytes.IndexByte(line, ' ')
-	if sp1 < 0 {
-		return time.Time{}, nil, nil, errNoTimestamp(line)
-	}
-	ts, err = parseTimestamp(line[:sp1])
-	if err != nil {
-		return time.Time{}, nil, nil, errBadTimestamp(err)
+	sp1 := canonicalLen
+	ts, ok := parseCanonicalField(line)
+	if !ok {
+		if sp1 = bytes.IndexByte(line, ' '); sp1 < 0 {
+			return time.Time{}, nil, nil, errNoTimestamp(line)
+		}
+		if ts, err = parseTimestamp(line[:sp1]); err != nil {
+			return time.Time{}, nil, nil, errBadTimestamp(err)
+		}
 	}
 	rest := line[sp1+1:]
 	sp2 := bytes.IndexByte(rest, ' ')
@@ -224,16 +228,47 @@ func ParseLineBytes(line []byte) (ts time.Time, node, msg []byte, err error) {
 	return ts, rest[:sp2], rest[sp2+1:], nil
 }
 
-// parseTimestamp decodes the canonical UTC layout FormatLine produces
-// (2015-03-14T04:58:57.640Z — fixed width, millisecond precision, 'Z') with
-// straight digit arithmetic; anything else (other offsets, other fraction
-// widths) takes the time.Parse fallback. The fast path accepts exactly the
-// strings time.Parse(RFC3339Nano) would accept in this shape, including the
-// day-of-month range check, and allocates nothing.
+// canonicalLen is the length of the canonical timestamp FormatLine writes.
+const canonicalLen = len("2015-03-14T04:58:57.640Z")
+
+// parseCanonicalField reports whether line starts with a canonical timestamp
+// and a space, and decodes it. A canonical timestamp holds no space, so its
+// field is then exactly the one a search for the first space would find —
+// the search is skipped, not changed.
+//
+//aarohi:hotpath
+func parseCanonicalField[T ~string | ~[]byte](line T) (time.Time, bool) {
+	if len(line) <= canonicalLen || line[canonicalLen] != ' ' {
+		return time.Time{}, false
+	}
+	return parseCanonical(line[:canonicalLen])
+}
+
+// parseTimestamp decodes a timestamp field: the canonical layout through
+// parseCanonical, anything else (other offsets, other fraction widths)
+// through time.Parse.
 //
 //aarohi:hotpath
 func parseTimestamp[T ~string | ~[]byte](s T) (time.Time, error) {
-	if len(s) == 24 && s[4] == '-' && s[7] == '-' && s[10] == 'T' &&
+	if ts, ok := parseCanonical(s); ok {
+		return ts, nil
+	}
+	return parseTimestampSlow(s)
+}
+
+// parseCanonical decodes the canonical UTC layout FormatLine produces
+// (2015-03-14T04:58:57.640Z — fixed width, millisecond precision, 'Z') with
+// straight digit arithmetic. It accepts exactly the strings of this shape
+// that time.Parse(RFC3339Nano) accepts, including the day-of-month range
+// check, returns a Time == to the one time.Parse returns (time.Unix(...).UTC()
+// and time.Date(..., time.UTC) build the same value), and allocates nothing.
+// It counts days with civil-calendar arithmetic instead of time.Date, whose
+// month and day normalization the range checks have already made
+// unnecessary.
+//
+//aarohi:hotpath
+func parseCanonical[T ~string | ~[]byte](s T) (time.Time, bool) {
+	if len(s) == canonicalLen && s[4] == '-' && s[7] == '-' && s[10] == 'T' &&
 		s[13] == ':' && s[16] == ':' && s[19] == '.' && s[23] == 'Z' {
 		year, ok0 := atoi4(s, 0)
 		month, ok1 := atoi2(s, 5)
@@ -245,10 +280,11 @@ func parseTimestamp[T ~string | ~[]byte](s T) (time.Time, error) {
 		if ok0 && ok1 && ok2 && ok3 && ok4 && ok5 && ok6 &&
 			month >= 1 && month <= 12 && day >= 1 && day <= daysIn(year, month) &&
 			hour < 24 && min < 60 && sec < 60 {
-			return time.Date(year, time.Month(month), day, hour, min, sec, ms*1e6, time.UTC), nil
+			secs := daysFromCivil(year, month, day)*86400 + int64(hour*3600+min*60+sec)
+			return time.Unix(secs, int64(ms)*1e6).UTC(), true
 		}
 	}
-	return parseTimestampSlow(s)
+	return time.Time{}, false
 }
 
 // parseTimestampSlow is the cold fallback; the string conversion and
@@ -275,6 +311,27 @@ func atoi4[T ~string | ~[]byte](s T, i int) (int, bool) {
 	lo, ok1 := atoi2(s, i+2)
 	return hi*100 + lo, ok0 && ok1
 }
+
+// daysFromCivil is the number of days from 1970-01-01 to year-month-day in
+// the proleptic Gregorian calendar (Howard Hinnant's days_from_civil), for
+// years 0 through 9999 and a valid month and day. The year is counted from
+// March, so a leap day is the last day of its year, and shifted by one
+// 400-year era (146097 days) so that every operand is unsigned: unsigned
+// division by a constant is a multiply and a shift.
+func daysFromCivil(year, month, day int) int64 {
+	y := uint(year) + 400
+	if month <= 2 {
+		y--
+	}
+	era := y / 400
+	yoe := y - era*400                                                           // [0, 399]
+	doe := yoe*365 + yoe/4 - yoe/100 + uint(marchDays[month&15]) + uint(day) - 1 // [0, 146096]
+	return int64(era*146097+doe) - 719468 - 146097
+}
+
+// marchDays[m] is the number of days from March 1 to the first of month m
+// in a year counted from March.
+var marchDays = [16]uint16{0, 306, 337, 0, 31, 61, 92, 122, 153, 184, 214, 245, 275}
 
 // daysIn mirrors time.Parse's day-of-month validation.
 func daysIn(year, month int) int {

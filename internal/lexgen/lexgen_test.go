@@ -1,6 +1,7 @@
 package lexgen
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -148,6 +149,38 @@ func TestParseLine(t *testing.T) {
 	} {
 		if _, _, _, err := ParseLine(bad); err == nil {
 			t.Errorf("ParseLine(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestParseTimestampCalendarSweep: the canonical fast path returns the
+// very value time.Parse(RFC3339Nano) does (==, not just Equal), and rejects
+// what it rejects, on every day of the years at both ends of the four-digit
+// range and around the epoch and the 1900/2000/2100 century rules, at the
+// first and last millisecond of the day.
+func TestParseTimestampCalendarSweep(t *testing.T) {
+	var years []int
+	for y := 0; y <= 4; y++ {
+		years = append(years, y, 9995+y)
+	}
+	for y := 1899; y <= 1901; y++ {
+		years = append(years, y, y+69, y+100, y+200)
+	}
+	for _, y := range years {
+		for m := 1; m <= 12; m++ {
+			for d := 1; d <= 31; d++ {
+				for _, clock := range []string{"00:00:00.000", "23:59:59.999"} {
+					s := fmt.Sprintf("%04d-%02d-%02dT%sZ", y, m, d, clock)
+					got, err := parseTimestamp(s)
+					want, werr := time.Parse(time.RFC3339Nano, s)
+					if (err == nil) != (werr == nil) {
+						t.Fatalf("parseTimestamp(%q) error %v, time.Parse error %v", s, err, werr)
+					}
+					if err == nil && got != want {
+						t.Fatalf("parseTimestamp(%q) = %#v, time.Parse = %#v", s, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/loggen"
 	"repro/internal/predictor"
 	"repro/internal/recycle"
+	"repro/internal/registry"
 	"repro/internal/wal"
 )
 
@@ -243,9 +244,96 @@ func diffRuns(t *testing.T, label string, want, got pipeRun) {
 	}
 }
 
+// edgeCounts are the counters a client reads off /statusz, which the edge
+// must leave exactly as the queue path sets them.
+type edgeCounts struct {
+	accepted, dropped, parseErrors int64
+	scanned, tokens, discarded     int
+	shardLines, shardParseErrors   []int64
+}
+
+// runEdgePipe boots a server with no journal and no arbiter — the edge on —
+// over shards shards, feeds lines over the TCP line listener (through the
+// edge, torn at seeded random write boundaries) when tcpSeed is non-zero and
+// straight into the queue otherwise, shuts down and returns the outputs and
+// counters.
+func runEdgePipe(t *testing.T, d *loggen.Dialect, lines []string, shards int, tcpSeed int64) (pipeRun, edgeCounts) {
+	t.Helper()
+	mgr, err := predictor.NewManager(d.Chains(), d.Inventory(), predictor.Options{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TCPAddr: "off", HTTPAddr: "off", Shards: shards}
+	if tcpSeed != 0 {
+		cfg.TCPAddr = "127.0.0.1:0"
+	}
+	if shards > 1 {
+		cfg.Model = &registry.Model{Chains: d.Chains(), Templates: d.Inventory()}
+	}
+	s := New(mgr, cfg)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.edge.on {
+		t.Fatal("edge off with no journal, arbiter or cluster")
+	}
+	sub := s.Subscribe(1 << 17)
+	if tcpSeed != 0 {
+		feedTCP(t, s, lines, tcpSeed)
+	} else {
+		if !s.pipe.BeginProduce() {
+			t.Fatal("server draining before any ingest")
+		}
+		for _, line := range lines {
+			s.pipe.Ingest(line)
+		}
+		s.pipe.EndProduce()
+	}
+	shutdownServer(t, s)
+
+	run := pipeRun{perNode: map[string][]string{}}
+	for out := range sub.Out() {
+		if k := outKey(out); k != "" {
+			run.keys = append(run.keys, k)
+			run.perNode[outNode(out)] = append(run.perNode[outNode(out)], k)
+		}
+	}
+	sort.Strings(run.keys)
+	st := s.Status()
+	c := edgeCounts{
+		accepted: st.LinesAccepted, dropped: st.LinesDropped, parseErrors: st.ParseErrors,
+		scanned: st.Manager.LinesScanned, tokens: st.Manager.Tokens, discarded: st.Manager.Discarded,
+	}
+	for _, row := range st.Shards {
+		c.shardLines = append(c.shardLines, row.Lines)
+		c.shardParseErrors = append(c.shardParseErrors, row.ParseErrors)
+	}
+	return run, c
+}
+
+// withMalformed interleaves lines with lines that do not parse (no space, no
+// node, no timestamp) and one with an empty message, which parses and
+// matches nothing.
+func withMalformed(lines []string) []string {
+	bad := []string{"garbage", "2015-03-14T04:58:57.640Z nodeonly", "notatime c0-0c0s0n0 msg", "2015-03-14T04:58:57.640Z c0-0c0s0n0 "}
+	var out []string
+	for i, line := range lines {
+		if i%41 == 0 {
+			out = append(out, bad[(i/41)%len(bad)])
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
 // TestBatchPipelineEquivalence: for four dialect families, every batching
 // configuration reproduces a sequential predictor's outputs, journals its
 // input in order, and ends in the state of an arbiter fed in stream order.
+// With no journal and no arbiter the edge drops lines as they land: fed
+// over TCP it must reproduce the sequential predictor's outputs and leave
+// every counter a client reads — accepted, scanned, discarded, parse errors,
+// each shard row's lines — equal to the queue path's on the same input, at
+// one shard and at two.
 func TestBatchPipelineEquivalence(t *testing.T) {
 	recycle.PoisonForTest(t.Cleanup)
 	dialects := []*loggen.Dialect{
@@ -287,6 +375,27 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 				diffRuns(t, label, ref, got)
 				if !bytes.Equal(got.arb, ref.arb) {
 					t.Errorf("%s: arbiter snapshot differs from the in-order reference's (%d vs %d bytes)", label, len(got.arb), len(ref.arb))
+				}
+			}
+
+			edgeLines := withMalformed(lines)
+			edgeRef := sequentialRun(t, d, edgeLines)
+			edgeRef.wal = nil // no journal
+			for _, shards := range []int{1, 2} {
+				if shards > 1 && d == loggen.DialectBGP {
+					continue // two shards need Config.Model, and BG/P's inventory fails vet admission
+				}
+				label := fmt.Sprintf("edge shards=%d", shards)
+				queued, want := runEdgePipe(t, d, edgeLines, shards, 0)
+				diffRuns(t, label+" queue path", edgeRef, queued)
+				got, counts := runEdgePipe(t, d, edgeLines, shards, seed)
+				diffRuns(t, label+" over TCP", edgeRef, got)
+				if fmt.Sprint(counts) != fmt.Sprint(want) {
+					t.Errorf("%s: counters over TCP %+v, queue path %+v", label, counts, want)
+				}
+				if want.accepted != int64(len(edgeLines)) || want.parseErrors == 0 || want.discarded == 0 {
+					t.Errorf("%s: queue path accepted %d of %d lines, %d parse errors, %d discarded: the comparison would be vacuous",
+						label, want.accepted, len(edgeLines), want.parseErrors, want.discarded)
 				}
 			}
 		})

@@ -14,8 +14,12 @@ import (
 )
 
 // BenchmarkServeIngest is an in-process smoke benchmark of the full
-// steady-state ingest path — queue, WAL framing/append (in the wal variants),
-// sharded scan, parse — in bytes of raw log per second:
+// steady-state ingest path — the edge, queue, WAL framing/append (in the wal
+// variants), sharded scan, parse — in bytes of raw log per second. Lines go
+// in as the transports hand them over: one chunk per 64 KiB framer read,
+// through the function both transports call, so the rows without a journal
+// (nowal, shards1, shards2) measure the edge dropping lines where they land
+// and the rest the queue path:
 //
 //	go test -run '^$' -bench BenchmarkServeIngest -benchmem ./internal/serve
 //
@@ -36,6 +40,16 @@ func BenchmarkServeIngest(b *testing.B) {
 		totalBytes += int64(len(l))
 	}
 	avg := totalBytes / int64(len(lines))
+	// The framer hands the layers below one read's lines at a time.
+	var chunks [][]string
+	for start, bytes := 0, 0; start < len(lines); {
+		end := start
+		for bytes = 0; end < len(lines) && bytes+len(lines[end])+1 <= 64<<10; end++ {
+			bytes += len(lines[end]) + 1
+		}
+		chunks = append(chunks, lines[start:end])
+		start = end
+	}
 
 	run := func(b *testing.B, cfg Config) {
 		mgr, err := predictor.NewManager(
@@ -65,8 +79,11 @@ func BenchmarkServeIngest(b *testing.B) {
 		b.SetBytes(avg)
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.pipe.Ingest(lines[i%len(lines)])
+		for i, k := 0, 0; i < b.N; k++ {
+			c := chunks[k%len(chunks)]
+			c = c[:min(len(c), b.N-i)]
+			s.edge.ingest(c)
+			i += len(c)
 		}
 		// Barrier: every enqueued line fully processed — through the router
 		// and every shard's manager — before the clock stops.

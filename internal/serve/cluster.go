@@ -119,28 +119,15 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
+// newCluster builds the parts of the cluster plane that connections on the
+// line listener reach — the forwarder, and with a data dir in gossip mode the
+// ship receiver and shipper — so they exist before the listener accepts its
+// first connection (hijack reads recv on the connection's goroutine). The
+// caller closes the cluster if Start fails after this.
 func newCluster(s *Server, cfg ClusterConfig) *cluster {
-	return &cluster{s: s, cfg: cfg.withDefaults()}
-}
-
-// start spins up the cluster plane. The TCP listener must already be bound
-// (its address is advertised); the pipeline must not be started yet.
-func (c *cluster) start() error {
-	s := c.s
+	c := &cluster{s: s, cfg: cfg.withDefaults()}
 	c.fwd = transport.NewForwarder(transport.Config{MaxLineLen: s.cfg.MaxLineLen, Logf: s.cfg.Logf}, c.cfg.Name)
-
-	if len(c.cfg.Static) > 0 {
-		peers := make([]ring.Peer, 0, len(c.cfg.Static))
-		addrs := make(map[string]string, len(c.cfg.Static))
-		for _, p := range c.cfg.Static {
-			peers = append(peers, ring.Peer{Name: p.Name, Shards: p.Shards, Alive: true})
-			addrs[p.Name] = p.LineAddr
-		}
-		c.view.Store(&clusterView{pm: ring.NewPeerMap(0, peers), lineAddrs: addrs})
-		return nil
-	}
-
-	if s.cfg.DataDir != "" {
+	if len(c.cfg.Static) == 0 && s.cfg.DataDir != "" {
 		c.recv = ship.NewReceiver(ship.ReceiverConfig{
 			Dir:  s.cfg.DataDir + "/ship",
 			Logf: s.cfg.Logf,
@@ -150,6 +137,23 @@ func (c *cluster) start() error {
 			Source: shardSource{shards: s.shards},
 			Logf:   s.cfg.Logf,
 		})
+	}
+	return c
+}
+
+// start spins up placement and membership. The TCP listener must already be
+// bound (its address is advertised); the pipeline must not be started yet.
+func (c *cluster) start() error {
+	s := c.s
+	if len(c.cfg.Static) > 0 {
+		peers := make([]ring.Peer, 0, len(c.cfg.Static))
+		addrs := make(map[string]string, len(c.cfg.Static))
+		for _, p := range c.cfg.Static {
+			peers = append(peers, ring.Peer{Name: p.Name, Shards: p.Shards, Alive: true})
+			addrs[p.Name] = p.LineAddr
+		}
+		c.view.Store(&clusterView{pm: ring.NewPeerMap(0, peers), lineAddrs: addrs})
+		return nil
 	}
 
 	tr, err := gossip.ListenUDP(c.cfg.GossipAddr)

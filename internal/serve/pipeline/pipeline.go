@@ -352,6 +352,13 @@ func (p *Pipeline) releaseBatch() {
 	}
 }
 
+// CountAccepted counts n lines as accepted that the caller consumed itself
+// instead of queueing them — lines the serve layer's edge found in no
+// failure chain and folded into their shards' counts. The caller must hold a
+// producer registration. They are never shed, never counted in Dropped and
+// never reach the Sink.
+func (p *Pipeline) CountAccepted(n int) { p.accepted.Add(int64(n)) }
+
 // Draining reports whether StartDrain has been called.
 func (p *Pipeline) Draining() bool { return p.draining.Load() }
 
@@ -410,7 +417,8 @@ func (p *Pipeline) Depth() int {
 // Capacity is the queue bound, in lines.
 func (p *Pipeline) Capacity() int { return len(p.ring) }
 
-// Accepted is the number of lines enqueued so far.
+// Accepted is the number of lines enqueued or counted by CountAccepted so
+// far.
 func (p *Pipeline) Accepted() int64 { return p.accepted.Load() }
 
 // Dropped is the number of lines shed at a full queue.

@@ -13,10 +13,11 @@
 //	ring        consistent-hash placement (imports nothing above core)
 //
 // This package is the composition root: it wires transports over the
-// pipeline, the pipeline over the shard Router (which consistent-hashes each
-// line's node ID onto one of Config.Shards partitions and submits each
-// partition's share on the pump goroutine), and the lifecycle Group over the
-// shard set. With Shards == 1 the router hands each batch through whole and
+// pipeline through the edge (edge.go: it drops the lines no failure chain
+// needs when nothing else reads them), the pipeline over the shard Router
+// (which consistent-hashes each line's node ID onto one of Config.Shards
+// partitions and submits each partition's share on the pump goroutine), and
+// the lifecycle Group over the shard set. With Shards == 1 the router hands each batch through whole and
 // the daemon's on-disk layout is byte-identical to the pre-sharding monolith.
 package serve
 
@@ -290,6 +291,7 @@ type Server struct {
 	router *shard.Router
 	group  *lifecycle.Group
 	pipe   *pipeline.Pipeline
+	edge   *edge // the chunk function both transports call (edge.go)
 	tcp    *transport.TCP
 	http   *transport.HTTP
 
@@ -420,12 +422,20 @@ func (s *Server) Start() error {
 	}
 	s.pipe = pipeline.New(pcfg, sink)
 	s.pipe.TestHookDelay = s.testHookPumpDelay
+	// Lines the model drops are counted where they land only when nothing
+	// reads them: a journal keeps every raw line, an arbiter takes every line
+	// as a heartbeat, and peers may do either. Shadows and swaps are checked
+	// per chunk, at the shard.
+	s.edge = newEdge(s.pipe, s.router, s.shards, s.cfg.DataDir == "" && s.cfg.Arbiter == nil && s.cfg.Cluster == nil)
 
 	// On listener failure, unwind what Start already spun up so no
 	// goroutine or journal handle leaks.
 	fail := func(err error) error {
 		if s.tcp != nil {
 			s.tcp.StopAccepting()
+		}
+		if s.cluster != nil {
+			s.cluster.close()
 		}
 		s.group.StopSnapshots()
 		// Unwinding: the listener error is the one to surface.
@@ -437,7 +447,7 @@ func (s *Server) Start() error {
 	tcfg := transport.Config{MaxLineLen: s.cfg.MaxLineLen, Logf: s.cfg.Logf}
 	if s.cfg.TCPAddr != "off" {
 		s.tcp = transport.NewTCP(tcfg, s.pipe, s.cfg.ReadTimeout)
-		s.tcp.SetBatchIngest(s.pipe.IngestBatch)
+		s.tcp.SetBatchIngest(s.edge.ingest)
 		if s.cluster != nil {
 			s.tcp.SetHijacker(s.cluster.hijack)
 		}
@@ -450,13 +460,12 @@ func (s *Server) Start() error {
 	// the placement view).
 	if s.cluster != nil {
 		if err := s.cluster.start(); err != nil {
-			s.cluster.close()
 			return fail(err)
 		}
 	}
 	if s.cfg.HTTPAddr != "off" {
 		s.http = transport.NewHTTP(tcfg, s.pipe)
-		s.http.SetBatchIngest(s.pipe.IngestBatch)
+		s.http.SetBatchIngest(s.edge.ingest)
 		s.http.Handle("GET /predictions", s.handlePredictions)
 		s.http.Handle("GET /statusz", s.handleStatusz)
 		if s.cluster != nil {

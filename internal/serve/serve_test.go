@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lexgen"
 	"repro/internal/loggen"
 	"repro/internal/parser"
 	"repro/internal/predictor"
@@ -210,7 +211,10 @@ func TestServeDrainBlockNoLoss(t *testing.T) {
 
 // TestServeShedCountsDrops stalls the pump behind a 2-slot queue in Shed
 // mode: the overflow must be dropped and counted, accepted+dropped must
-// equal sent, and every *accepted* line must still be processed.
+// equal sent, and every *accepted* line must still be processed. The stream
+// interleaves benign lines with lines the model keeps: the edge counts the
+// benign ones where they land, so they never wait in the queue, are never
+// shed and never count in lines_dropped — only kept lines overflow.
 func TestServeShedCountsDrops(t *testing.T) {
 	mgr, err := predictor.NewManager(loggen.DialectXC30.Chains(), loggen.DialectXC30.Inventory(),
 		predictor.Options{}, 2)
@@ -224,8 +228,23 @@ func TestServeShedCountsDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log := genTestLog(t, 3, 1)
-	lines := log.Lines()[:50]
+	var lines []string
+	for i, line := range genTestLog(t, 3, 1).Lines()[:50] {
+		lines = append(lines, line)
+		if i%2 == 0 {
+			ts, node, _, err := lexgen.ParseLine(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, phraseLine(t, loggen.DialectXC30, 1101, ts, node))
+		}
+	}
+	kept := 0
+	for _, line := range lines {
+		if _, ok, err := mgr.Model().Scanner().ScanLine(line); err == nil && ok {
+			kept++
+		}
+	}
 	cl := &Client{Base: s.httpBase()}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -244,12 +263,20 @@ func TestServeShedCountsDrops(t *testing.T) {
 	if res.Dropped == 0 {
 		t.Error("shed mode with stalled pump dropped nothing")
 	}
+	if res.Dropped > kept {
+		t.Errorf("%d lines shed, but only %d of the %d sent are lines the model keeps", res.Dropped, kept, len(lines))
+	}
 	st := s.Status()
-	if st.LinesAccepted+st.LinesDropped != int64(len(lines)) {
-		t.Errorf("status accepted(%d)+dropped(%d) != sent(%d)", st.LinesAccepted, st.LinesDropped, len(lines))
+	if st.LinesAccepted+st.LinesDropped != int64(len(lines)) || st.LinesDropped != int64(res.Dropped) {
+		t.Errorf("status accepted(%d)+dropped(%d) != sent(%d), or dropped != the ingest result's %d",
+			st.LinesAccepted, st.LinesDropped, len(lines), res.Dropped)
 	}
 	if st.Manager.LinesScanned != int(st.LinesAccepted) {
 		t.Errorf("manager scanned %d, accepted %d", st.Manager.LinesScanned, st.LinesAccepted)
+	}
+	if want := len(lines) - kept; st.Manager.Discarded != want || st.Manager.Tokens != kept-res.Dropped {
+		t.Errorf("manager discarded %d, tokens %d; want every one of the %d lines the model drops discarded and %d tokens",
+			st.Manager.Discarded, st.Manager.Tokens, want, kept-res.Dropped)
 	}
 }
 

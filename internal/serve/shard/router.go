@@ -86,7 +86,7 @@ func (r *Router) ProcessBatch(batch []string) {
 		return
 	}
 	for _, line := range batch {
-		i := r.ring.LookupIndex(routeKey(line))
+		i := r.ShardIndex(routeKey(line))
 		r.subs[i] = append(r.subs[i], line)
 	}
 	for i, sub := range r.subs {
@@ -95,6 +95,19 @@ func (r *Router) ProcessBatch(batch []string) {
 		}
 		r.subs[i] = sub[:0]
 	}
+}
+
+// ShardIndex is the index of the shard that owns the line routing key key
+// (a node ID): the Router's one placement function, shared with the serve
+// layer's edge, which counts the lines it discards on their owner. It is 0
+// with one shard and safe for concurrent use.
+//
+//aarohi:hotpath
+func (r *Router) ShardIndex(key string) int {
+	if r.ring == nil {
+		return 0
+	}
+	return r.ring.LookupIndex(key)
 }
 
 // Pending always returns 0: shards are submitted synchronously, so the

@@ -11,6 +11,7 @@
 package shard
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +26,8 @@ import (
 // level folds them into.
 type Stats struct {
 	Index int `json:"index"`
-	// Lines is the number of lines submitted to this shard.
+	// Lines is the number of lines submitted to this shard, counting the
+	// discarded lines CountDiscarded folded in without queueing them.
 	Lines int64 `json:"lines"`
 	// ParseErrors counts submitted lines the manager could not parse.
 	ParseErrors int64 `json:"parse_errors"`
@@ -208,6 +210,36 @@ func (l *Local) SubmitBatch(batch []string) {
 		// lifecycle; surface anything else rather than losing it.
 		l.cfg.Logf("serve: batch submit: %v", err)
 	}
+}
+
+// ErrEveryLine is CountDiscarded's refusal: something on the shard reads
+// every line, so its discarded lines must be queued like any other.
+var ErrEveryLine = errors.New("shard: every line must reach the shard")
+
+// CountDiscarded folds k lines that the caller parsed and scanned under
+// model, and that matched no template, into the shard's counts — as lines
+// SubmitBatch handed to the manager and the scan then discarded — without
+// queueing them. Under snapMu it admits them only when nothing on the shard
+// reads a discarded line: no journal (it keeps every raw line), no arbiter
+// (every line is a heartbeat) and no shadow (it scans with its own model);
+// otherwise it returns ErrEveryLine. A model other than the active manager's
+// (a hot-swap landed after the scan) returns predictor.ErrModelMismatch, and
+// the caller scans the lines again. Safe for concurrent use.
+//
+//aarohi:hotpath
+func (l *Local) CountDiscarded(model *predictor.Model, k int) error {
+	l.snapMu.Lock()
+	if l.shadow != nil || l.wlog != nil || l.arb != nil {
+		l.snapMu.Unlock()
+		return ErrEveryLine
+	}
+	_, err := l.Manager().ProcessScanned(&predictor.Scanned{Model: model, Discarded: k})
+	l.snapMu.Unlock()
+	if err != nil {
+		return err
+	}
+	l.lines.Add(int64(k))
+	return nil
 }
 
 // growRecs is the cold growth path of SubmitBatch's framing scratch: the

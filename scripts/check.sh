@@ -53,8 +53,9 @@ echo "==> serve persistence and crash tests under contention (-count=3 -cpu 1,2)
 go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/serve
 
 # Live runs that a replay must reproduce, the batch and shard equivalence
-# suites, and the swap and shadow paths, once more under the race detector:
-# they race the fan-out against the pump. Affordable because a model now
+# suites, the swap and shadow paths and the edge tests (a swap or a shadow
+# between a chunk's scan and its counts), once more under the race detector:
+# they race the fan-out against the pump, and the edge against both. Affordable because a model now
 # compiles once per version, not once per shard x worker.
 # The per-node order tests race the workers that feed the arbiter against
 # the fan-out, a stalled Publish and each other.
@@ -63,8 +64,8 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # overwritten as it is released, so a line kept past its lifetime fails them
 # here rather than one run in N in production.
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
-echo "==> serve replay, equivalence, swap and shadow tests, per-node order tests (race, -count=5, poisoned line stores)"
-go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|Swap|Shadow' ./internal/serve
+echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order tests (race, -count=5, poisoned line stores)"
+go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|TestEdge|Swap|Shadow' ./internal/serve
 go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk" ./internal/serve/shard ./internal/predictor
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
