@@ -86,9 +86,9 @@ func main() {
 		fatalf("%v", err)
 	}
 	if st := srv.Status(); st.Recovery != nil && st.Recovery.Performed {
-		log.Printf("aarohid: recovered snapshot@%d + %d replayed lines (%d tokenized, %d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
+		log.Printf("aarohid: recovered snapshot@%d + %d replayed lines (%d tokenized, %d discard marks, %d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
 			st.Recovery.SnapshotIndex, st.Recovery.ReplayedRecords, st.Recovery.ReplayTokens,
-			st.Recovery.RecoveredOutputs, st.Recovery.DurationSeconds,
+			st.Recovery.ReplayedMarks, st.Recovery.RecoveredOutputs, st.Recovery.DurationSeconds,
 			st.Recovery.SnapshotLoadSeconds, st.Recovery.ReplayBytes, st.Recovery.ReplaySeconds)
 	}
 	if a := srv.TCPAddr(); a != nil {

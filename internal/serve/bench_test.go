@@ -17,9 +17,10 @@ import (
 // steady-state ingest path — the edge, queue, WAL framing/append (in the wal
 // variants), sharded scan, parse — in bytes of raw log per second. Lines go
 // in as the transports hand them over: one chunk per 64 KiB framer read,
-// through the function both transports call, so the rows without a journal
-// (nowal, shards1, shards2) measure the edge dropping lines where they land
-// and the rest the queue path:
+// through the function both transports call, so every row but fwd measures
+// the edge dropping lines where they land; the journaled rows carry the model
+// registry, as aarohid does, so their dropped lines are journaled as discard
+// marks and only the kept lines take the queue path:
 //
 //	go test -run '^$' -bench BenchmarkServeIngest -benchmem ./internal/serve
 //
@@ -93,24 +94,26 @@ func BenchmarkServeIngest(b *testing.B) {
 		b.StopTimer()
 	}
 
-	b.Run("nowal", func(b *testing.B) {
-		run(b, Config{})
-	})
-	b.Run("wal", func(b *testing.B) {
-		run(b, Config{DataDir: b.TempDir()})
-	})
-	// The journal under the other two sync policies ("wal" is SyncBatch).
-	b.Run("wal-always", func(b *testing.B) {
-		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncAlways})
-	})
-	b.Run("wal-off", func(b *testing.B) {
-		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncOff})
-	})
 	model := &registry.Model{
 		Chains:    loggen.DialectXC30.Chains(),
 		Templates: loggen.DialectXC30.Inventory(),
 		Options:   predictor.Options{},
 	}
+	b.Run("nowal", func(b *testing.B) {
+		run(b, Config{})
+	})
+	b.Run("wal", func(b *testing.B) {
+		run(b, Config{Model: model, DataDir: b.TempDir()})
+	})
+	// The journal under the other two sync policies ("wal" is SyncBatch).
+	// Under SyncAlways each chunk's marks commit on the ingest goroutine
+	// and the pump commits the kept lines separately.
+	b.Run("wal-always", func(b *testing.B) {
+		run(b, Config{Model: model, DataDir: b.TempDir(), Fsync: wal.SyncAlways})
+	})
+	b.Run("wal-off", func(b *testing.B) {
+		run(b, Config{Model: model, DataDir: b.TempDir(), Fsync: wal.SyncOff})
+	})
 	// The consistent-hash router in front of one local shard, no
 	// persistence: the batch is handed through whole, whose tax should be
 	// nil against nowal.

@@ -19,12 +19,15 @@ import (
 // lines that do not parse (the pump path counts their per-shard parse
 // errors). Each shard's dropped lines are folded into its counts with one
 // Local.CountDiscarded per chunk, then counted as accepted; they never wait in
-// the queue, so they are never shed and never count in lines_dropped.
+// the queue, so they are never shed and never count in lines_dropped. A
+// shard with a journal records each as a 2-byte discard mark in the same
+// snapMu hold; its kept lines are journaled in full by the pump, as before.
 //
 // The edge runs only where no consumer reads a dropped line:
-//   - not at all with a journal (it keeps every raw line), an arbiter (every
-//     line is a heartbeat) or a cluster (peers may journal or arbitrate, and
-//     may run another model mid-rollout) — decided once, at Start;
+//   - not at all with an arbiter (every line is a heartbeat), a cluster
+//     (peers may arbitrate, and may run another model mid-rollout) or a
+//     journal without a model registry (replay could not tell which model a
+//     mark was scanned under) — decided once, at Start;
 //   - not for a shard running a shadow (it scans with its own model), checked
 //     per chunk under the shard's snapMu: the shard's lines are then queued;
 //   - not under a model the shard no longer runs: a hot-swap that lands

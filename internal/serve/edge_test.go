@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/recycle"
 	"repro/internal/registry"
+	"repro/internal/wal"
 )
 
 // The edge (edge.go) drops the lines no failure chain needs on the
@@ -20,7 +22,7 @@ import (
 // counts.
 
 // edgeServer boots a server over model with the model lifecycle on, no
-// journal, no arbiter and no listeners: the edge is on.
+// arbiter and no listeners: the edge is on, with or without cfg.DataDir.
 func edgeServer(t *testing.T, model registry.Model, cfg Config) *Server {
 	t.Helper()
 	mgr, err := predictor.NewManager(model.Chains, model.Templates, model.Options, 2)
@@ -33,9 +35,46 @@ func edgeServer(t *testing.T, model registry.Model, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	if !s.edge.on {
-		t.Fatal("edge off on a server with no journal, arbiter or cluster")
+		t.Fatal("edge off on a server with a model registry and no arbiter or cluster")
 	}
 	return s
+}
+
+// journalKinds reads the journal under dir and returns each record's kind
+// and, for a line record, its line.
+func journalKinds(t *testing.T, dir string) (kinds []string, lines []string) {
+	t.Helper()
+	wl, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wl.Close()
+	err = wl.Replay(1, func(_ uint64, p []byte) error {
+		switch {
+		case string(p) == "\x00d":
+			kinds = append(kinds, "mark")
+		case len(p) == 18 && p[0] == 0 && p[1] == 'm':
+			kinds = append(kinds, "epoch")
+		default:
+			kinds = append(kinds, "line")
+			lines = append(lines, strings.TrimPrefix(string(p), "\x00l"))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kinds, lines
+}
+
+func countKind(kinds []string, kind string) int {
+	n := 0
+	for _, k := range kinds {
+		if k == kind {
+			n++
+		}
+	}
+	return n
 }
 
 // edgeIngest hands lines to the edge in chunks of n under one producer
@@ -146,9 +185,16 @@ func collectPredictions(sub *Subscription) (keys, models []string) {
 // full one, and the whole stream is one chunk: FC6's phrases were dropped by
 // the first scan, so without the rescan FC6 never fires. Every count
 // reconciles with a sequential predictor on the new model.
+//
+// The server journals: the marks of the refused counts must not be written
+// (they would land after the epoch record, counted under the old model), so
+// the journal is the epoch record, one mark per line the new model drops and
+// the kept lines; and a restart that replays it ends where the live run did.
 func TestEdgeSwapRescansDroppedLines(t *testing.T) {
 	recycle.PoisonForTest(t.Cleanup)
-	s := edgeServer(t, xc30Model(true), Config{})
+	cfg := Config{DataDir: t.TempDir(), Fsync: wal.SyncOff}
+	s := edgeServer(t, xc30Model(true), cfg)
+	s.testSkipFinalSnapshot = true // crash: the whole journal replays
 	full := xc30Model(false)
 	entry, _, _, err := s.LoadModel(full, "test", false)
 	if err != nil {
@@ -198,16 +244,49 @@ func TestEdgeSwapRescansDroppedLines(t *testing.T) {
 	if st.Shards[0].Lines != int64(len(lines)) {
 		t.Fatalf("shard row counts %d lines, want %d", st.Shards[0].Lines, len(lines))
 	}
+
+	kinds, kept := journalKinds(t, cfg.DataDir)
+	marks := countKind(kinds, "mark")
+	if len(kinds) != 1+len(lines) || kinds[0] != "epoch" || marks != want.Discarded || len(kept) != len(lines)-want.Discarded {
+		t.Fatalf("journal of %d records (first %q), %d marks, %d lines; want the epoch record, then %d marks and %d lines",
+			len(kinds), kinds[0], marks, len(kept), want.Discarded, len(lines)-want.Discarded)
+	}
+
+	re := edgeServer(t, xc30Model(true), cfg)
+	rst := re.Status()
+	var recovered []string
+	for _, out := range re.Recovered() {
+		if out.Prediction != nil {
+			recovered = append(recovered, outKey(out))
+		}
+	}
+	shutdownServer(t, re)
+	if rst.Manager != st.Manager {
+		t.Errorf("manager after replay %+v, live run %+v", rst.Manager, st.Manager)
+	}
+	if rec := rst.Recovery; rec == nil || rec.ReplayedMarks != uint64(want.Discarded) || rec.ReplayedSwaps != 1 || rec.ReplayErrors != 0 {
+		t.Errorf("recovery %+v; want %d marks, 1 swap, no errors", rec, want.Discarded)
+	}
+	if strings.Join(recovered, "\n") != strings.Join(wantPreds, "\n") {
+		t.Errorf("recovered predictions:\n%v\nwant:\n%v", recovered, wantPreds)
+	}
+	if m := rst.Model; m == nil || m.Active != entry.Fingerprint {
+		t.Errorf("replay ended on model %+v, want %s", m, entry.Fingerprint)
+	}
 }
 
 // TestEdgeShadowQueuesEveryLine: a shadow started mid-stream — here between
 // a chunk's scan and its counts, the narrowest window — sees every line from
 // that chunk on, the dropped ones included: the shard refuses the counts and
 // the edge queues the shard's whole chunk. The primary's and the shadow's
-// counts are those of a sequential predictor over the whole stream.
+// counts are those of a sequential predictor over the whole stream. The
+// server journals: the chunks before the shadow leave a mark per dropped
+// line, and from the shadow's first chunk on every line is a line record.
 func TestEdgeShadowQueuesEveryLine(t *testing.T) {
 	recycle.PoisonForTest(t.Cleanup)
-	s := edgeServer(t, xc30Model(false), Config{})
+	cfg := Config{DataDir: t.TempDir(), Fsync: wal.SyncOff}
+	s := edgeServer(t, xc30Model(false), cfg)
+	s.testSkipFinalSnapshot = true
 	variant := xc30Model(false)
 	variant.Options = predictor.Options{Timeout: 4 * time.Minute} // same automaton, another version
 	entry, _, _, err := s.LoadModel(variant, "test", false)
@@ -264,11 +343,24 @@ func TestEdgeShadowQueuesEveryLine(t *testing.T) {
 	if st.LinesAccepted != int64(len(lines)) {
 		t.Fatalf("accepted %d, want %d", st.LinesAccepted, len(lines))
 	}
+
+	head := startAt * chunk
+	headWant, _ := sequentialStats(t, xc30Model(false), lines[:head])
+	kinds, journaled := journalKinds(t, cfg.DataDir)
+	if len(kinds) != len(lines) || countKind(kinds, "mark") != headWant.Discarded || countKind(kinds[head:], "mark") != 0 {
+		t.Fatalf("journal of %d records with %d marks (%d after record %d); want %d records, %d marks, all before the shadow",
+			len(kinds), countKind(kinds, "mark"), countKind(kinds[min(head, len(kinds)):], "mark"), head, len(lines), headWant.Discarded)
+	}
+	tail := journaled[len(journaled)-(len(lines)-head):]
+	if strings.Join(tail, "\n") != strings.Join(lines[head:], "\n") {
+		t.Fatal("the lines from the shadow's first chunk on are not journaled whole and in order")
+	}
 }
 
 // TestEdgeChunkAllocs pins the edge at zero allocations per chunk in steady
-// state, with one shard and with two: the header parse and scan in place,
-// the per-shard count, and the queueing of the kept lines.
+// state, with one shard and with two, with and without a journal: the header
+// parse and scan in place, the per-shard count and its discard marks, and the
+// queueing (and journaling) of the kept lines.
 func TestEdgeChunkAllocs(t *testing.T) {
 	lg, err := loggen.Generate(loggen.Config{
 		Dialect: loggen.DialectXC30, Seed: 3, Duration: 2 * time.Hour,
@@ -279,23 +371,34 @@ func TestEdgeChunkAllocs(t *testing.T) {
 	}
 	chunk := lg.Lines()[:512]
 	for _, shards := range []int{1, 2} {
-		s := edgeServer(t, xc30Model(false), Config{Shards: shards})
-		if !s.pipe.BeginProduce() {
-			t.Fatal("server draining before any ingest")
-		}
-		for i := 0; i < 64; i++ { // freelists, drivers and buffers reach their high-water marks
-			s.edge.ingest(chunk)
-		}
-		settled(t, s)
-		if st := s.Status(); st.Manager.Tokens == 0 || st.Manager.Discarded == 0 {
-			t.Fatalf("shards=%d: %d tokens, %d discarded: the chunk must both keep and drop lines", shards, st.Manager.Tokens, st.Manager.Discarded)
-		}
-		allocs := testing.AllocsPerRun(200, func() { s.edge.ingest(chunk) })
-		s.pipe.EndProduce()
-		shutdownServer(t, s)
-		t.Logf("shards=%d: %.2f allocs per %d-line chunk", shards, allocs, len(chunk))
-		if allocs != 0 {
-			t.Errorf("shards=%d: edge ingest %.2f allocs per chunk, want 0", shards, allocs)
+		for _, journal := range []bool{false, true} {
+			cfg := Config{Shards: shards}
+			if journal {
+				cfg.DataDir, cfg.Fsync = t.TempDir(), wal.SyncOff
+			}
+			s := edgeServer(t, xc30Model(false), cfg)
+			if !s.pipe.BeginProduce() {
+				t.Fatal("server draining before any ingest")
+			}
+			for i := 0; i < 64; i++ { // freelists, drivers and buffers reach their high-water marks
+				s.edge.ingest(chunk)
+			}
+			settled(t, s)
+			st := s.Status()
+			if st.Manager.Tokens == 0 || st.Manager.Discarded == 0 {
+				t.Fatalf("shards=%d journal=%v: %d tokens, %d discarded: the chunk must both keep and drop lines",
+					shards, journal, st.Manager.Tokens, st.Manager.Discarded)
+			}
+			if journal && (st.WAL == nil || st.WAL.LastIndex != uint64(64*len(chunk))) {
+				t.Fatalf("shards=%d: journal %+v, want one record per line (%d)", shards, st.WAL, 64*len(chunk))
+			}
+			allocs := testing.AllocsPerRun(200, func() { s.edge.ingest(chunk) })
+			s.pipe.EndProduce()
+			shutdownServer(t, s)
+			t.Logf("shards=%d journal=%v: %.2f allocs per %d-line chunk", shards, journal, allocs, len(chunk))
+			if allocs != 0 {
+				t.Errorf("shards=%d journal=%v: edge ingest %.2f allocs per chunk, want 0", shards, journal, allocs)
+			}
 		}
 	}
 }

@@ -38,15 +38,16 @@ func attributedKey(out predictor.Output) string {
 	return ""
 }
 
+// arbSnapshot is every shard's serialized arbiter state, in shard order.
 func arbSnapshot(t *testing.T, s *Server) []byte {
 	t.Helper()
-	arb := s.shards[0].Arbiter()
-	if arb == nil {
-		return nil
-	}
 	var buf bytes.Buffer
-	if err := arb.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	for _, sh := range s.shards {
+		if arb := sh.Arbiter(); arb != nil {
+			if err := arb.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return buf.Bytes()
 }
@@ -64,20 +65,25 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	// submitted before the swap). Chunks are 256 lines, with the arbiter on
 	// or off.
 	//
-	// Three more rows, on the first dialect with the arbiter off and on:
+	// Four more rows, on the first dialect with the arbiter off and on:
 	//   - long: a journal of a few hundred chunks, so scans finish out of
 	//     order whenever the scan stage has more than one goroutine running;
 	//   - new-phrase: the journal begins under the model minus one chain and
 	//     swaps to the full model, and the line right after the epoch record
 	//     tokenizes only under the new model;
-	//   - torn-tail: the journal ends in a torn record inside the last chunk.
+	//   - torn-tail: the journal ends in a torn record inside the last chunk;
+	//   - shards2: two shards, each with its own journal and epoch record.
+	//
+	// Without the arbiter, the lines the model drops are journaled as discard
+	// marks (the edge counts them on the ingest goroutine); with it, every
+	// line is journaled whole.
 	type replayCase struct {
 		arbiter  bool
 		boundary bool
 		variant  string // "" for the dialect × arbiter × boundary grid
 	}
 	cases := []replayCase{{false, false, ""}, {false, true, ""}, {true, false, ""}, {true, true, ""}}
-	for _, v := range []string{"long", "new-phrase", "torn-tail"} {
+	for _, v := range []string{"long", "new-phrase", "torn-tail", "shards2"} {
 		cases = append(cases, replayCase{false, false, v}, replayCase{true, false, v})
 	}
 	for di, d := range dialects {
@@ -175,6 +181,10 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 						malformed++
 					}
 				}
+				shards := 1
+				if tc.variant == "shards2" {
+					shards = 2
+				}
 				dir := t.TempDir()
 				boot := func() *Server {
 					mgr, err := predictor.NewManager(model.Chains, model.Templates, model.Options, 3)
@@ -184,7 +194,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 					s := New(mgr, Config{
 						TCPAddr: "off", Overflow: Block,
 						DataDir: dir, Fsync: wal.SyncOff, Model: &model,
-						Arbiter: arbCfg,
+						Arbiter: arbCfg, Shards: shards,
 					})
 					if err := s.Start(); err != nil {
 						t.Fatal(err)
@@ -231,7 +241,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				if err := json.Unmarshal(body, &up); err != nil {
 					t.Fatal(err)
 				}
-				if up.Swap.WALEpochIndex != uint64(swapAt)+1 {
+				if shards == 1 && up.Swap.WALEpochIndex != uint64(swapAt)+1 {
 					t.Fatalf("epoch record at %d, want %d (right after line %d)", up.Swap.WALEpochIndex, swapAt+1, swapAt)
 				}
 				feed(lines[swapAt:])
@@ -247,7 +257,8 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				if len(want.keys) == 0 {
 					t.Fatal("live run produced no outputs; the comparison would be vacuous")
 				}
-				wantStats := live.Status().Manager
+				liveSt := live.Status()
+				wantStats := liveSt.Manager
 				if tc.variant == "torn-tail" {
 					tearJournalTail(t, filepath.Join(dir, "wal"), lines[len(lines)-1])
 				}
@@ -277,9 +288,23 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 				if rec == nil {
 					t.Fatal("no recovery block after restart")
 				}
-				if rec.ReplayedRecords != uint64(len(lines))+1 || rec.ReplayErrors != uint64(malformed) || rec.ReplayedSwaps != 1 {
-					t.Errorf("recovery replayed %d records, %d errors, %d swaps; want %d lines + 1 epoch, %d, 1",
-						rec.ReplayedRecords, rec.ReplayErrors, rec.ReplayedSwaps, len(lines), malformed)
+				if rec.ReplayedRecords != uint64(len(lines)+shards) || rec.ReplayErrors != uint64(malformed) || rec.ReplayedSwaps != uint64(shards) {
+					t.Errorf("recovery replayed %d records, %d errors, %d swaps; want %d lines + %d epochs, %d, %[5]d",
+						rec.ReplayedRecords, rec.ReplayErrors, rec.ReplayedSwaps, len(lines), shards, malformed)
+				}
+				if liveSt.ParseErrors != int64(malformed) {
+					t.Errorf("live run counted %d parse errors, want %d", liveSt.ParseErrors, malformed)
+				}
+				// Both halves of the stream were settled before the swap and
+				// the crash, so every line the live run dropped was dropped at
+				// the edge: a mark each without the arbiter, none with it.
+				wantMarks := uint64(wantStats.Discarded)
+				if tc.arbiter {
+					wantMarks = 0
+				}
+				if rec.ReplayedMarks != wantMarks || wantStats.Discarded == 0 {
+					t.Errorf("arbiter=%v: replayed %d discard marks, want %d (live run discarded %d)", tc.arbiter,
+						rec.ReplayedMarks, wantMarks, wantStats.Discarded)
 				}
 				if rec.RecoveredOutputs != len(want.keys) {
 					t.Errorf("recovery reports %d outputs, live run delivered %d", rec.RecoveredOutputs, len(want.keys))

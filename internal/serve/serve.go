@@ -14,7 +14,7 @@
 //
 // This package is the composition root: it wires transports over the
 // pipeline through the edge (edge.go: it drops the lines no failure chain
-// needs when nothing else reads them), the pipeline over the shard Router
+// needs unless something else reads them), the pipeline over the shard Router
 // (which consistent-hashes each line's node ID onto one of Config.Shards
 // partitions and submits each partition's share on the pump goroutine), and
 // the lifecycle Group over the shard set. With Shards == 1 the router hands each batch through whole and
@@ -128,7 +128,9 @@ type Config struct {
 
 	// DataDir enables durability: a write-ahead journal of every accepted
 	// line plus periodic parse-state snapshots live under it, and Start
-	// recovers from them before opening listeners. Empty disables
+	// recovers from them before opening listeners. With Model set and no
+	// Arbiter or Cluster, a line the active model drops is journaled as a
+	// 2-byte discard mark instead of in full (edge.go). Empty disables
 	// persistence entirely. With Shards > 1 each shard keeps its own
 	// journal and snapshots under DataDir/shard-<i>; with Shards == 1 the
 	// layout is byte-identical to the pre-sharding daemon.
@@ -422,11 +424,13 @@ func (s *Server) Start() error {
 	}
 	s.pipe = pipeline.New(pcfg, sink)
 	s.pipe.TestHookDelay = s.testHookPumpDelay
-	// Lines the model drops are counted where they land only when nothing
-	// reads them: a journal keeps every raw line, an arbiter takes every line
-	// as a heartbeat, and peers may do either. Shadows and swaps are checked
-	// per chunk, at the shard.
-	s.edge = newEdge(s.pipe, s.router, s.shards, s.cfg.DataDir == "" && s.cfg.Arbiter == nil && s.cfg.Cluster == nil)
+	// Lines the model drops are counted where they land unless something
+	// reads them: an arbiter takes every line as a heartbeat, and peers may
+	// arbitrate or run another model. A journal records each as a discard
+	// mark, which replay can attribute to a model only through the registry.
+	// Shadows and swaps are checked per chunk, at the shard.
+	s.edge = newEdge(s.pipe, s.router, s.shards,
+		(s.cfg.DataDir == "" || s.cfg.Model != nil) && s.cfg.Arbiter == nil && s.cfg.Cluster == nil)
 
 	// On listener failure, unwind what Start already spun up so no
 	// goroutine or journal handle leaks.

@@ -13,7 +13,8 @@ import (
 )
 
 // Durability: when Config.Dir is set, every submitted line is appended to a
-// write-ahead journal before it reaches the Manager, and the Manager's
+// write-ahead journal before it reaches the Manager — a line counted with
+// CountDiscarded as a 2-byte discard mark — and the Manager's
 // complete parse state is periodically checkpointed. Open loads the newest
 // valid snapshot and replays the journal tail through the Manager — before
 // any listener opens — so a SIGKILL at any instant costs at most the lines
@@ -81,6 +82,10 @@ type RecoveryStatus struct {
 	// that reached the parser; over ReplayedRecords it is the restart's
 	// FC-related fraction (the paper's Fig. 12).
 	ReplayTokens uint64 `json:"replay_tokens,omitempty"`
+	// ReplayedMarks counts the replayed discard marks: lines the live run
+	// dropped at the edge and journaled as a 2-byte mark instead of in full.
+	// They are part of ReplayedRecords and were never scanned again.
+	ReplayedMarks uint64 `json:"replayed_marks,omitempty"`
 }
 
 // Add folds another shard's recovery block into r and returns the result,
@@ -105,6 +110,7 @@ func (r *RecoveryStatus) Add(o *RecoveryStatus) *RecoveryStatus {
 	r.ReplayBytes += o.ReplayBytes
 	r.ReplayedSwaps += o.ReplayedSwaps
 	r.ReplayTokens += o.ReplayTokens
+	r.ReplayedMarks += o.ReplayedMarks
 	return r
 }
 
@@ -231,8 +237,8 @@ func (l *Local) Open(reg *registry.Registry) error {
 	l.recovery = &rec
 	l.lastSnapshotIdx.Store(off)
 	if rec.Performed {
-		l.cfg.Logf("serve: recovered from snapshot@%d + %d replayed lines (%d tokenized, %d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
-			rec.SnapshotIndex, rec.ReplayedRecords, rec.ReplayTokens, rec.RecoveredOutputs, rec.DurationSeconds,
+		l.cfg.Logf("serve: recovered from snapshot@%d + %d replayed lines (%d tokenized, %d discard marks, %d outputs) in %.3fs (snapshot load %.3fs, replay of %d bytes %.3fs)",
+			rec.SnapshotIndex, rec.ReplayedRecords, rec.ReplayTokens, rec.ReplayedMarks, rec.RecoveredOutputs, rec.DurationSeconds,
 			rec.SnapshotLoadSeconds, rec.ReplayBytes, rec.ReplaySeconds)
 	}
 	return nil

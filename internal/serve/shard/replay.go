@@ -18,7 +18,9 @@ import (
 //     verified as it reads — copies line records into a fixed pool of reused
 //     chunks, cutting one at replayChunkLines lines or replayChunkBytes bytes
 //     and at every model-epoch record, whose model it resolves on the spot so
-//     the chunks after it scan under that model.
+//     the chunks after it scan under that model. A discard mark only adds one
+//     to the Discarded count of the chunk being filled: no copy, no parse, no
+//     scan, and no place toward the chunk's line bound.
 //   - The scan stage, replayScanners goroutines, parses and scans each chunk
 //     in place and copies out only the lines that tokenize — with the
 //     arbiter on, every parseable line, the rest as core.NoPhrase tokens, so
@@ -216,6 +218,18 @@ func (r *replay) line(body []byte) error {
 	return nil
 }
 
+// mark adds one discard mark: a line the live run scanned under the model
+// the chunk scans under and dropped. Counts commute, so the mark need not
+// keep its place among the chunk's lines.
+func (r *replay) mark() error {
+	c, err := r.chunk()
+	if err != nil {
+		return err
+	}
+	c.out.Discarded++
+	return nil
+}
+
 // swap records a model-epoch record at idx: the lines before it go out as one
 // chunk the sequencer follows with the swap, and the lines after it scan
 // under model.
@@ -286,6 +300,9 @@ func (l *Local) replayJournal(wl *wal.Log, from uint64, rec *RecoveryStatus) err
 		switch kind {
 		case recKindLine:
 			return r.line(body)
+		case recKindMark:
+			rec.ReplayedMarks++
+			return r.mark()
 		case recKindEpoch:
 			// A model hot-swap happened here: re-execute it so the rest of
 			// the journal replays against the model it was written under.

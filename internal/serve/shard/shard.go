@@ -85,7 +85,9 @@ type Local struct {
 	// (WAL append, ProcessLineBatch) step against snapshots and swaps.
 	wlog            *wal.Log
 	snapMu          sync.Mutex
-	walRecs         [][]byte // per-element capacity reused across batches
+	walBuf          []byte   // a batch's line records back to back, reused across batches
+	walRecs         [][]byte // the records in walBuf
+	markRecs        [][]byte // every element is markRecord; grows to the largest chunk's marks
 	snapshots       atomic.Int64
 	lastSnapshotIdx atomic.Uint64
 	recovery        *RecoveryStatus
@@ -171,21 +173,30 @@ func (l *Local) Stats() Stats {
 func (l *Local) Flush() error { return l.Manager().Flush() }
 
 // SubmitBatch journals and dispatches one batch under snapMu: every line is
-// framed into a reused record buffer, the group hits the WAL as one
-// AppendBatch, and the Manager receives it as one ProcessLineBatch — the
+// framed into one reused buffer, the group hits the WAL as one AppendBatch,
+// and the Manager receives it as one ProcessLineBatch — the
 // WAL-append-before-parse invariant, at batch granularity.
 //
 //aarohi:hotpath
 func (l *Local) SubmitBatch(batch []string) {
 	l.snapMu.Lock()
 	if l.wlog != nil {
-		if len(batch) > len(l.walRecs) {
-			l.walRecs = growRecs(l.walRecs, len(batch))
+		n := 0
+		for _, line := range batch {
+			n += len(line) + 2 // a record is at most its line and the NUL escape
 		}
+		if n > cap(l.walBuf) || len(batch) > cap(l.walRecs) {
+			l.growFraming(len(batch), n)
+		}
+		// walBuf holds the whole batch, so no append moves it: each record
+		// stays a view of it.
+		buf, recs := l.walBuf[:0], l.walRecs[:len(batch)]
 		for i, line := range batch {
-			l.walRecs[i] = encodeLineRecordInto(l.walRecs[i][:0], line)
+			start := len(buf)
+			buf = appendLineRecord(buf, line)
+			recs[i] = buf[start:]
 		}
-		if _, err := l.wlog.AppendBatch(l.walRecs[:len(batch)]); err != nil {
+		if _, err := l.wlog.AppendBatch(recs); err != nil {
 			// Journal failure is fatal for durability but not for
 			// prediction: log loudly and keep serving.
 			l.cfg.Logf("serve: wal append: %v", err)
@@ -219,21 +230,38 @@ var ErrEveryLine = errors.New("shard: every line must reach the shard")
 // CountDiscarded folds k lines that the caller parsed and scanned under
 // model, and that matched no template, into the shard's counts — as lines
 // SubmitBatch handed to the manager and the scan then discarded — without
-// queueing them. Under snapMu it admits them only when nothing on the shard
-// reads a discarded line: no journal (it keeps every raw line), no arbiter
-// (every line is a heartbeat) and no shadow (it scans with its own model);
-// otherwise it returns ErrEveryLine. A model other than the active manager's
-// (a hot-swap landed after the scan) returns predictor.ErrModelMismatch, and
-// the caller scans the lines again. Safe for concurrent use.
+// queueing them. Under one snapMu hold it checks the model, journals one
+// discard mark per line and counts them, so a snapshot or a swap sees the
+// marks and the counts together, and a mark always lands ahead of the epoch
+// record of any later model. It refuses with ErrEveryLine when something on
+// the shard reads a discarded line: an arbiter (every line is a heartbeat),
+// a shadow (it scans with its own model), or a journal without a model
+// registry (replay could not tell which model a mark was scanned under). A
+// model other than the active manager's (a hot-swap landed after the scan)
+// returns predictor.ErrModelMismatch, and the caller scans the lines again.
+// Safe for concurrent use.
 //
 //aarohi:hotpath
 func (l *Local) CountDiscarded(model *predictor.Model, k int) error {
 	l.snapMu.Lock()
-	if l.shadow != nil || l.wlog != nil || l.arb != nil {
+	if l.shadow != nil || l.arb != nil || (l.wlog != nil && l.registry == nil) {
 		l.snapMu.Unlock()
 		return ErrEveryLine
 	}
-	_, err := l.Manager().ProcessScanned(&predictor.Scanned{Model: model, Discarded: k})
+	mgr := l.Manager()
+	if model == nil || model.FingerprintHex() != mgr.FingerprintHex() {
+		l.snapMu.Unlock()
+		return predictor.ErrModelMismatch
+	}
+	if l.wlog != nil {
+		for len(l.markRecs) < k {
+			l.markRecs = append(l.markRecs, markRecord)
+		}
+		if _, err := l.wlog.AppendBatch(l.markRecs[:k]); err != nil {
+			l.cfg.Logf("serve: wal append: %v", err)
+		}
+	}
+	_, err := mgr.ProcessScanned(&predictor.Scanned{Model: model, Discarded: k})
 	l.snapMu.Unlock()
 	if err != nil {
 		return err
@@ -242,13 +270,16 @@ func (l *Local) CountDiscarded(model *predictor.Model, k int) error {
 	return nil
 }
 
-// growRecs is the cold growth path of SubmitBatch's framing scratch: the
-// slice reaches the high-water batch size once and is element-reused forever.
-func growRecs(recs [][]byte, n int) [][]byte {
-	for len(recs) < n {
-		recs = append(recs, nil)
+// growFraming is the cold growth path of SubmitBatch's framing scratch: it
+// reaches the high-water batch (lines, and bytes with room to spare) and is
+// reused from then on.
+func (l *Local) growFraming(lines, bytes int) {
+	if bytes > cap(l.walBuf) {
+		l.walBuf = make([]byte, 0, 2*bytes)
 	}
-	return recs
+	if lines > cap(l.walRecs) {
+		l.walRecs = make([][]byte, lines)
+	}
 }
 
 // FinishIngest runs after the last Submit call: it checkpoints the final

@@ -8,21 +8,24 @@ import (
 
 // WAL record framing: raw log lines are stored verbatim, except that a line
 // beginning with NUL is escaped ("\x00l" + line); a model-epoch record is
-// "\x00m" + the 16-hex fingerprint. Journals written before model epochs
-// existed contain only verbatim lines and replay unchanged.
+// "\x00m" + the 16-hex fingerprint; a discard mark is exactly "\x00d" and
+// stands for one line the active model scanned and dropped (CountDiscarded).
+// Journals written before model epochs or marks existed contain only
+// verbatim lines and replay unchanged.
 const (
 	recKindLine = iota
 	recKindEpoch
+	recKindMark
 	recKindUnknown
 )
 
-// encodeLineRecordInto frames line into dst's storage (dst is truncated
-// first) and returns the result — SubmitBatch reuses each record slot's
-// scratch across batches, so steady-state appends allocate nothing.
+// markRecord is the discard mark's payload, shared by every mark appended.
+var markRecord = []byte{0, 'd'}
+
+// appendLineRecord appends line's record to dst.
 //
 //aarohi:hotpath
-func encodeLineRecordInto(dst []byte, line string) []byte {
-	dst = dst[:0]
+func appendLineRecord(dst []byte, line string) []byte {
 	if len(line) > 0 && line[0] == 0 {
 		dst = append(dst, 0, 'l')
 	}
@@ -47,6 +50,9 @@ func decodeRecordBytes(payload []byte) (kind int, body []byte) {
 	}
 	if len(payload) == 18 && payload[1] == 'm' {
 		return recKindEpoch, payload[2:]
+	}
+	if len(payload) == 2 && payload[1] == 'd' {
+		return recKindMark, nil
 	}
 	return recKindUnknown, nil
 }

@@ -39,7 +39,7 @@ func TestStatuszGolden(t *testing.T) {
 			},
 			Recovery: &RecoveryStatus{
 				Performed: true, SnapshotIndex: 456, ReplayedRecords: 56,
-				RecoveredOutputs: 1, DurationSeconds: 0.25,
+				RecoveredOutputs: 1, DurationSeconds: 0.25, ReplayedMarks: 49,
 			},
 			Arbiter: &arbiter.Status{
 				StreamClock: clock, Nodes: 3, Down: 1, Heartbeats: 120, Predictions: 9, Failures: 1,
@@ -57,7 +57,7 @@ func TestStatuszGolden(t *testing.T) {
 				Segments: 1, SnapshotsWritten: 2, LastSnapshotIndex: 240,
 			},
 			Recovery: &RecoveryStatus{
-				Performed: true, SnapshotIndex: 432, ReplayedRecords: 51, DurationSeconds: 0.25,
+				Performed: true, SnapshotIndex: 432, ReplayedRecords: 51, DurationSeconds: 0.25, ReplayedMarks: 44,
 			},
 			Arbiter: &arbiter.Status{
 				StreamClock: clock, Nodes: 3, Heartbeats: 118, Predictions: 7,

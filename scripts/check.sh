@@ -54,9 +54,12 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 
 # Live runs that a replay must reproduce, the batch and shard equivalence
 # suites, the swap and shadow paths and the edge tests (a swap or a shadow
-# between a chunk's scan and its counts), once more under the race detector:
-# they race the fan-out against the pump, and the edge against both. Affordable because a model now
+# between a chunk's scan and its counts, with discard marks journaled), once
+# more under the race detector: they race the fan-out against the pump, and
+# the edge against both. Affordable because a model now
 # compiles once per version, not once per shard x worker.
+# The journal-format tests replay the committed journals (with and without
+# discard marks) through the concurrent replay stages.
 # The per-node order tests race the workers that feed the arbiter against
 # the fan-out, a stalled Publish and each other.
 # The equivalence and order tests turn on recycle.TestHookPoison themselves:
@@ -64,9 +67,10 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # overwritten as it is released, so a line kept past its lifetime fails them
 # here rather than one run in N in production.
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
-echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order tests (race, -count=5, poisoned line stores)"
+JOURNAL_TESTS='TestDecodeRecordBytes|TestReplayJournalFixtures|TestReplayCountsUnknownRecords|TestCountDiscardedNeedsRegistry'
+echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order and journal-format tests (race, -count=5, poisoned line stores)"
 go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|TestEdge|Swap|Shadow' ./internal/serve
-go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk" ./internal/serve/shard ./internal/predictor
+go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS" ./internal/serve/shard ./internal/predictor
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
 # one after another, several finish chunks out of journal order. The default
