@@ -59,6 +59,9 @@ func TestScanAllocFree(t *testing.T) {
 	}
 }
 
+// TestParseLineAllocFree pins ParseLine and both forms of LineParser at zero
+// allocations, the parsers on a date cache hit (the steady state) and on a
+// miss.
 func TestParseLineAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() {
 		if _, _, _, err := ParseLine(allocTestLine); err != nil {
@@ -67,13 +70,21 @@ func TestParseLineAllocFree(t *testing.T) {
 	}); allocs > 0 {
 		t.Fatalf("ParseLine allocates %.1f objects per run, want 0", allocs)
 	}
-	lineBytes := []byte(allocTestLine)
+	nextDay := "2015-03-15" + allocTestLine[10:]
+	var p, bp LineParser
+	lines := []string{allocTestLine, allocTestLine, nextDay}
+	lineBytes := [][]byte{[]byte(allocTestLine), []byte(allocTestLine), []byte(nextDay)}
+	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := ParseLineBytes(lineBytes); err != nil {
+		if _, _, _, err := p.Parse(lines[i%3]); err != nil {
 			t.Fatal(err)
 		}
+		if _, _, _, err := bp.ParseBytes(lineBytes[i%3]); err != nil {
+			t.Fatal(err)
+		}
+		i++
 	}); allocs > 0 {
-		t.Fatalf("ParseLineBytes allocates %.1f objects per run, want 0", allocs)
+		t.Fatalf("LineParser allocates %.1f objects per run, want 0", allocs)
 	}
 }
 

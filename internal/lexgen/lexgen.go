@@ -9,6 +9,13 @@
 // wildcards, e.g. "DVS: verify filesystem: *". A template matches a message
 // when it matches a prefix of the message body; variable suffixes (hex
 // values, node IDs, paths) are never inspected further.
+//
+// The package also splits raw log lines (LineFormat) into timestamp, node
+// and message. ParseLine is the stateless form; a LineParser remembers the
+// date of the last canonical timestamp it read, so a stream's lines, which
+// share one date for a whole day, validate and convert only their clock.
+// Every caller that parses line after line on one goroutine — the daemon's
+// edge, the manager's batch builder, boot replay's chunks — owns one.
 package lexgen
 
 import (
@@ -182,11 +189,42 @@ func FCTemplates(inventory []core.Template, rs *core.RuleSet) []core.Template {
 const LineFormat = "2006-01-02T15:04:05.000Z07:00"
 
 // ParseLine splits a raw log line into timestamp, node ID and message body.
+// It is the stateless form of LineParser.Parse: each call starts with an
+// empty date cache.
 //
 //aarohi:hotpath
 func ParseLine(line string) (ts time.Time, node, msg string, err error) {
+	var p LineParser
+	return p.Parse(line)
+}
+
+// LineParser is ParseLine with a one-entry date cache: it keeps the date
+// (YYYY-MM-DD) of the last canonical timestamp it decoded, with that date's
+// time at midnight, so a line stamped on the same day validates and converts
+// only its clock (hh:mm:ss.mmm). A log stream changes date once a day, so the
+// calendar arithmetic and the date's five digit pairs drop out of nearly
+// every line. The result is exactly ParseLine's for every input: the cache
+// only holds a date that validated, a hit is a byte-for-byte match with it
+// (so the same date would decode to the same midnight), and the clock and
+// everything after the timestamp take the uncached path. The zero value is
+// ready to use. A LineParser is not safe for concurrent use: give each
+// goroutine, or each unit of work that one goroutine holds at a time, its
+// own.
+type LineParser struct {
+	// lo and hi are the cached date's bytes 0-7 and 8-9, little-endian, so a
+	// hit is two integer compares; ok is false until a date is cached.
+	lo       uint64
+	hi       uint16
+	ok       bool
+	midnight int64 // the cached date's midnight UTC, in Unix seconds
+}
+
+// Parse is ParseLine through p's date cache.
+//
+//aarohi:hotpath
+func (p *LineParser) Parse(line string) (ts time.Time, node, msg string, err error) {
 	sp1 := canonicalLen
-	ts, ok := parseCanonicalField(line)
+	ts, ok := canonicalField(p, line)
 	if !ok {
 		if sp1 = strings.IndexByte(line, ' '); sp1 < 0 {
 			return time.Time{}, "", "", errNoTimestamp(line)
@@ -203,15 +241,15 @@ func ParseLine(line string) (ts time.Time, node, msg string, err error) {
 	return ts, rest[:sp2], rest[sp2+1:], nil
 }
 
-// ParseLineBytes is ParseLine over a byte slice: node and msg are subslices
-// of line (no copies), valid only as long as the caller keeps line alive —
-// the WAL-replay and ingest paths parse, consume, and drop them before
-// reusing the buffer.
+// ParseBytes is Parse over a byte slice: node and msg are subslices of line
+// (no copies), valid only as long as the caller keeps line alive — the
+// WAL-replay path parses, consumes, and drops them before reusing the
+// buffer.
 //
 //aarohi:hotpath
-func ParseLineBytes(line []byte) (ts time.Time, node, msg []byte, err error) {
+func (p *LineParser) ParseBytes(line []byte) (ts time.Time, node, msg []byte, err error) {
 	sp1 := canonicalLen
-	ts, ok := parseCanonicalField(line)
+	ts, ok := canonicalField(p, line)
 	if !ok {
 		if sp1 = bytes.IndexByte(line, ' '); sp1 < 0 {
 			return time.Time{}, nil, nil, errNoTimestamp(line)
@@ -231,17 +269,64 @@ func ParseLineBytes(line []byte) (ts time.Time, node, msg []byte, err error) {
 // canonicalLen is the length of the canonical timestamp FormatLine writes.
 const canonicalLen = len("2015-03-14T04:58:57.640Z")
 
-// parseCanonicalField reports whether line starts with a canonical timestamp
-// and a space, and decodes it. A canonical timestamp holds no space, so its
-// field is then exactly the one a search for the first space would find —
-// the search is skipped, not changed.
+// canonicalField reports whether line starts with a canonical timestamp and a
+// space, and decodes it through p's date cache. A canonical timestamp holds
+// no space, so its field is then exactly the one a search for the first
+// space would find — the search is skipped, not changed.
 //
 //aarohi:hotpath
-func parseCanonicalField[T ~string | ~[]byte](line T) (time.Time, bool) {
+func canonicalField[T ~string | ~[]byte](p *LineParser, line T) (time.Time, bool) {
 	if len(line) <= canonicalLen || line[canonicalLen] != ' ' {
 		return time.Time{}, false
 	}
-	return parseCanonical(line[:canonicalLen])
+	return decodeCanonical(p, line[:canonicalLen])
+}
+
+// decodeCanonical is parseCanonical through p's date cache, for an s of
+// canonicalLen bytes: a date that matches the cached one byte for byte is
+// not decoded again, and one that does not validate leaves the cache as it
+// was. It counts days with civil-calendar arithmetic instead of time.Date,
+// whose month and day normalization the range checks have already made
+// unnecessary.
+//
+//aarohi:hotpath
+func decodeCanonical[T ~string | ~[]byte](p *LineParser, s T) (time.Time, bool) {
+	if lo, hi := le64(s), le16(s[8:]); !p.ok || lo != p.lo || hi != p.hi {
+		if s[4] != '-' || s[7] != '-' {
+			return time.Time{}, false
+		}
+		year, ok0 := atoi4(s, 0)
+		month, ok1 := atoi2(s, 5)
+		day, ok2 := atoi2(s, 8)
+		if !ok0 || !ok1 || !ok2 || month < 1 || month > 12 || day < 1 || day > daysIn(year, month) {
+			return time.Time{}, false
+		}
+		p.lo, p.hi, p.ok, p.midnight = lo, hi, true, daysFromCivil(year, month, day)*86400
+	}
+	if s[10] != 'T' || s[13] != ':' || s[16] != ':' || s[19] != '.' || s[23] != 'Z' {
+		return time.Time{}, false
+	}
+	hour, ok0 := atoi2(s, 11)
+	min, ok1 := atoi2(s, 14)
+	sec, ok2 := atoi2(s, 17)
+	ms, ok3 := atoi3(s, 20)
+	if !ok0 || !ok1 || !ok2 || !ok3 || hour >= 24 || min >= 60 || sec >= 60 {
+		return time.Time{}, false
+	}
+	return time.Unix(p.midnight+int64(hour*3600+min*60+sec), int64(ms)*1e6).UTC(), true
+}
+
+// le64 and le16 read s's first 8 and 2 bytes as little-endian words (the
+// compiler merges the byte loads into one).
+func le64[T ~string | ~[]byte](s T) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func le16[T ~string | ~[]byte](s T) uint16 {
+	_ = s[1]
+	return uint16(s[0]) | uint16(s[1])<<8
 }
 
 // parseTimestamp decodes a timestamp field: the canonical layout through
@@ -262,29 +347,14 @@ func parseTimestamp[T ~string | ~[]byte](s T) (time.Time, error) {
 // that time.Parse(RFC3339Nano) accepts, including the day-of-month range
 // check, returns a Time == to the one time.Parse returns (time.Unix(...).UTC()
 // and time.Date(..., time.UTC) build the same value), and allocates nothing.
-// It counts days with civil-calendar arithmetic instead of time.Date, whose
-// month and day normalization the range checks have already made
-// unnecessary.
 //
 //aarohi:hotpath
 func parseCanonical[T ~string | ~[]byte](s T) (time.Time, bool) {
-	if len(s) == canonicalLen && s[4] == '-' && s[7] == '-' && s[10] == 'T' &&
-		s[13] == ':' && s[16] == ':' && s[19] == '.' && s[23] == 'Z' {
-		year, ok0 := atoi4(s, 0)
-		month, ok1 := atoi2(s, 5)
-		day, ok2 := atoi2(s, 8)
-		hour, ok3 := atoi2(s, 11)
-		min, ok4 := atoi2(s, 14)
-		sec, ok5 := atoi2(s, 17)
-		ms, ok6 := atoi3(s, 20)
-		if ok0 && ok1 && ok2 && ok3 && ok4 && ok5 && ok6 &&
-			month >= 1 && month <= 12 && day >= 1 && day <= daysIn(year, month) &&
-			hour < 24 && min < 60 && sec < 60 {
-			secs := daysFromCivil(year, month, day)*86400 + int64(hour*3600+min*60+sec)
-			return time.Unix(secs, int64(ms)*1e6).UTC(), true
-		}
+	if len(s) != canonicalLen {
+		return time.Time{}, false
 	}
-	return time.Time{}, false
+	var p LineParser
+	return decodeCanonical(&p, s)
 }
 
 // parseTimestampSlow is the cold fallback; the string conversion and

@@ -185,6 +185,34 @@ func TestParseTimestampCalendarSweep(t *testing.T) {
 	}
 }
 
+// TestParseClockSweep holds the clock decode to time.Parse on every second
+// of a day and on every byte value at each position of the clock, through
+// the stateless parse and a LineParser whose date is cached.
+func TestParseClockSweep(t *testing.T) {
+	var p LineParser
+	check := func(stamp string) {
+		t.Helper()
+		want, werr := time.Parse(time.RFC3339Nano, stamp)
+		for _, parse := range []func(string) (time.Time, string, string, error){ParseLine, p.Parse} {
+			got, _, _, err := parse(stamp + " node msg")
+			if (err == nil) != (werr == nil) || (err == nil && got != want) {
+				t.Fatalf("%q: parsed (%v, %v), time.Parse (%v, %v)", stamp, got, err, want, werr)
+			}
+		}
+	}
+	for sec := 0; sec < 86400; sec++ {
+		check(fmt.Sprintf("2015-03-14T%02d:%02d:%02d.%03dZ", sec/3600, sec/60%60, sec%60, sec%1000))
+	}
+	const base = "2015-03-14T12:34:56.789Z"
+	for i := 11; i < 23; i++ {
+		for c := 0; c < 256; c++ {
+			b := []byte(base)
+			b[i] = byte(c)
+			check(string(b))
+		}
+	}
+}
+
 func TestScanLine(t *testing.T) {
 	s, err := NewScanner(tableIIITemplates())
 	if err != nil {

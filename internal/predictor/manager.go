@@ -28,7 +28,9 @@ var ErrClosed = errors.New("predictor: manager closed")
 // sharding turns that independence into multicore throughput.
 //
 // Lines reach the workers in batches: ProcessLineBatch and ProcessScanned
-// send each worker one batch per call, and ProcessLine is a batch of one.
+// send each worker one batch per call, and ProcessLine is a batch of one. A
+// line already scanned and discarded (ProcessScanned's count) changes no
+// parse state, so it rides no batch: the manager counts it itself.
 //
 // Lifecycle: the Process* calls may be made from any number of goroutines
 // concurrently with each other, with Stats, and with Close. After Close, they
@@ -46,6 +48,11 @@ type Manager struct {
 	// Results closes, Stats().LinesScanned reconciles with it exactly: every
 	// accepted line is counted by exactly one scan.
 	accepted atomic.Uint64
+
+	// discarded counts the lines ProcessScanned accepted as scanned and
+	// discarded, which no worker sees; Stats, ExportState and so a hot-swap's
+	// migration fold it into the workers' counters.
+	discarded atomic.Uint64
 
 	mu     sync.RWMutex // guards closed; held (R) across worker sends
 	closed bool
@@ -103,24 +110,24 @@ type batchEntry struct {
 }
 
 // eventBatch is the share of one Process* call bound for a single worker:
-// parsed lines to scan (ProcessLineBatch), or tokens already scanned plus the
-// call's discarded-line count on the first worker it reaches
+// parsed lines to scan (ProcessLineBatch), or tokens already scanned
 // (ProcessScanned). The caller's lines are only valid for the call, so a
 // line's node and message travel in buf, which the batch owns until the
 // worker has run the observer on it. Shells cycle through Manager.batchFree
 // so steady-state batching never allocates.
 type eventBatch struct {
-	entries   []batchEntry
-	buf       []byte
-	toks      []core.Token
-	discarded int
+	entries []batchEntry
+	buf     []byte
+	toks    []core.Token
 }
 
-// batchBuilder is the per-call scatter table of a Process* call: one slot per
-// worker, filled lazily as lines route to workers. Shells cycle through
-// Manager.builderFree.
+// batchBuilder is the per-call scatter table of a ProcessLineBatch call: one
+// slot per worker, filled lazily as lines route to workers, and the call's
+// line parser, whose date cache carries over to the builder's next call.
+// Shells cycle through Manager.builderFree.
 type batchBuilder struct {
 	shards []*eventBatch
+	parser lexgen.LineParser
 }
 
 // maxInflightBatches bounds the batches queued to or running on one worker.
@@ -235,8 +242,6 @@ func (m *Manager) runBatch(w *managerWorker, eb *eventBatch) {
 	for _, tok := range eb.toks {
 		m.feed(w, tok, obs != nil)
 	}
-	w.pred.linesScanned += eb.discarded
-	w.pred.discarded += eb.discarded
 	w.mu.Unlock()
 	<-w.slots
 	for i := range w.outs {
@@ -356,7 +361,7 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 	b := m.getBuilder()
 	n := 0
 	for _, line := range lines {
-		ts, node, msg, perr := lexgen.ParseLine(line)
+		ts, node, msg, perr := b.parser.Parse(line)
 		if perr != nil {
 			parseErrs++
 			continue
@@ -374,7 +379,7 @@ func (m *Manager) ProcessLineBatch(lines []string) (parseErrs int, err error) {
 		m.putBuilder(b)
 		return parseErrs, nil
 	}
-	return parseErrs, m.dispatch(b, n)
+	return parseErrs, m.dispatch(b, n, 0)
 }
 
 // grow is the cold path of ProcessLineBatch's copy-in: it makes room in eb
@@ -410,30 +415,40 @@ func (m *Manager) shardOf(b *batchBuilder, node string) *eventBatch {
 	return *eb
 }
 
-// dispatch sends every batch of b to its worker, n lines in all, while
-// holding the read side of the close lock, so a concurrent Close can never
-// close a worker channel mid-send. After Close nothing is sent, nothing is
-// counted, and the shells go back to the freelist.
+// dispatch sends every batch of b to its worker, n lines in all, and counts
+// discarded lines that ride no batch, while holding the read side of the
+// close lock, so a concurrent Close can never close a worker channel
+// mid-send. b is nil when there is no batch to send. After Close nothing is
+// sent, nothing is counted, and the shells go back to the freelist.
 //
 //aarohi:hotpath
-func (m *Manager) dispatch(b *batchBuilder, n int) error {
+func (m *Manager) dispatch(b *batchBuilder, n, discarded int) error {
 	m.mu.RLock()
 	if m.closed {
 		m.mu.RUnlock()
-		for i, eb := range b.shards {
-			if eb != nil {
-				b.shards[i] = nil
-				m.putBatch(eb)
+		if b != nil {
+			for i, eb := range b.shards {
+				if eb != nil {
+					b.shards[i] = nil
+					m.putBatch(eb)
+				}
 			}
+			m.putBuilder(b)
 		}
-		m.putBuilder(b)
 		return ErrClosed
 	}
 	// Count the whole group before the first enqueue: inside the RLock with
 	// closed == false delivery is guaranteed, and counting first keeps the
 	// invariant Accepted() >= processed at every instant (Stats readers
 	// observe the two in that order).
-	m.accepted.Add(uint64(n))
+	m.accepted.Add(uint64(n + discarded))
+	if discarded > 0 {
+		m.discarded.Add(uint64(discarded))
+	}
+	if b == nil {
+		m.mu.RUnlock()
+		return nil
+	}
 	for i, eb := range b.shards {
 		if eb == nil {
 			continue
@@ -465,7 +480,7 @@ func (m *Manager) getBatch() *eventBatch {
 func (m *Manager) putBatch(eb *eventBatch) {
 	recycle.Release(eb.buf)
 	clear(eb.toks) // drop the scan stage's node strings before pooling
-	eb.entries, eb.buf, eb.toks, eb.discarded = eb.entries[:0], eb.buf[:0], eb.toks[:0], 0
+	eb.entries, eb.buf, eb.toks = eb.entries[:0], eb.buf[:0], eb.toks[:0]
 	select {
 	case m.batchFree <- eb:
 	default:
@@ -514,11 +529,12 @@ var ErrModelMismatch = errors.New("predictor: batch was scanned under another mo
 
 // ProcessScanned is ProcessLineBatch for lines already scanned: the tokens
 // are scattered by the same per-node placement and reach each node's worker
-// in slice order, and the workers count the discarded lines as scanned and
-// discarded, so outputs, Stats, Accepted and snapshots are exactly those of
-// handing the raw lines to ProcessLineBatch. The observer sees a heartbeat
-// for every token, so a scan that keeps the discarded lines as core.NoPhrase
-// tokens gives it what ProcessLineBatch would.
+// in slice order, and the discarded lines are counted as scanned and
+// discarded by the manager itself — a count-only call takes no batch and
+// wakes no worker — so outputs, Stats, Accepted and snapshots are exactly
+// those of handing the raw lines to ProcessLineBatch. The observer sees a
+// heartbeat for every token, so a scan that keeps the discarded lines as
+// core.NoPhrase tokens gives it what ProcessLineBatch would.
 //
 // parseErrs is s.ParseErrors, reported as ProcessLineBatch reports a batch's
 // malformed lines. After Close the whole batch is rejected with ErrClosed and
@@ -527,30 +543,18 @@ func (m *Manager) ProcessScanned(s *Scanned) (parseErrs int, err error) {
 	if s.Model == nil || s.Model.fingerprint != m.model.fingerprint {
 		return s.ParseErrors, ErrModelMismatch
 	}
-	n := len(s.Tokens) + s.Discarded
-	if n == 0 {
+	if len(s.Tokens)+s.Discarded == 0 {
 		return s.ParseErrors, nil
 	}
-	b := m.getBuilder()
-	for _, tok := range s.Tokens {
-		eb := m.shardOf(b, tok.Node)
-		eb.toks = append(eb.toks, tok)
-	}
-	// No node was hashed for a discarded line, so its count rides on the
-	// first batch sent (worker 0's when nothing tokenized); Stats sums the
-	// workers either way.
-	first := 0
-	for i, eb := range b.shards {
-		if eb != nil {
-			first = i
-			break
+	var b *batchBuilder
+	if len(s.Tokens) > 0 {
+		b = m.getBuilder()
+		for _, tok := range s.Tokens {
+			eb := m.shardOf(b, tok.Node)
+			eb.toks = append(eb.toks, tok)
 		}
 	}
-	if b.shards[first] == nil {
-		b.shards[first] = m.getBatch()
-	}
-	b.shards[first].discarded = s.Discarded
-	return s.ParseErrors, m.dispatch(b, n)
+	return s.ParseErrors, m.dispatch(b, len(s.Tokens), s.Discarded)
 }
 
 // Accepted returns the number of lines Process* has successfully enqueued.
@@ -606,7 +610,8 @@ func (m *Manager) Close() {
 	}()
 }
 
-// Stats aggregates the counters of every worker. Safe to call at any time —
+// Stats aggregates the counters of every worker and the lines ProcessScanned
+// counted as discarded without one. Safe to call at any time —
 // concurrently with Process* and Close — and returns a consistent per-worker
 // snapshot (each worker is paused briefly between events while its counters
 // are read).
@@ -617,5 +622,8 @@ func (m *Manager) Stats() Stats {
 		st.Add(w.pred.Stats())
 		w.mu.Unlock()
 	}
+	d := int(m.discarded.Load())
+	st.LinesScanned += d
+	st.Discarded += d
 	return st
 }

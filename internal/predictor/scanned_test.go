@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,8 +20,9 @@ import (
 // every parseable line, the discarded ones as NoPhrase tokens.
 func scanLines(model *Model, lines []string, keepAll bool) *Scanned {
 	s := &Scanned{Model: model}
+	var p lexgen.LineParser
 	for _, line := range lines {
-		ts, node, msg, err := lexgen.ParseLineBytes([]byte(line))
+		ts, node, msg, err := p.ParseBytes([]byte(line))
 		if err != nil {
 			s.ParseErrors++
 			continue
@@ -159,6 +161,122 @@ func TestProcessScannedRefusesWhole(t *testing.T) {
 	}
 	if a := m.Accepted(); a != 64 || m.Stats().LinesScanned != 64 {
 		t.Fatalf("after Close: Accepted %d, LinesScanned %d, want 64", a, m.Stats().LinesScanned)
+	}
+}
+
+// TestProcessScannedCountOnly: a call that only counts discarded lines takes
+// no batch and wakes no worker, so it returns while every worker is blocked
+// and every worker's in-flight window is full. Its count is in Stats and
+// Accepted at once, survives ExportState → ImportState and a migration into
+// another model, is refused whole after Close, and LinesScanned equals
+// Accepted once Results closes.
+func TestProcessScannedCountOnly(t *testing.T) {
+	log := genLog(t, 11, 8, 2)
+	model, err := Compile(log.Dialect.Chains(), log.Dialect.Inventory(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Compile(log.Dialect.Chains()[:2], log.Dialect.Inventory(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 3
+	// One line for each worker, by the placement ProcessLineBatch applies.
+	var perWorker [workers]string
+	for _, line := range log.Lines() {
+		if _, node, _, err := lexgen.ParseLine(line); err == nil && perWorker[fnvIndex(node, workers)] == "" {
+			perWorker[fnvIndex(node, workers)] = line
+		}
+	}
+	m := model.NewManager(workers)
+	_, done := collectPerNode(m)
+	// entered has room for every batch the test sends, so only release
+	// blocks a worker.
+	entered, release := make(chan int, workers*(maxInflightBatches+2)), make(chan struct{})
+	var blocked sync.Once
+	m.SetObserver(func(w int, _ []core.Event) {
+		entered <- w
+		<-release
+	})
+	for _, line := range perWorker {
+		if _, err := m.ProcessLineBatch([]string{line}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range perWorker {
+		<-entered
+	}
+	// The workers hold no slot while they run the observer: fill every
+	// window behind them.
+	for i := 0; i < maxInflightBatches; i++ {
+		for _, line := range perWorker {
+			if _, err := m.ProcessLineBatch([]string{line}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const k = 1000
+	returned := make(chan error, 1)
+	go func() {
+		_, err := m.ProcessScanned(&Scanned{Model: model, Discarded: k})
+		returned <- err
+	}()
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		blocked.Do(func() { close(release) })
+		t.Fatal("a count-only ProcessScanned waited for a worker")
+	}
+	if st := m.Stats(); st.Discarded < k || m.Accepted() != uint64(workers*(maxInflightBatches+1)+k) {
+		t.Fatalf("with the workers blocked: Discarded %d, Accepted %d", st.Discarded, m.Accepted())
+	}
+	blocked.Do(func() { close(release) })
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	m.SetObserver(nil)
+	want, err := m.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(want.LinesScanned) != m.Accepted() || want.Discarded < k {
+		t.Fatalf("exported LinesScanned %d, Discarded %d; Accepted %d", want.LinesScanned, want.Discarded, m.Accepted())
+	}
+
+	restored := model.NewManager(2)
+	if err := restored.ImportState(want); err != nil {
+		t.Fatal(err)
+	}
+	swapped := other.NewManager(2)
+	if _, err := swapped.AdoptState(want); err != nil {
+		t.Fatal(err)
+	}
+	for name, mm := range map[string]*Manager{"restored": restored, "migrated": swapped} {
+		st := mm.Stats()
+		if st.LinesScanned != want.LinesScanned || st.Discarded != want.Discarded || st.Tokens != want.Tokens {
+			t.Fatalf("%s: stats %+v, exported %d scanned %d discarded %d tokens", name, st, want.LinesScanned, want.Discarded, want.Tokens)
+		}
+		// A count after a restore adds to the restored one.
+		if _, err := mm.ProcessScanned(&Scanned{Model: mm.Model(), Discarded: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if st := mm.Stats(); st.LinesScanned != want.LinesScanned+7 || st.Discarded != want.Discarded+7 {
+			t.Fatalf("%s: after 7 more: LinesScanned %d, Discarded %d", name, st.LinesScanned, st.Discarded)
+		}
+		mm.Close()
+	}
+
+	accepted := m.Accepted()
+	m.Close()
+	if _, err := m.ProcessScanned(&Scanned{Model: model, Discarded: k}); err != ErrClosed {
+		t.Fatalf("count-only ProcessScanned after Close = %v, want ErrClosed", err)
+	}
+	<-done
+	if st := m.Stats(); m.Accepted() != accepted || uint64(st.LinesScanned) != accepted {
+		t.Fatalf("after Close: Accepted %d, LinesScanned %d, want %d", m.Accepted(), st.LinesScanned, accepted)
 	}
 }
 

@@ -190,7 +190,8 @@ type managerState struct {
 // captures all worker shards under their locks. The caller must pause
 // producers for the duration if it needs the state to correspond to a known
 // ingest offset, and must keep the Results consumer running (Flush's markers
-// travel through it). Returns ErrClosed after Close.
+// travel through it). The counters include the lines ProcessScanned counted
+// as discarded without a worker. Returns ErrClosed after Close.
 func (m *Manager) ExportState() (State, error) {
 	if err := m.Flush(); err != nil {
 		return State{}, err
@@ -208,6 +209,9 @@ func (m *Manager) ExportState() (State, error) {
 		merged.Discarded += ws.Discarded
 		merged.Drivers = append(merged.Drivers, ws.Drivers...)
 	}
+	d := int(m.discarded.Load())
+	merged.LinesScanned += d
+	merged.Discarded += d
 	sort.Slice(merged.Drivers, func(i, j int) bool { return merged.Drivers[i].Node < merged.Drivers[j].Node })
 	return merged, nil
 }
@@ -268,8 +272,9 @@ func (m *Manager) ImportState(st State) error {
 		wi := fnvIndex(ds.Node, len(m.workers))
 		shards[wi].Drivers = append(shards[wi].Drivers, ds)
 	}
-	// Aggregate counters live on worker 0; Stats() sums across workers, so
-	// totals come out right regardless of the shard layout.
+	// Aggregate counters live on worker 0, the manager's own discard count
+	// starting again from 0; Stats() sums them all, so totals come out right
+	// regardless of the shard layout.
 	shards[0].LinesScanned = st.LinesScanned
 	shards[0].Tokens = st.Tokens
 	shards[0].Discarded = st.Discarded
@@ -292,6 +297,7 @@ func (m *Manager) ImportState(st State) error {
 	for i, mw := range m.workers {
 		mw.pred = restored[i]
 	}
+	m.discarded.Store(0)
 	for _, mw := range m.workers {
 		mw.mu.Unlock()
 	}

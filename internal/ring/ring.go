@@ -10,6 +10,7 @@ package ring
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -32,6 +33,12 @@ type Ring struct {
 	replicas int
 	members  []string // sorted, unique
 	points   []point  // sorted by hash
+	// index[b] is the position in points of the first point whose hash is
+	// at or after the start of bucket b, the hashes whose top bits (h>>shift)
+	// are b. There are at least as many buckets as points, so a lookup
+	// starts at most a point or two before its answer on average.
+	index []uint32
+	shift uint
 }
 
 // New builds a ring over the given members with the given virtual-node count
@@ -60,6 +67,19 @@ func New(replicas int, members ...string) *Ring {
 		}
 		return r.points[i].owner < r.points[j].owner
 	})
+	if len(r.points) > 0 {
+		k := bits.Len(uint(len(r.points) - 1)) // 2^k buckets >= points
+		r.shift = uint(64 - k)
+		r.index = make([]uint32, 1<<k)
+		j := 0
+		for b := range r.index {
+			start := uint64(b) << r.shift
+			for j < len(r.points) && r.points[j].hash < start {
+				j++
+			}
+			r.index[b] = uint32(j)
+		}
+	}
 	return r
 }
 
@@ -76,7 +96,9 @@ func (r *Ring) LookupIndex(key string) int {
 	return r.lookupHash(hashString(key))
 }
 
-// lookupHash finds the first virtual node at or clockwise of h (wrapping).
+// lookupHash finds the first virtual node at or clockwise of h (wrapping):
+// it starts at h's bucket in the index, whose points before it all hash
+// below the bucket and so below h, and steps forward.
 //
 //aarohi:hotpath
 func (r *Ring) lookupHash(h uint64) int {
@@ -84,21 +106,14 @@ func (r *Ring) lookupHash(h uint64) int {
 	if len(pts) == 0 {
 		return -1
 	}
-	// First point with hash >= h; wrap to 0 past the end. Open-coded binary
-	// search: sort.Search costs a closure allocation's worth of indirection.
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(r.index[h>>r.shift])
+	for i < len(pts) && pts[i].hash < h {
+		i++
 	}
-	if lo == len(pts) {
-		lo = 0
+	if i == len(pts) {
+		i = 0
 	}
-	return int(pts[lo].owner)
+	return int(pts[i].owner)
 }
 
 // String describes the ring for logs.

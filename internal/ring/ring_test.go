@@ -2,6 +2,9 @@ package ring
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -131,6 +134,68 @@ func TestVirtualNodeBalance(t *testing.T) {
 		if c < fair/2 || c > fair*2 {
 			t.Fatalf("member %s owns %d keys, fair share %d — outside [%d, %d]",
 				m, c, fair, fair/2, fair*2)
+		}
+	}
+}
+
+// searchHash is lookupHash as a binary search over the sorted points: the
+// first point at or after h, wrapping past the end.
+func searchHash(r *Ring, h uint64) int {
+	if len(r.points) == 0 {
+		return -1
+	}
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return int(r.points[i].owner)
+}
+
+// checkLookupHash holds r's indexed lookup to the binary search at every
+// point's hash and either side of it, at both ends of the hash space, and at
+// n random hashes.
+func checkLookupHash(t *testing.T, name string, r *Ring, rng *rand.Rand, n int) {
+	t.Helper()
+	check := func(h uint64) {
+		if got, want := r.lookupHash(h), searchHash(r, h); got != want {
+			t.Fatalf("%s: lookupHash(%#x) = %d, binary search %d", name, h, got, want)
+		}
+	}
+	check(0)
+	check(math.MaxUint64)
+	for _, p := range r.points {
+		check(p.hash - 1)
+		check(p.hash)
+		check(p.hash + 1)
+	}
+	for i := 0; i < n; i++ {
+		check(rng.Uint64())
+	}
+}
+
+// TestLookupHashMatchesBinarySearch: the bucket index places every hash on
+// the point a binary search over the ring finds, on rings of 1 to 64
+// members (2^20 random hashes across them) and on a PeerMap's peer and
+// shard rings.
+func TestLookupHashMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 64; n++ {
+		members := make([]string, n)
+		for i := range members {
+			members[i] = fmt.Sprintf("peer-%d", i)
+		}
+		checkLookupHash(t, fmt.Sprintf("%d members", n), New(0, members...), rng, 1<<20/64)
+		if n <= 8 {
+			for _, replicas := range []int{1, 3} {
+				checkLookupHash(t, fmt.Sprintf("%d members, %d replicas", n, replicas), New(replicas, members...), rng, 1<<12)
+			}
+		}
+	}
+	pm := NewPeerMap(0, testPeers(map[string]bool{"a": true, "b": false, "c": true}))
+	checkLookupHash(t, "peer ring", pm.ring, rng, 1<<16)
+	for i, sr := range pm.shardRings {
+		if sr != nil {
+			checkLookupHash(t, fmt.Sprintf("shard ring of member %d", i), sr, rng, 1<<16)
 		}
 	}
 }

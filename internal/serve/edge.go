@@ -54,7 +54,8 @@ type edge struct {
 
 // edgeScratch is one chunk call's working state, reused across calls.
 type edgeScratch struct {
-	keep []string // the lines to queue, in chunk order
+	keep   []string // the lines to queue, in chunk order
+	parser lexgen.LineParser
 	// Per shard: the model scanned under, the lines found in no template,
 	// and where the shard stands in this chunk.
 	models []*predictor.Model
@@ -120,7 +121,7 @@ func (e *edge) scan(sc *edgeScratch, lines []string) {
 	sc.keep = sc.keep[:0]
 	clear(sc.disc)
 	for _, line := range lines {
-		_, node, msg, err := lexgen.ParseLine(line)
+		_, node, msg, err := sc.parser.Parse(line)
 		if err != nil {
 			sc.keep = append(sc.keep, line)
 			continue

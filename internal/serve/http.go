@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/predictor"
 	"repro/internal/serve/transport"
 )
 
@@ -36,7 +37,19 @@ func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	enc := json.NewEncoder(w)
+	// Each output is encoded into one reused buffer, the bytes
+	// json.Encoder.Encode would write; the one encoding/json refuses goes
+	// to it for its error.
+	var buf []byte
+	write := func(out predictor.Output) error {
+		b, ok := out.AppendJSON(buf[:0])
+		if !ok {
+			return json.NewEncoder(w).Encode(out)
+		}
+		buf = b
+		_, err := w.Write(b)
+		return err
+	}
 	// ?replay=recovered prepends the outputs re-derived by boot-time WAL
 	// replay, so a subscriber that reconnects after a crash sees every
 	// prediction the dead process had fired but not delivered. Recovery
@@ -44,7 +57,7 @@ func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
 	// from the live stream this handler switches to afterwards.
 	if r.URL.Query().Get("replay") == "recovered" {
 		for _, out := range s.Recovered() {
-			if err := enc.Encode(out); err != nil {
+			if err := write(out); err != nil {
 				return
 			}
 		}
@@ -56,7 +69,7 @@ func (s *Server) handlePredictions(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return // server drained
 			}
-			if err := enc.Encode(out); err != nil {
+			if err := write(out); err != nil {
 				return // client gone
 			}
 			// Flush once the subscription is drained: a burst of outputs

@@ -72,8 +72,9 @@ func (nn nodeNames) of(b []byte) string {
 
 // replayChunk is one run of journaled lines on its way through replay.
 type replayChunk struct {
-	text []byte // line bodies back to back
-	ends []int  // end offset in text of each line
+	text   []byte // line bodies back to back
+	ends   []int  // end offset in text of each line
+	parser lexgen.LineParser
 
 	// out is the scan stage's result; out.Model is the model the lines scan
 	// under. kept counts its core.NoPhrase tokens.
@@ -94,7 +95,7 @@ func (c *replayChunk) scan(keepAll bool, names nodeNames) {
 	sc := c.out.Model.Scanner()
 	start := 0
 	for _, end := range c.ends {
-		ts, node, msg, err := lexgen.ParseLineBytes(c.text[start:end])
+		ts, node, msg, err := c.parser.ParseBytes(c.text[start:end])
 		start = end
 		if err != nil {
 			c.out.ParseErrors++

@@ -61,16 +61,21 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # The journal-format tests replay the committed journals (with and without
 # discard marks) through the concurrent replay stages.
 # The per-node order tests race the workers that feed the arbiter against
-# the fan-out, a stalled Publish and each other.
+# the fan-out, a stalled Publish and each other. The count-only
+# ProcessScanned test counts discards while every worker is blocked, then
+# moves the count through a snapshot, a restore and a model migration; the
+# line-parser and prediction-encoder tests hold the date-caching parser to
+# ParseLine and the stream encoder to encoding/json, at 0 allocations.
 # The equivalence and order tests turn on recycle.TestHookPoison themselves:
 # every recycled line store (framer buffer, pipeline slab, manager batch) is
 # overwritten as it is released, so a line kept past its lifetime fails them
 # here rather than one run in N in production.
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
+PARSE_TESTS='TestProcessScannedCountOnly|TestParseLineAllocFree|FuzzLineParser|TestAppendJSON|FuzzOutputJSON'
 JOURNAL_TESTS='TestDecodeRecordBytes|TestReplayJournalFixtures|TestReplayCountsUnknownRecords|TestCountDiscardedNeedsRegistry'
-echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order and journal-format tests (race, -count=5, poisoned line stores)"
+echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order, journal-format, count-only, parser and encoder tests (race, -count=5, poisoned line stores)"
 go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|TestEdge|Swap|Shadow' ./internal/serve
-go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS" ./internal/serve/shard ./internal/predictor
+go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS|$PARSE_TESTS" ./internal/serve/shard ./internal/predictor ./internal/lexgen
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
 # one after another, several finish chunks out of journal order. The default
@@ -86,8 +91,10 @@ if [ "$FUZZTIME" != "0" ]; then
     FUZZ_TARGETS="
         ./internal/rex:FuzzCompileAndMatch
         ./internal/lexgen:FuzzParseLine
+        ./internal/lexgen:FuzzLineParser
         ./internal/lexgen:FuzzScan
         ./internal/baselines:FuzzWildcardMatch
+        ./internal/predictor:FuzzOutputJSON
         ./internal/wal:FuzzWALDecode
         ./internal/wal:FuzzSegmentReader
         ./internal/wal:FuzzAppendBatchDecode
