@@ -97,8 +97,8 @@ func main() {
 	if a := srv.HTTPAddr(); a != nil {
 		log.Printf("aarohid: http api on %s (/ingest /predictions /healthz /readyz /statusz)", a)
 	}
-	log.Printf("aarohid: %d chains, shards=%d queue=%d overflow=%s batch=%d/%s",
-		len(chains), o.Shards, o.QueueSize, o.Overflow, o.BatchMax, o.BatchAge)
+	log.Printf("aarohid: %d chains, shards=%d queue=%d overflow=%s batch=%d",
+		len(chains), o.Shards, o.QueueSize, o.Overflow, o.BatchMax)
 	if o.Arbiter != nil {
 		log.Printf("aarohid: arbiter on: horizon=%s alert-threshold=%g tiers=%d",
 			o.Arbiter.Horizon, o.Arbiter.AlertThreshold, len(o.Arbiter.Criticality))

@@ -31,7 +31,6 @@ type options struct {
 	HTTPAddr    string
 	QueueSize   int
 	BatchMax    int
-	BatchAge    time.Duration
 	Overflow    serve.OverflowPolicy
 	ReadTimeout time.Duration
 	MaxLineLen  int
@@ -66,7 +65,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.HTTPAddr, "http", ":7780", "HTTP listen address (\"off\" disables)")
 	fs.IntVar(&o.QueueSize, "queue", 4096, "ingest queue depth (lines)")
 	fs.IntVar(&o.BatchMax, "ingest-batch", 256, "max lines coalesced into one WAL group-append and predictor batch (1 = batches of one line)")
-	fs.DurationVar(&o.BatchAge, "ingest-batch-age", 0, "max wait for a partial ingest batch to fill (0 = dispatch as soon as the queue is empty)")
 	fs.DurationVar(&o.ReadTimeout, "read-timeout", 5*time.Minute, "per-connection idle read deadline")
 	fs.IntVar(&o.MaxLineLen, "max-line", 1<<20, "maximum log line length (bytes)")
 	fs.DurationVar(&o.Grace, "grace", 30*time.Second, "drain budget after SIGTERM/SIGINT")
@@ -126,9 +124,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	}
 	if o.BatchMax < 1 {
 		return fail("-ingest-batch must be >= 1, not %d", o.BatchMax)
-	}
-	if o.BatchAge < 0 {
-		return fail("-ingest-batch-age must be a non-negative duration, not %s", o.BatchAge)
 	}
 	if o.Shards < 1 {
 		return fail("-shards must be >= 1, not %d", o.Shards)
@@ -216,7 +211,6 @@ func (o *options) serveConfig(model *registry.Model) serve.Config {
 		HTTPAddr:         o.HTTPAddr,
 		QueueSize:        o.QueueSize,
 		BatchMax:         o.BatchMax,
-		BatchAge:         o.BatchAge,
 		Overflow:         o.Overflow,
 		ReadTimeout:      o.ReadTimeout,
 		MaxLineLen:       o.MaxLineLen,

@@ -33,8 +33,8 @@ func TestParseOptions(t *testing.T) {
 				if o.TCPAddr != ":7743" || o.HTTPAddr != ":7780" {
 					t.Errorf("addrs = %q, %q", o.TCPAddr, o.HTTPAddr)
 				}
-				if o.QueueSize != 4096 || o.BatchMax != 256 || o.BatchAge != 0 {
-					t.Errorf("queue/batch = %d, %d, %s", o.QueueSize, o.BatchMax, o.BatchAge)
+				if o.QueueSize != 4096 || o.BatchMax != 256 {
+					t.Errorf("queue/batch = %d, %d", o.QueueSize, o.BatchMax)
 				}
 				if o.Overflow != serve.Block {
 					t.Errorf("overflow = %v, want block", o.Overflow)
@@ -100,11 +100,6 @@ func TestParseOptions(t *testing.T) {
 			name:    "ingest-batch zero",
 			args:    append(base, "-ingest-batch", "0"),
 			wantErr: "-ingest-batch must be >= 1, not 0",
-		},
-		{
-			name:    "negative batch age",
-			args:    append(base, "-ingest-batch-age", "-1s"),
-			wantErr: "-ingest-batch-age must be a non-negative duration",
 		},
 		{
 			name: "shards four",

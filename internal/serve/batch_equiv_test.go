@@ -26,13 +26,13 @@ import (
 // lines journaled in order, and byte-identical arbiter state whatever the
 // batch size. These tests drive full servers — pump, WAL, Manager, arbiter —
 // across four dialect families and batch sizes {1, 7, 256}, with chunked
-// feeding and a positive BatchAge forcing partial mid-batch drains. Outputs
-// are checked against a sequential predictor.Predictor, journals against the
-// input, and arbiter snapshots against the in-order reference: one arbiter fed
-// each line's heartbeat, then the sequential predictor's outputs for it. One
-// row feeds the same stream over the TCP line listener, torn at seeded random
-// write boundaries, so the framer and the chunk hand-off sit inside the
-// comparison.
+// feeding that lets the queue run empty mid-stream and so cuts partial
+// batches. Outputs are checked against a sequential predictor.Predictor,
+// journals against the input, and arbiter snapshots against the in-order
+// reference: one arbiter fed each line's heartbeat, then the sequential
+// predictor's outputs for it. One row feeds the same stream over the TCP line
+// listener, torn at seeded random write boundaries, so the framer and the
+// chunk hand-off sit inside the comparison.
 
 // pipeRun captures everything externally observable about one server run.
 type pipeRun struct {
@@ -88,7 +88,7 @@ func feedTCP(t *testing.T, s *Server, lines []string, seed int64) {
 // mid-stream; over TCP when tcpSeed is non-zero), shuts down without a final
 // snapshot (the journal survives untruncated), and captures outputs, WAL
 // records and arbiter state.
-func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int, batchAge time.Duration, chunked bool, tcpSeed int64) pipeRun {
+func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int, chunked bool, tcpSeed int64) pipeRun {
 	t.Helper()
 	dir := t.TempDir()
 	mgr, err := predictor.NewManager(d.Chains(), d.Inventory(), predictor.Options{}, 3)
@@ -102,8 +102,8 @@ func runBatchPipe(t *testing.T, d *loggen.Dialect, lines []string, batchMax int,
 	s := New(mgr, Config{
 		TCPAddr: tcpAddr, HTTPAddr: "off",
 		DataDir: dir, Fsync: wal.SyncOff,
-		BatchMax: batchMax, BatchAge: batchAge,
-		Arbiter: arbiterTestConfig(),
+		BatchMax: batchMax,
+		Arbiter:  arbiterTestConfig(),
 	})
 	s.testSkipFinalSnapshot = true
 	if err := s.Start(); err != nil {
@@ -358,20 +358,18 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 			}
 			cases := []struct {
 				batchMax int
-				batchAge time.Duration
 				chunked  bool
 				tcpSeed  int64
 			}{
-				{1, 0, false, 0},                       // batches of one line
-				{1, 0, true, 0},                        // batches of one line, chunked feed
-				{7, 0, false, 0},                       // small batches, continuous feed
-				{256, 0, true, 0},                      // large batches with forced opportunistic mid-batch drains
-				{256, 500 * time.Microsecond, true, 0}, // large batches with age-timer mid-batch drains
-				{256, 0, false, seed},                  // framer + chunk hand-off: TCP feed torn at random write boundaries
+				{1, false, 0},      // batches of one line
+				{1, true, 0},       // batches of one line, chunked feed
+				{7, false, 0},      // small batches, continuous feed
+				{256, true, 0},     // large batches with forced mid-batch drains when the queue empties
+				{256, false, seed}, // framer + chunk hand-off: TCP feed torn at random write boundaries
 			}
 			for _, c := range cases {
-				label := fmt.Sprintf("batch=%d age=%s chunked=%v tcp=%d", c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
-				got := runBatchPipe(t, d, lines, c.batchMax, c.batchAge, c.chunked, c.tcpSeed)
+				label := fmt.Sprintf("batch=%d chunked=%v tcp=%d", c.batchMax, c.chunked, c.tcpSeed)
+				got := runBatchPipe(t, d, lines, c.batchMax, c.chunked, c.tcpSeed)
 				diffRuns(t, label, ref, got)
 				if !bytes.Equal(got.arb, ref.arb) {
 					t.Errorf("%s: arbiter snapshot differs from the in-order reference's (%d vs %d bytes)", label, len(got.arb), len(ref.arb))

@@ -20,11 +20,12 @@ type hub struct {
 	dropped atomic.Int64
 }
 
-// defaultSubscriberBuffer is the per-subscription channel depth when the
-// caller names none: at saturation the daemon emits outputs fast enough that
-// a subscriber descheduled for some tens of milliseconds needs this much
-// slack not to lose any. A full buffer still drops, and counts the drop.
-const defaultSubscriberBuffer = 4096
+// defaultSubBuffer is the per-subscription channel depth when the caller
+// names none (every HTTP subscriber): at saturation the daemon emits outputs
+// fast enough that a subscriber descheduled for some tens of milliseconds
+// needs this much slack not to lose any. A full buffer still drops, and
+// counts the drop.
+const defaultSubBuffer = 4096
 
 func newHub() *hub {
 	return &hub{subs: map[*Subscription]struct{}{}}
@@ -58,7 +59,7 @@ func (s *Subscription) Cancel() {
 // late subscribers terminate cleanly instead of hanging.
 func (h *hub) subscribe(buffer int) *Subscription {
 	if buffer <= 0 {
-		buffer = defaultSubscriberBuffer
+		buffer = defaultSubBuffer
 	}
 	sub := &Subscription{hub: h, ch: make(chan predictor.Output, buffer)}
 	h.mu.Lock()

@@ -1,7 +1,7 @@
 // Package pipeline is the serving daemon's ingest spine: one bounded queue
 // of raw log lines — filled a chunk (one socket read's worth of lines) at a
 // time, emptied a batch at a time — feeding a single pump goroutine that cuts
-// the stream into count/bytes/age-bounded batches and hands each batch to a
+// the stream into count/bytes-bounded batches and hands each batch to a
 // Sink. The WAL-append-before-parse hot path lives behind the Sink, in the
 // shard layer; this package knows nothing about journals, predictors or
 // shards — only queue discipline (Block backpressure vs Shed drop-and-count),
@@ -13,7 +13,6 @@ package pipeline
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/recycle"
@@ -73,8 +72,8 @@ const slabSize = 32 << 10
 const maxFreeSlabs = 16
 
 // Config parameterizes a Pipeline. Callers pass already-defaulted values
-// (the serve layer owns configuration policy); New only guards against
-// outright invalid ones.
+// (the serve layer owns configuration policy); New only fills in the byte cap
+// and guards against outright invalid values.
 type Config struct {
 	// QueueSize bounds the ingest queue, in lines.
 	QueueSize int
@@ -83,12 +82,8 @@ type Config struct {
 	// BatchMax caps how many queued lines the pump coalesces into one Sink
 	// batch. 1 makes every batch a single line.
 	BatchMax int
-	// BatchMaxBytes caps the byte size of one pump batch.
+	// BatchMaxBytes caps the byte size of one pump batch (default 256 KiB).
 	BatchMaxBytes int
-	// BatchAge caps how long the pump waits for a partial batch to fill
-	// before dispatching it. 0 never waits: the pump drains whatever is
-	// queued and dispatches immediately.
-	BatchAge time.Duration
 	// OnDrained, when non-nil, runs on the pump goroutine after the queue
 	// has closed and the final batch has reached the Sink, before Done
 	// closes — the hook the serve layer uses for the final checkpoint.
@@ -132,14 +127,12 @@ type Pipeline struct {
 	freeSlabs []*slab
 	slabSeq   uint32
 
-	// The batch being cut. Owned by the pump goroutine. batchStarved says the
-	// last take stopped short only because the queue ran empty — waiting
-	// could still grow the batch. batchSlab is the slab of its last line.
-	batch        []string
-	batchFwd     bool
-	batchBytes   int
-	batchStarved bool
-	batchSlab    uint32
+	// The batch being cut. Owned by the pump goroutine. batchSlab is the slab
+	// of its last line.
+	batch      []string
+	batchFwd   bool
+	batchBytes int
+	batchSlab  uint32
 
 	accepted  atomic.Int64
 	dropped   atomic.Int64
@@ -439,10 +432,11 @@ func (p *Pipeline) pump() {
 }
 
 // pumpBatches blocks for the first line, then collects until BatchMax lines,
-// BatchMaxBytes bytes, BatchAge of waiting, or an empty queue (BatchAge 0),
-// and hands the group to the Sink — one lock round-trip per batch when the
-// queue keeps up. Collection happens outside any sink-side lock, so snapshots
-// and hot-swaps interleave at batch boundaries.
+// BatchMaxBytes bytes or an empty queue, and hands the group to the Sink —
+// one lock round-trip per batch when the queue keeps up. There is no timer:
+// batches grow because the queue backs up while the Sink is busy. Collection
+// happens outside any sink-side lock, so snapshots and hot-swaps interleave
+// at batch boundaries.
 //
 //aarohi:hotpath
 func (p *Pipeline) pumpBatches() {
@@ -459,9 +453,6 @@ func (p *Pipeline) pumpBatches() {
 			p.mu.Lock()
 			p.take(p.cfg.BatchMax)
 			p.mu.Unlock()
-		}
-		if p.batchStarved && p.cfg.BatchAge > 0 {
-			p.collectAged()
 		}
 		if p.batchFwd {
 			p.fwdSink.ProcessBatch(p.batch)
@@ -523,38 +514,5 @@ func (p *Pipeline) take(limit int) {
 	}
 	if took {
 		p.room.Broadcast()
-	}
-	p.batchStarved = p.n == 0 && !p.closed && len(p.batch) < limit && p.batchBytes < p.cfg.BatchMaxBytes
-}
-
-// collectAged is the BatchAge wait: keep adding lines to a partial batch as
-// they arrive until it is full, its provenance flips, the queue closes, or
-// BatchAge has passed. It runs only when the pump has caught up with its
-// producers, so the timer it allocates is not on the saturated path.
-func (p *Pipeline) collectAged() {
-	timer := time.NewTimer(p.cfg.BatchAge)
-	defer timer.Stop()
-	for {
-		p.mu.Lock()
-		if p.take(p.cfg.BatchMax); !p.batchStarved {
-			p.mu.Unlock()
-			return
-		}
-		p.pumpIdle = true
-		p.mu.Unlock()
-		select {
-		case <-p.wake:
-		case <-timer.C:
-			// Withdraw the wake request so the next producer does not send a
-			// token nobody is waiting for; if one already did, consume it.
-			p.mu.Lock()
-			idle := p.pumpIdle
-			p.pumpIdle = false
-			p.mu.Unlock()
-			if !idle {
-				<-p.wake
-			}
-			return
-		}
 	}
 }

@@ -207,46 +207,38 @@ func TestCloseQueueLosesNothing(t *testing.T) {
 	}
 }
 
-// TestBatchAgeWaitsForPartialBatch: with a positive BatchAge a lone line
-// waits for company — lines that arrive within the age join its batch — and
-// is dispatched when the age runs out even if nothing else comes.
-func TestBatchAgeWaitsForPartialBatch(t *testing.T) {
+// TestPumpCutsWhenQueueEmpties: a batch is cut when the queue runs empty.
+// With room for 256 lines and a producer still registered, a lone line
+// reaches the Sink on its own, without waiting for a further line, and the
+// next chunk goes out as its own batch.
+func TestPumpCutsWhenQueueEmpties(t *testing.T) {
 	batches := make(chan []string, 8)
 	sink := sinkFunc(func(b []string) { batches <- cloneLines(b) })
-	p := New(Config{QueueSize: 64, BatchMax: 4, BatchAge: 2 * time.Second}, sink)
+	p := New(Config{QueueSize: 1024, BatchMax: 256}, sink)
 	p.Start()
 	if !p.BeginProduce() {
 		t.Fatal("BeginProduce refused")
 	}
-	p.Ingest("a")
-	time.Sleep(5 * time.Millisecond) // the pump is now waiting out the age
-	p.IngestBatch([]string{"b", "c"})
-	select {
-	case b := <-batches:
-		t.Fatalf("partial batch %v dispatched before BatchMax or BatchAge", b)
-	case <-time.After(20 * time.Millisecond):
+	want := func(w string) {
+		t.Helper()
+		select {
+		case b := <-batches:
+			if fmt.Sprint(b) != w {
+				t.Fatalf("batch %v, want %s", b, w)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no batch reached the Sink, want %s", w)
+		}
 	}
-	p.Ingest("d") // fills the batch: no need to wait for the age
-	if b := <-batches; fmt.Sprint(b) != "[a b c d]" {
-		t.Fatalf("first batch %v, want [a b c d]", b)
-	}
+	p.Ingest("lone")
+	want("[lone]")
+	p.IngestBatch([]string{"a", "b", "c"})
+	want("[a b c]")
 	p.EndProduce()
-
-	q := New(Config{QueueSize: 64, BatchMax: 4, BatchAge: 10 * time.Millisecond}, sink)
-	q.Start()
-	q.BeginProduce()
-	start := time.Now()
-	q.Ingest("lone")
-	if b := <-batches; fmt.Sprint(b) != "[lone]" || time.Since(start) < 10*time.Millisecond {
-		t.Fatalf("lone line: batch %v after %s", b, time.Since(start))
-	}
-	q.Ingest("next") // the timed-out wait left no stale wake-up behind
-	if b := <-batches; fmt.Sprint(b) != "[next]" {
-		t.Fatalf("after an aged-out batch: %v", b)
-	}
-	q.EndProduce()
 	drainAll(p)
-	drainAll(q)
+	if len(batches) != 0 {
+		t.Fatalf("unexpected batch after drain: %v", <-batches)
+	}
 }
 
 type sinkFunc func(batch []string)

@@ -91,28 +91,15 @@ type Config struct {
 	// MaxLineLen caps a single log line in bytes; longer lines terminate
 	// the connection resp. reject the batch (default 1 MiB).
 	MaxLineLen int
-	// SubscriberBuffer is the per-subscription channel depth; a consumer
-	// lagging behind it loses messages, counted in subscriber_drops
-	// (default 4096, ≈200 KiB per subscriber).
-	SubscriberBuffer int
 	// BatchMax caps how many queued lines the pump coalesces into one WAL
 	// group-append and one Manager batch submit (default 256). 1 makes every
-	// batch a single line on the same path.
+	// batch a single line on the same path. The pump never waits for a
+	// batch to fill: it cuts one when the queue runs empty, so batches grow
+	// with load — full amortization under pressure, one-line latency when
+	// idle — and a snapshot or Flush issued while the stream is quiet
+	// observes every line. A batch is also cut at 256 KiB, bounding WAL
+	// write size and worker latency under huge lines.
 	BatchMax int
-	// BatchMaxBytes caps the byte size of one pump batch (default 256 KiB),
-	// bounding WAL write size and worker latency under huge lines.
-	BatchMaxBytes int
-	// BatchAge caps how long the pump waits for a partial batch to fill
-	// before dispatching it. The default (0) never waits: the pump drains
-	// whatever is queued and dispatches immediately, so batches grow with
-	// load — full amortization under pressure, one-line latency when idle —
-	// and a snapshot or Flush issued while the stream is quiet observes
-	// every line. A positive age trades that latency for larger groups
-	// (useful with Fsync always).
-	BatchAge time.Duration
-	// DrainGrace is how long Shutdown lets open TCP connections finish
-	// sending before force-closing them (default 1s).
-	DrainGrace time.Duration
 	// Logf, when non-nil, receives operational messages (accept errors,
 	// connection failures). Nil discards them.
 	Logf func(format string, args ...any)
@@ -187,20 +174,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxLineLen <= 0 {
 		c.MaxLineLen = 1 << 20
 	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = defaultSubscriberBuffer
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 256
-	}
-	if c.BatchMaxBytes <= 0 {
-		c.BatchMaxBytes = 256 << 10
-	}
-	if c.BatchAge < 0 {
-		c.BatchAge = 0
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = time.Second
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -403,11 +378,9 @@ func (s *Server) Start() error {
 
 	s.router = shard.NewRouter(s.shards)
 	pcfg := pipeline.Config{
-		QueueSize:     s.cfg.QueueSize,
-		Overflow:      s.cfg.Overflow,
-		BatchMax:      s.cfg.BatchMax,
-		BatchMaxBytes: s.cfg.BatchMaxBytes,
-		BatchAge:      s.cfg.BatchAge,
+		QueueSize: s.cfg.QueueSize,
+		Overflow:  s.cfg.Overflow,
+		BatchMax:  s.cfg.BatchMax,
 		// OnDrained runs on the pump goroutine after the queue empties: every
 		// shard's final checkpoint and manager close, while the fan-outs the
 		// snapshot barriers need are still alive.
@@ -506,12 +479,11 @@ func (s *Server) HTTPAddr() net.Addr {
 	return s.http.Addr()
 }
 
-// Subscribe attaches an in-process prediction consumer. The subscription's
-// Out channel closes when the server drains or Cancel is called.
+// Subscribe attaches an in-process prediction consumer with room for buffer
+// outputs (defaultSubBuffer when buffer <= 0); a consumer lagging behind it
+// loses outputs, counted in subscriber_drops. The subscription's Out channel
+// closes when the server drains or Cancel is called.
 func (s *Server) Subscribe(buffer int) *Subscription {
-	if buffer <= 0 {
-		buffer = s.cfg.SubscriberBuffer
-	}
 	return s.hub.subscribe(buffer)
 }
 
@@ -591,8 +563,12 @@ func (s *Server) Alerts() []arbiter.Alert {
 	return alerts
 }
 
+// drainGrace is how long Shutdown lets open TCP connections finish sending
+// before force-closing them.
+const drainGrace = time.Second
+
 // Shutdown drains the server gracefully: stop accepting connections and
-// batches, give open TCP connections DrainGrace to finish sending, flush
+// batches, give open TCP connections drainGrace to finish sending, flush
 // every accepted line through the Manager, close the prediction fan-out
 // (subscribers' Out channels close), and stop the HTTP server. In Block
 // mode no accepted line is lost. Shutdown is idempotent; the first call's
@@ -620,12 +596,12 @@ func (s *Server) shutdown(ctx context.Context) error {
 	// 3. Give open connections a grace window to flush what their clients
 	// already sent, then force-close stragglers.
 	if s.tcp != nil {
-		s.tcp.SetDrainDeadline(time.Now().Add(s.cfg.DrainGrace))
+		s.tcp.SetDrainDeadline(time.Now().Add(drainGrace))
 	}
 	prodIdle := s.pipe.ProducersIdle()
 	select {
 	case <-prodIdle:
-	case <-time.After(s.cfg.DrainGrace + time.Second):
+	case <-time.After(drainGrace + time.Second):
 		if s.tcp != nil {
 			s.tcp.ForceClose()
 		}

@@ -191,7 +191,7 @@ func (t *TCP) handleConn(c net.Conn) {
 			return
 		}
 		if first != "" {
-			t.ing.Ingest(first)
+			submit(t.ing, t.batch, []string{first})
 		}
 	}
 	err := t.ReadLines(c, br, func(lines []string) { submit(t.ing, t.batch, lines) })

@@ -32,7 +32,7 @@ import (
 type SyncPolicy uint8
 
 const (
-	// SyncBatch (the default) fsyncs in the background every BatchInterval:
+	// SyncBatch (the default) fsyncs in the background every batchInterval:
 	// bounded loss (at most one interval of lines) at near-SyncOff append
 	// cost.
 	SyncBatch SyncPolicy = iota
@@ -78,9 +78,6 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the fsync policy (default SyncBatch).
 	Sync SyncPolicy
-	// BatchInterval is the background fsync period under SyncBatch
-	// (default 50ms).
-	BatchInterval time.Duration
 	// FirstIndex is the index the first record of a freshly created journal
 	// receives (default 1). Ignored when segments already exist. A journal
 	// that mirrors a remote one (shipped shard takeover) starts at the
@@ -91,9 +88,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 64 << 20
-	}
-	if o.BatchInterval <= 0 {
-		o.BatchInterval = 50 * time.Millisecond
 	}
 	if o.FirstIndex == 0 {
 		o.FirstIndex = 1
@@ -564,9 +558,12 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
+// batchInterval is the background fsync period under SyncBatch.
+const batchInterval = 50 * time.Millisecond
+
 func (l *Log) batchLoop() {
 	defer close(l.batchDone)
-	t := time.NewTicker(l.opts.BatchInterval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {
