@@ -73,6 +73,40 @@ func TestReplayCountsUnknownRecords(t *testing.T) {
 	}
 }
 
+// TestReplayRunsOfMarks: long runs of marks, split by lines and by runs of
+// other small identical records, count as one replayed record and one
+// discarded line per mark; the other runs are handled one record at a time.
+func TestReplayRunsOfMarks(t *testing.T) {
+	line := []byte("2015-03-14T09:26:53Z c0-0c0s0n1 hello")
+	var recs [][]byte
+	add := func(rec []byte, n int) {
+		for ; n > 0; n-- {
+			recs = append(recs, rec)
+		}
+	}
+	add(line, 1)
+	add(markRecord, 500)
+	add([]byte("\x00x"), 3) // unknown: a replay error each
+	add([]byte("junk"), 4)  // a line that does not parse: a parse error each
+	add(markRecord, 300)
+	add(line, 2)
+	dir := t.TempDir()
+	writeJournal(t, dir, recs)
+	l := newTestLocal(t, xc30Model(t), dir, 2, false)
+	defer closeTestLocal(t, l)
+	if err := l.Open(nil); err != nil {
+		t.Fatal(err)
+	}
+	rec, st := l.Stats().Recovery, l.Manager().Stats()
+	if rec.ReplayedRecords != 810 || rec.ReplayedMarks != 800 || rec.ReplayErrors != 7 || rec.ReplayBytes != 3*37+800*2+3*2+4*4 {
+		t.Fatalf("replayed %d records, %d marks, %d errors, %d bytes; want 810, 800, 7, %d",
+			rec.ReplayedRecords, rec.ReplayedMarks, rec.ReplayErrors, rec.ReplayBytes, 3*37+800*2+3*2+4*4)
+	}
+	if st.LinesScanned != 803 || st.Discarded != 803 {
+		t.Fatalf("manager scanned %d, discarded %d; want 803, 803 (three lines, 800 marks)", st.LinesScanned, st.Discarded)
+	}
+}
+
 // TestCountDiscardedNeedsRegistry: a journaled shard with no model registry
 // refuses the edge's counts — nothing on disk would say which model a mark
 // was scanned under — and its lines take the full path.

@@ -14,13 +14,14 @@ import (
 // Boot replay runs in three stages, so that the scanner discards a benign
 // line where it was read instead of after the whole daemon has handled it:
 //
-//   - The reader — wal.Replay's callback, on the Open goroutine, checksums
-//     verified as it reads — copies line records into a fixed pool of reused
-//     chunks, cutting one at replayChunkLines lines or replayChunkBytes bytes
-//     and at every model-epoch record, whose model it resolves on the spot so
-//     the chunks after it scan under that model. A discard mark only adds one
-//     to the Discarded count of the chunk being filled: no copy, no parse, no
-//     scan, and no place toward the chunk's line bound.
+//   - The reader — wal.ReplayRuns's callback, on the Open goroutine,
+//     checksums verified as it reads — copies line records into a fixed pool
+//     of reused chunks, cutting one at replayChunkLines lines or
+//     replayChunkBytes bytes and at every model-epoch record, whose model it
+//     resolves on the spot so the chunks after it scan under that model. A
+//     run of n discard marks only adds n to the Discarded count of the chunk
+//     being filled: no copy, no parse, no scan, no place toward the chunk's
+//     line bound, and one step for the whole run.
 //   - The scan stage, replayScanners goroutines, parses and scans each chunk
 //     in place and copies out only the lines that tokenize — with the
 //     arbiter on, every parseable line, the rest as core.NoPhrase tokens, so
@@ -219,15 +220,15 @@ func (r *replay) line(body []byte) error {
 	return nil
 }
 
-// mark adds one discard mark: a line the live run scanned under the model
-// the chunk scans under and dropped. Counts commute, so the mark need not
-// keep its place among the chunk's lines.
-func (r *replay) mark() error {
+// marks adds n discard marks: lines the live run scanned under the model the
+// chunk scans under and dropped. Counts commute, so the marks need not keep
+// their place among the chunk's lines.
+func (r *replay) marks(n uint64) error {
 	c, err := r.chunk()
 	if err != nil {
 		return err
 	}
-	c.out.Discarded++
+	c.out.Discarded += int(n)
 	return nil
 }
 
@@ -291,37 +292,22 @@ func (r *replay) apply(c *replayChunk) error {
 }
 
 // replayJournal replays the journal from index from through the pipeline
-// above, adding what it did to rec.
+// above, adding what it did to rec. A run of identical marks is counted in
+// one step; every other record is handled one at a time.
 func (l *Local) replayJournal(wl *wal.Log, from uint64, rec *RecoveryStatus) error {
 	r := newReplay(l)
-	err := wl.Replay(from, func(idx uint64, payload []byte) error {
-		rec.ReplayedRecords++
-		rec.ReplayBytes += uint64(len(payload))
+	err := wl.ReplayRuns(from, func(idx uint64, payload []byte, n uint64) error {
+		rec.ReplayedRecords += n
+		rec.ReplayBytes += n * uint64(len(payload))
 		kind, body := decodeRecordBytes(payload)
-		switch kind {
-		case recKindLine:
-			return r.line(body)
-		case recKindMark:
-			rec.ReplayedMarks++
-			return r.mark()
-		case recKindEpoch:
-			// A model hot-swap happened here: re-execute it so the rest of
-			// the journal replays against the model it was written under.
-			if l.registry == nil {
-				return fmt.Errorf("journal holds a model-epoch record at %d but the server has no model registry (Config.Model unset)", idx)
+		if kind == recKindMark {
+			rec.ReplayedMarks += n
+			return r.marks(n)
+		}
+		for end := idx + n; idx < end; idx++ {
+			if err := l.replayRecord(r, idx, kind, body, rec); err != nil {
+				return err
 			}
-			if fp := string(body); fp != r.model.FingerprintHex() {
-				model, err := l.registry.Compiled(fp)
-				if err != nil {
-					return fmt.Errorf("re-executing model swap at %d: %w", idx, err)
-				}
-				if err := r.swap(idx, model); err != nil {
-					return err
-				}
-			}
-			rec.ReplayedSwaps++
-		default:
-			rec.ReplayErrors++
 		}
 		return nil
 	})
@@ -333,6 +319,33 @@ func (l *Local) replayJournal(wl *wal.Log, from uint64, rec *RecoveryStatus) err
 	rec.ReplayErrors += r.parseErrors
 	rec.ReplayTokens = r.toks
 	return err
+}
+
+// replayRecord hands one journaled record other than a mark to the replay.
+func (l *Local) replayRecord(r *replay, idx uint64, kind int, body []byte, rec *RecoveryStatus) error {
+	switch kind {
+	case recKindLine:
+		return r.line(body)
+	case recKindEpoch:
+		// A model hot-swap happened here: re-execute it so the rest of the
+		// journal replays against the model it was written under.
+		if l.registry == nil {
+			return fmt.Errorf("journal holds a model-epoch record at %d but the server has no model registry (Config.Model unset)", idx)
+		}
+		if fp := string(body); fp != r.model.FingerprintHex() {
+			model, err := l.registry.Compiled(fp)
+			if err != nil {
+				return fmt.Errorf("re-executing model swap at %d: %w", idx, err)
+			}
+			if err := r.swap(idx, model); err != nil {
+				return err
+			}
+		}
+		rec.ReplayedSwaps++
+	default:
+		rec.ReplayErrors++
+	}
+	return nil
 }
 
 // replaySwap re-executes a journaled model swap during boot replay: the

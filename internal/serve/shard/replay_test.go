@@ -61,8 +61,10 @@ func closeTestLocal(t testing.TB, l *Local) {
 // stream — 64 XC30 nodes at 3.3 benign lines a minute with rare chains, 1.2%
 // of lines tokenizing — as one 5-hour block repeated with the date moved a
 // day on per pass, so every node's timestamps keep rising and the gap
-// between passes resets any partial match.
-func writeBenignJournal(t testing.TB, dir string, n int) {
+// between passes resets any partial match. With a model, it journals the
+// lines the way the edge does: per 256-line batch, a discard mark for each
+// line the model drops, then the batch's other lines whole.
+func writeBenignJournal(t testing.TB, dir string, n int, model *predictor.Model) {
 	t.Helper()
 	lg, err := loggen.Generate(loggen.Config{
 		Dialect: loggen.DialectXC30, Seed: 5, Duration: 5 * time.Hour,
@@ -77,22 +79,30 @@ func writeBenignJournal(t testing.TB, dir string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([][]byte, 0, 256)
+	var marks, recs [][]byte
 	flush := func() {
-		if _, err := wl.AppendBatch(recs); err != nil {
+		if _, err := wl.AppendBatch(append(marks, recs...)); err != nil {
 			t.Fatal(err)
 		}
-		recs = recs[:0]
+		marks, recs = marks[:0], recs[:0]
 	}
 	for i := 0; i < n; i++ {
 		pass, j := i/len(block), i%len(block)
 		rec := append([]byte(first.AddDate(0, 0, pass).Format("2006-01-02")), block[j][len("2006-01-02"):]...)
-		recs = append(recs, rec)
-		if len(recs) == cap(recs) {
+		if model != nil {
+			if _, ok, err := model.Scanner().ScanLine(string(rec)); err == nil && !ok {
+				marks = append(marks, markRecord)
+				rec = nil
+			}
+		}
+		if rec != nil {
+			recs = append(recs, rec)
+		}
+		if len(marks)+len(recs) == 256 {
 			flush()
 		}
 	}
-	if len(recs) > 0 {
+	if len(marks)+len(recs) > 0 {
 		flush()
 	}
 	if err := wl.Close(); err != nil {
@@ -277,7 +287,7 @@ func TestReplayMemoryBounded(t *testing.T) {
 	model := xc30Model(t)
 	peakFor := func(n int) uint64 {
 		dir := t.TempDir()
-		writeBenignJournal(t, dir, n)
+		writeBenignJournal(t, dir, n, nil)
 		l := newTestLocal(t, model, dir, 2, false)
 		defer closeTestLocal(t, l)
 		runtime.GC()
@@ -301,20 +311,30 @@ func TestReplayMemoryBounded(t *testing.T) {
 }
 
 // BenchmarkReplay times boot replay of a benign journal (see
-// writeBenignJournal), with and without the arbiter. ns/line is the figure
-// EXPERIMENTS compares across changes; peak-heap-MiB the heap high-water mark
-// during the replay.
+// writeBenignJournal): every line journaled whole, with and without the
+// arbiter, and the edge's marked journal (no arbiter: the edge writes marks
+// only without one). ns/line is the figure EXPERIMENTS compares across
+// changes; peak-heap-MiB the heap high-water mark during the replay.
 func BenchmarkReplay(b *testing.B) {
 	const lines = 1 << 20
 	model := xc30Model(b)
-	dir := b.TempDir()
-	writeBenignJournal(b, dir, lines)
-	for _, arb := range []bool{false, true} {
-		b.Run(fmt.Sprintf("arbiter=%v", arb), func(b *testing.B) {
+	plain, marked := b.TempDir(), b.TempDir()
+	writeBenignJournal(b, plain, lines, nil)
+	writeBenignJournal(b, marked, lines, model)
+	for _, row := range []struct {
+		name string
+		dir  string
+		arb  bool
+	}{
+		{"arbiter=false", plain, false},
+		{"arbiter=true", plain, true},
+		{"marks", marked, false},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			var took []time.Duration
 			var peak uint64
 			for i := 0; i < b.N; i++ {
-				l := newTestLocal(b, model, dir, 0, arb)
+				l := newTestLocal(b, model, row.dir, 0, row.arb)
 				runtime.GC()
 				stop := make(chan struct{})
 				p := heapPeak(stop)
@@ -326,6 +346,9 @@ func BenchmarkReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				peak = max(peak, <-p)
+				if rec := l.Stats().Recovery; rec.ReplayedRecords != lines {
+					b.Fatalf("replayed %d records, journaled %d", rec.ReplayedRecords, lines)
+				}
 				closeTestLocal(b, l)
 			}
 			sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })

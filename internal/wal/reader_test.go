@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,20 +65,28 @@ func oracleScan(body []byte) (recs [][]byte, end int64) {
 	}
 }
 
-// readerScan reads a whole segment image through segReader with a buffer of
-// bufSize bytes.
-func readerScan(t testing.TB, seg []byte, base uint64, bufSize int) (recs [][]byte, end int64) {
+// readerScan reads a whole segment image through segReader.nextRun with a
+// buffer of bufSize bytes and runs of at most limit records, expanding every
+// run into its records; steps is the number of nextRun calls that returned
+// one.
+func readerScan(t testing.TB, seg []byte, base uint64, bufSize int, limit uint64) (recs [][]byte, end int64, steps int) {
 	t.Helper()
 	sr := segReader{src: bytes.NewReader(seg), buf: make([]byte, bufSize)}
 	if err := sr.header("seg", base); err != nil {
 		t.Fatalf("header: %v", err)
 	}
 	for {
-		p, ok := sr.next()
+		p, n, ok := sr.nextRun(limit)
 		if !ok {
-			return recs, sr.off
+			return recs, sr.off, steps
 		}
-		recs = append(recs, append([]byte{}, p...))
+		if n < 1 || n > limit {
+			t.Fatalf("run of %d records under a limit of %d", n, limit)
+		}
+		steps++
+		for ; n > 0; n-- {
+			recs = append(recs, append([]byte{}, p...))
+		}
 	}
 }
 
@@ -94,25 +103,41 @@ func appendRecord(seg, payload []byte) []byte {
 	return append(seg, payload...)
 }
 
-var readerBufSizes = []int{16, 1 << 10, 1 << 20}
+var (
+	readerBufSizes = []int{16, 1 << 10, 1 << 20}
+	// Run limits: one record a step (next's path), a limit that cuts runs,
+	// and none.
+	readerRunLimits = []uint64{1, 3, math.MaxUint64}
+)
 
 func checkAgainstOracle(t *testing.T, seg []byte, base uint64) {
 	t.Helper()
 	wantRecs, wantEnd := oracleScan(seg[headerSize:])
 	for _, size := range readerBufSizes {
-		recs, end := readerScan(t, seg, base, size)
-		if end != wantEnd {
-			t.Fatalf("buffer %d: end offset %d, oracle %d", size, end, wantEnd)
-		}
-		if len(recs) != len(wantRecs) {
-			t.Fatalf("buffer %d: %d records, oracle %d", size, len(recs), len(wantRecs))
-		}
-		for i := range recs {
-			if !bytes.Equal(recs[i], wantRecs[i]) {
-				t.Fatalf("buffer %d: record %d is %q, oracle %q", size, i, recs[i], wantRecs[i])
+		for _, limit := range readerRunLimits {
+			recs, end, _ := readerScan(t, seg, base, size, limit)
+			if end != wantEnd {
+				t.Fatalf("buffer %d, limit %d: end offset %d, oracle %d", size, limit, end, wantEnd)
+			}
+			if len(recs) != len(wantRecs) {
+				t.Fatalf("buffer %d, limit %d: %d records, oracle %d", size, limit, len(recs), len(wantRecs))
+			}
+			for i := range recs {
+				if !bytes.Equal(recs[i], wantRecs[i]) {
+					t.Fatalf("buffer %d, limit %d: record %d is %q, oracle %q", size, limit, i, recs[i], wantRecs[i])
+				}
 			}
 		}
 	}
+}
+
+// markRun appends n discard marks (payload "\x00d"), the record that runs
+// are made of in practice.
+func markRun(seg []byte, n int) []byte {
+	for ; n > 0; n-- {
+		seg = appendRecord(seg, markPayload)
+	}
+	return seg
 }
 
 // FuzzSegmentReader: arbitrary bytes after a valid header yield, at every
@@ -134,6 +159,18 @@ func FuzzSegmentReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(make([]byte, 64))
+	// Run-heavy bodies: long mark runs between records, a run of the largest
+	// record that starts one, a run broken by one flipped bit in its header
+	// or payload, and a run whose last copy is torn.
+	runs := markRun(appendRecord(markRun(nil, 300), []byte("a kept line between two runs")), 150)
+	f.Add(runs)
+	f.Add(appendRecord(appendRecord(appendRecord(nil, []byte("12345678")), []byte("12345678")), []byte("12345678")))
+	for _, at := range []int{3, 6, 9} { // length, CRC, payload of the 41st copy
+		broken := markRun(nil, 100)
+		broken[40*(recHdrSize+2)+at] ^= 0x04
+		f.Add(broken)
+	}
+	f.Add(runs[:len(runs)-4])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgainstOracle(t, append(segHeader(7), body...), 7)
@@ -144,26 +181,50 @@ func TestSegmentReaderBufferBoundaries(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		payloads []int // payload lengths, filled with a per-record byte
+		copies   int   // copies of each record, back to back (0 means 1)
+		steps    int   // nextRun calls a 1 MiB buffer needs for the segment (0: one per record)
 	}{
 		// 16-byte header fills the smallest buffer exactly; 8+8 byte records
 		// then sit flush against its end.
-		{"flush", []int{8, 8, 8}},
+		{name: "flush", payloads: []int{8, 8, 8}},
 		// Records that start in one buffer-full and end in the next, at both
 		// the 16 B and the 1 KiB size.
-		{"straddle", []int{5, 11, 3, 1000, 30, 7}},
-		{"larger than buffer", []int{1, 5000, 2, 3 << 20, 4}},
-		{"zero length", []int{0, 0, 9, 0}},
-		{"empty", nil},
+		{name: "straddle", payloads: []int{5, 11, 3, 1000, 30, 7}},
+		{name: "larger than buffer", payloads: []int{1, 5000, 2, 3 << 20, 4}},
+		// The two leading empty records are the same record: one run.
+		{name: "zero length", payloads: []int{0, 0, 9, 0}, steps: 3},
+		{name: "empty"},
+		// Runs of 400 copies (3200 to 6400 bytes) cross the 16 B and 1 KiB
+		// buffers many times over; the 16-byte records (the largest that
+		// start a run) sit flush against both. A 1 MiB buffer holds each
+		// whole, one step a run.
+		{name: "runs across buffers", payloads: []int{2, 2, 0, 8, 1}, copies: 400, steps: 5},
+		// 17-byte records are past the run cap: one step each.
+		{name: "copies over the run cap", payloads: []int{9, 9}, copies: 70},
+		// A run of 103 copies fills the 1 KiB block pattern (102 marks) once
+		// and then one more copy.
+		{name: "run one past a block", payloads: []int{2}, copies: 103, steps: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seg := segHeader(1)
+			copies := max(tc.copies, 1)
 			for i, n := range tc.payloads {
-				seg = appendRecord(seg, bytes.Repeat([]byte{byte('a' + i)}, n))
+				for c := 0; c < copies; c++ {
+					seg = appendRecord(seg, bytes.Repeat([]byte{byte('a' + i)}, n))
+				}
 			}
 			checkAgainstOracle(t, seg, 1)
-			recs, end := readerScan(t, seg, 1, 16)
-			if len(recs) != len(tc.payloads) || end != int64(len(seg)) {
-				t.Fatalf("read %d records to offset %d, want %d to %d", len(recs), end, len(tc.payloads), len(seg))
+			want := len(tc.payloads) * copies
+			recs, end, _ := readerScan(t, seg, 1, 16, math.MaxUint64)
+			if len(recs) != want || end != int64(len(seg)) {
+				t.Fatalf("read %d records to offset %d, want %d to %d", len(recs), end, want, len(seg))
+			}
+			wantSteps := tc.steps
+			if wantSteps == 0 {
+				wantSteps = want
+			}
+			if _, _, steps := readerScan(t, seg, 1, 1<<20, math.MaxUint64); steps != wantSteps {
+				t.Fatalf("a 1 MiB buffer read the segment in %d steps, want %d", steps, wantSteps)
 			}
 		})
 	}
@@ -364,5 +425,41 @@ func TestSegmentReaderAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("segReader.next allocates %.1f times per record, want 0", allocs)
+	}
+
+	// The run path allocates its block pattern once per reader, on the first
+	// run, and nothing after — also when runs of two different small records
+	// alternate, so the pattern is refilled.
+	seg = segHeader(1)
+	for i := 0; i < 1000; i++ {
+		seg = appendRecord(seg, []byte("2015-03-01T00:00:00.000Z c0-0c0s0n1 a line of ordinary length for the reader"))
+		seg = markRun(seg, 300)
+		for c := 0; c < 20; c++ {
+			seg = appendRecord(seg, []byte("xy"))
+		}
+	}
+	sr = segReader{src: bytes.NewReader(seg), buf: make([]byte, 4<<10)}
+	if err := sr.header("seg", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the line, then the first run of marks
+		if _, _, ok := sr.nextRun(math.MaxUint64); !ok {
+			t.Fatal("ran out of records")
+		}
+	}
+	if sr.pat == nil {
+		t.Fatal("no block pattern after a run of marks")
+	}
+	pat := &sr.pat[0]
+	allocs = testing.AllocsPerRun(1000, func() {
+		if _, _, ok := sr.nextRun(math.MaxUint64); !ok {
+			t.Fatal("ran out of records")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("segReader.nextRun allocates %.1f times per step, want 0", allocs)
+	}
+	if &sr.pat[0] != pat {
+		t.Fatal("the block pattern was allocated again")
 	}
 }

@@ -16,11 +16,13 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -252,6 +254,11 @@ type segReader struct {
 	r, w int   // buf[r:w] is read from src and not yet consumed
 	off  int64 // segment offset just past the header or the last record returned
 	err  error // first error from src (io.EOF included); sticky
+
+	// pat is nextRun's block pattern: one small record repeated back to back
+	// (patRec bytes each), allocated on the reader's first run.
+	pat    []byte
+	patRec int
 }
 
 // openSegment points sr at the segment file and consumes its header. The
@@ -348,6 +355,80 @@ func (s *segReader) next() ([]byte, bool) {
 	return payload, true
 }
 
+// Runs of identical records. An edge-journaled shard writes a 10-byte
+// discard mark for almost every line, so a journal is mostly long runs of one
+// record. Identical bytes get the identical verdict, so nextRun checks the
+// first copy of a run and compares the rest with it in blocks.
+const (
+	// runRecMax is the largest record (header and payload) that starts a
+	// run; larger records are read one at a time.
+	runRecMax = 16
+	// runPatBytes is the block the copies are compared in: one memequal per
+	// runPatBytes/size copies.
+	runPatBytes = 1 << 10
+)
+
+// nextRun is next plus the copies that follow: it returns the record's
+// payload and n, the number of records from this one on (1 ≤ n ≤ limit,
+// limit ≥ 1) that are byte for byte — header and payload — the same record.
+// Only a record of at most runRecMax bytes starts a run, and only copies
+// already in the buffer count. A copy that differs in any byte ends the run;
+// the next call reads it through next, so torn and corrupt records get
+// exactly next's verdict.
+//
+//aarohi:hotpath
+func (s *segReader) nextRun(limit uint64) ([]byte, uint64, bool) {
+	payload, ok := s.next()
+	if !ok {
+		return nil, 0, false
+	}
+	size := recHdrSize + len(payload)
+	if size > runRecMax || limit == 1 || s.w-s.r < size {
+		return payload, 1, true
+	}
+	rec := s.buf[s.r-size : s.r]
+	if !bytes.Equal(s.buf[s.r:s.r+size], rec) {
+		return payload, 1, true
+	}
+	if s.patRec != size || !bytes.Equal(s.pat[:size], rec) {
+		s.setPattern(rec)
+	}
+	n := uint64(1)
+	for n < limit {
+		k := min(uint64(len(s.pat)/size), limit-n, uint64((s.w-s.r)/size))
+		if k == 0 {
+			break // the buffer ends; the next call refills
+		}
+		b := int(k) * size
+		if bytes.Equal(s.buf[s.r:s.r+b], s.pat[:b]) {
+			s.r += b
+			n += k
+			continue
+		}
+		// A copy in this block differs: take the ones before it.
+		for bytes.Equal(s.buf[s.r:s.r+size], s.pat[:size]) {
+			s.r += size
+			n++
+		}
+		break
+	}
+	s.off += int64(n-1) * int64(size)
+	return payload, n, true
+}
+
+// setPattern fills pat with as many whole copies of rec as fit in
+// runPatBytes, allocating it the first time.
+func (s *segReader) setPattern(rec []byte) {
+	if s.pat == nil {
+		s.pat = make([]byte, runPatBytes)
+	}
+	s.pat = s.pat[:runPatBytes-runPatBytes%len(rec)]
+	for i := 0; i < len(s.pat); i += len(rec) {
+		copy(s.pat[i:], rec)
+	}
+	s.patRec = len(rec)
+}
+
 // scanTail walks the records of the final segment, returning the offset just
 // past the last intact record and the number of intact records. Anything
 // unreadable past that point is a torn tail for Open to truncate.
@@ -359,10 +440,11 @@ func scanTail(path string, base uint64) (end int64, count uint64, err error) {
 	}
 	defer f.Close()
 	for {
-		if _, ok := sr.next(); !ok {
+		_, n, ok := sr.nextRun(math.MaxUint64)
+		if !ok {
 			return sr.off, count, nil
 		}
-		count++
+		count += n
 	}
 }
 
@@ -602,10 +684,28 @@ func (l *Log) Segments() int {
 }
 
 // Replay calls fn for every intact record with index ≥ from, in index order.
-// A torn tail on the final segment ends the replay cleanly; corruption
-// anywhere else returns an error wrapping ErrCorrupt. Stop early by
-// returning an error from fn (it is returned verbatim).
+// It is ReplayRuns for a caller that takes one record at a time.
 func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) error {
+	return l.ReplayRuns(from, func(idx uint64, payload []byte, n uint64) error {
+		for end := idx + n; idx < end; idx++ {
+			if err := fn(idx, payload); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// ReplayRuns calls fn for every intact record with index ≥ from, in index
+// order, a run of byte-identical records at a time: fn(index, payload, n)
+// stands for the n ≥ 1 records index … index+n−1, each of which carries
+// payload (valid until fn returns). A run ends at a segment boundary and
+// never spans from or the last index as of the call, so a journal appended
+// to meanwhile is not read past it. A torn tail on the final segment ends the
+// replay cleanly; corruption anywhere else returns an error wrapping
+// ErrCorrupt and naming the record. Stop early by returning an error from fn
+// (it is returned verbatim).
+func (l *Log) ReplayRuns(from uint64, fn func(index uint64, payload []byte, n uint64) error) error {
 	l.mu.Lock()
 	bases := append([]uint64(nil), l.segs...)
 	next := l.next
@@ -626,8 +726,12 @@ func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) e
 		}
 		err = func() error {
 			defer f.Close()
-			for idx := base; idx < segEnd; idx++ {
-				payload, ok := sr.next()
+			for idx := base; idx < segEnd; {
+				limit := segEnd - idx
+				if idx < from {
+					limit = min(limit, from-idx)
+				}
+				payload, n, ok := sr.nextRun(limit)
 				if !ok {
 					if si == len(bases)-1 {
 						return nil // reparable tail; Open truncates it
@@ -635,10 +739,11 @@ func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) e
 					return fmt.Errorf("wal: %s: record %d unreadable: %w", segName(base), idx, ErrCorrupt)
 				}
 				if idx >= from {
-					if err := fn(idx, payload); err != nil {
+					if err := fn(idx, payload, n); err != nil {
 						return err
 					}
 				}
+				idx += n
 			}
 			return nil
 		}()

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full local check: build, the frozen bench/ module, gofmt, vet,
-# repo-invariant lint, race-enabled tests, and a short fuzz smoke over every
+# repo-invariant lint, race-enabled tests, one-iteration smokes of the
+# scanner and boot-replay benchmarks, and a short fuzz smoke over every
 # fuzz target. This is what CI runs; run it before pushing.
 #
 # Usage: scripts/check.sh [fuzztime]
@@ -42,6 +43,11 @@ go test -race ./...
 echo "==> scanner benchmark smoke (BenchmarkScanDialect, -benchtime 1x)"
 go test -run '^$' -bench BenchmarkScanDialect -benchtime 1x ./internal/lexgen
 
+# Likewise the boot-replay benchmark (plain journal with and without the
+# arbiter, and the edge's marked journal).
+echo "==> boot replay benchmark smoke (BenchmarkReplay, -benchtime 1x)"
+go test -run '^$' -bench BenchmarkReplay -benchtime 1x ./internal/serve/shard
+
 echo "==> serve integration (race): loopback daemon and cluster end-to-end"
 go test -race -run 'TestServe|TestAarohid|TestCluster' ./internal/serve .
 
@@ -59,7 +65,11 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # the edge against both. Affordable because a model now
 # compiles once per version, not once per shard x worker.
 # The journal-format tests replay the committed journals (with and without
-# discard marks) through the concurrent replay stages.
+# discard marks) through the concurrent replay stages; the journal reader's
+# run tests hold runs of identical records to the one-record-at-a-time
+# oracle, cut them at segment rolls, at the replay's start and at the last
+# index a replay captured while AppendBatch keeps appending, and flip a bit
+# inside a run.
 # The per-node order tests race the workers that feed the arbiter against
 # the fan-out, a stalled Publish and each other. The count-only
 # ProcessScanned test counts discards while every worker is blocked, then
@@ -72,10 +82,10 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # here rather than one run in N in production.
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
 PARSE_TESTS='TestProcessScannedCountOnly|TestParseLineAllocFree|FuzzLineParser|TestAppendJSON|FuzzOutputJSON'
-JOURNAL_TESTS='TestDecodeRecordBytes|TestReplayJournalFixtures|TestReplayCountsUnknownRecords|TestCountDiscardedNeedsRegistry'
-echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order, journal-format, count-only, parser and encoder tests (race, -count=5, poisoned line stores)"
+JOURNAL_TESTS='TestDecodeRecordBytes|TestReplayJournalFixtures|TestReplayCountsUnknownRecords|TestCountDiscardedNeedsRegistry|TestReplayRuns|TestRunCopy|TestSegmentReader'
+echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order, journal-format and journal-run, count-only, parser and encoder tests (race, -count=5, poisoned line stores)"
 go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|TestEdge|Swap|Shadow' ./internal/serve
-go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS|$PARSE_TESTS" ./internal/serve/shard ./internal/predictor ./internal/lexgen
+go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS|$PARSE_TESTS" ./internal/serve/shard ./internal/predictor ./internal/lexgen ./internal/wal
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
 # one after another, several finish chunks out of journal order. The default
