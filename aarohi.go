@@ -132,9 +132,9 @@ type (
 	RecoveryStatus = serve.RecoveryStatus
 )
 
-// Model-lifecycle types (the registry a Server runs when ServeConfig.Model
-// is set: versioned vet-gated model store, zero-loss hot-swap, shadow
-// evaluation, rollback).
+// Model-lifecycle types (the registry every Server runs, its boot version
+// the model of the Manager it serves: versioned vet-gated model store,
+// zero-loss hot-swap, shadow evaluation, rollback).
 type (
 	// Model is a complete predictor model: chains + template inventory +
 	// construction options, the unit of registry versioning.
@@ -238,8 +238,12 @@ func NewManager(chains []FailureChain, inventory []Template, opts Options, worke
 // NewServer wraps a Manager in the streaming ingestion service: a TCP
 // line-protocol listener and an HTTP API (POST /ingest, GET /predictions,
 // /healthz, /readyz, /statusz) over a bounded ingest queue with an explicit
-// overflow policy. Start it with Start or Run; Shutdown drains gracefully.
-// cmd/aarohid is the stand-alone daemon built on this.
+// overflow policy, and a model registry that admits m's model as its boot
+// version (vet-gated: Start fails with ErrModelRejected for a model with
+// error findings) behind the admin API (POST /model, GET /models,
+// /model/activate, /model/rollback, /model/shadow). Start it with Start or
+// Run; Shutdown drains gracefully. cmd/aarohid is the stand-alone daemon
+// built on this.
 func NewServer(m *Manager, cfg ServeConfig) *Server {
 	return serve.New(m, cfg)
 }

@@ -70,9 +70,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	srv := serve.New(mgr, o.serveConfig(&registry.Model{
-		Chains: chains, Templates: inventory, Options: opts,
-	}))
+	srv := serve.New(mgr, o.serveConfig())
 	// Catch shutdown signals before the listeners open: once /readyz answers,
 	// a SIGTERM must always drain gracefully, never hit the default handler.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -110,14 +108,13 @@ func main() {
 	if o.DataDir != "" {
 		log.Printf("aarohid: durability on: data-dir=%s fsync=%s snapshot-interval=%s", o.DataDir, o.Fsync, o.SnapshotInterval)
 	}
-	if st := srv.Status(); st.Model != nil {
-		vetted := "admitted before this boot"
-		if st.Model.VetSeconds > 0 {
-			vetted = fmt.Sprintf("%.3fs", st.Model.VetSeconds)
-		}
-		log.Printf("aarohid: model registry active=%s (%d versions; vet %s, compile %.3fs); POST /model, SIGHUP and -watch hot-swap",
-			st.Model.Active, st.Model.Versions, vetted, st.Model.CompileSeconds)
+	ms := srv.Status().Model
+	vetted := "admitted before this boot"
+	if ms.VetSeconds > 0 {
+		vetted = fmt.Sprintf("%.3fs", ms.VetSeconds)
 	}
+	log.Printf("aarohid: model registry active=%s (%d versions; vet %s, compile %.3fs); POST /model, SIGHUP and -watch hot-swap",
+		ms.Active, ms.Versions, vetted, ms.CompileSeconds)
 
 	// Hot-reload sources: SIGHUP re-reads -chains/-templates on demand; -watch
 	// polls their mtimes. Both funnel into reloadModel, which vets, admits and

@@ -11,7 +11,6 @@ import (
 
 	aarohi "repro"
 	"repro/internal/arbiter"
-	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/wal"
 )
@@ -205,7 +204,7 @@ func (o *options) predictorOptions() aarohi.Options {
 // serveConfig assembles the server configuration from the validated options.
 // serve.Config.Validate runs again inside Start — this function only maps
 // fields, it adds no policy of its own.
-func (o *options) serveConfig(model *registry.Model) serve.Config {
+func (o *options) serveConfig() serve.Config {
 	return serve.Config{
 		TCPAddr:          o.TCPAddr,
 		HTTPAddr:         o.HTTPAddr,
@@ -218,7 +217,6 @@ func (o *options) serveConfig(model *registry.Model) serve.Config {
 		DataDir:          o.DataDir,
 		SnapshotInterval: o.SnapshotInterval,
 		Fsync:            o.Fsync,
-		Model:            model,
 		Shards:           o.Shards,
 		Arbiter:          o.Arbiter,
 		Cluster:          o.Cluster,

@@ -226,13 +226,11 @@ func TestServeConfigMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := o.serveConfig(nil)
+	cfg := o.serveConfig()
 	if cfg.Shards != 4 || cfg.Overflow != serve.Shed || cfg.QueueSize != 128 {
 		t.Errorf("cfg = shards=%d overflow=%v queue=%d", cfg.Shards, cfg.Overflow, cfg.QueueSize)
 	}
-	// Shards > 1 without a model must be rejected by serve.Config.Validate —
-	// the daemon always passes a model, but the contract lives there.
-	if err := cfg.Validate(); err == nil {
-		t.Error("Validate accepted shards>1 without a model")
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate rejected -shards 4: %v", err)
 	}
 }

@@ -35,7 +35,9 @@ func main() {
 	lines := run.Lines()
 	fmt.Printf("cluster log: %d events, %d injected failures\n\n", len(lines), len(run.Failures))
 
-	// The service: sharded Manager behind TCP + HTTP front ends.
+	// The service: sharded Manager behind TCP + HTTP front ends, and an
+	// in-memory model registry whose boot version is the Manager's model
+	// (the admin API — POST /model, GET /models — is on).
 	mgr, err := aarohi.NewManager(run.Dialect.Chains(), run.Dialect.Inventory(), aarohi.Options{}, 0)
 	if err != nil {
 		log.Fatal(err)

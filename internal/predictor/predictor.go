@@ -100,6 +100,11 @@ type Model struct {
 
 	// compileTime is how long Compile took, for boot-time attribution.
 	compileTime time.Duration
+
+	// inventory and opts are, with chains, what Compile was given, so a
+	// model is its own source (Source).
+	inventory []core.Template
+	opts      Options
 }
 
 // Predictor is the cluster-wide online predictor: one compiled Model plus
@@ -222,6 +227,8 @@ func Compile(chains []core.FailureChain, inventory []core.Template, opts Options
 		fpHex:            fmt.Sprintf("%016x", fp),
 		rulesFingerprint: rulesFingerprint(ruleChains, opts),
 		compileTime:      time.Since(began),
+		inventory:        append([]core.Template(nil), inventory...),
+		opts:             opts,
 	}, nil
 }
 
@@ -231,6 +238,13 @@ func phraseKey(ps []core.PhraseID) string {
 		b = append(b, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
 	}
 	return string(b)
+}
+
+// Source returns the chains, inventory and options the model was compiled
+// from; they fingerprint to FingerprintHex. The slices are the model's own
+// and must not be modified.
+func (m *Model) Source() ([]core.FailureChain, []core.Template, Options) {
+	return m.chains, m.inventory, m.opts
 }
 
 // CompileTime reports how long Compile took to build this model.

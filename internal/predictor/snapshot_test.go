@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,27 @@ func TestPredictorSnapshotRestoreTransparent(t *testing.T) {
 	}
 	if p2.Stats() != ref.Stats() {
 		t.Errorf("stats diverge: got %+v want %+v", p2.Stats(), ref.Stats())
+	}
+}
+
+// TestModelSourceFingerprints: a compiled model returns the chains,
+// inventory and options it was compiled from, and they fingerprint to the
+// model's own identity — so a store can admit a compiled model as is.
+func TestModelSourceFingerprints(t *testing.T) {
+	for _, opts := range []Options{{}, {Timeout: 7 * time.Minute, DisableFactoring: true}, {KeepTerminal: true}} {
+		d := loggen.DialectXE6
+		m, err := Compile(d.Chains(), d.Inventory(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains, inventory, gotOpts := m.Source()
+		if len(chains) != len(d.Chains()) || len(inventory) != len(d.Inventory()) || gotOpts != opts {
+			t.Fatalf("Source() = %d chains, %d templates, %+v; compiled from %d, %d, %+v",
+				len(chains), len(inventory), gotOpts, len(d.Chains()), len(d.Inventory()), opts)
+		}
+		if fp := fmt.Sprintf("%016x", ModelFingerprint(chains, inventory, gotOpts)); fp != m.FingerprintHex() {
+			t.Fatalf("options %+v: Source() fingerprints to %s, the model is %s", opts, fp, m.FingerprintHex())
+		}
 	}
 }
 

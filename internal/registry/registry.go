@@ -275,16 +275,20 @@ func (r *Registry) saveManifest() error {
 // the model is compiled so only compilable models are stored. The compiled
 // form is kept for the swap or shadow start that usually follows.
 func (r *Registry) Put(m Model, source string) (Entry, *vet.Report, error) {
-	return r.PutCompiled(m, nil, source)
+	return r.put(m, nil, source)
 }
 
-// PutCompiled is Put for a caller that already compiled m: admission keeps
-// that form instead of compiling its own. compiled may be nil.
-func (r *Registry) PutCompiled(m Model, compiled *predictor.Model, source string) (Entry, *vet.Report, error) {
+// PutCompiled is Put for a model the caller already compiled: it admits the
+// chains, inventory and options compiled was built from and keeps that form
+// instead of compiling its own.
+func (r *Registry) PutCompiled(compiled *predictor.Model, source string) (Entry, *vet.Report, error) {
+	chains, templates, opts := compiled.Source()
+	return r.put(Model{Chains: chains, Templates: templates, Options: opts}, compiled, source)
+}
+
+// put admits m; compiled, when non-nil, is m's compiled form.
+func (r *Registry) put(m Model, compiled *predictor.Model, source string) (Entry, *vet.Report, error) {
 	fp := m.Fingerprint()
-	if compiled != nil && compiled.FingerprintHex() != fp {
-		return Entry{}, nil, fmt.Errorf("registry: compiled model %s is not model %s", compiled.FingerprintHex(), fp)
-	}
 	r.mu.Lock()
 	if e, ok := r.entries[fp]; ok {
 		if compiled != nil {

@@ -224,14 +224,17 @@ func TestCompiledFormsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := r.PutCompiled(m, own, "boot")
+	e, _, err := r.PutCompiled(own, "boot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := r.Compiled(e.Fingerprint); got != own {
 		t.Error("PutCompiled did not keep the caller's compiled form")
 	}
-	if _, _, err := r.PutCompiled(xc30Model(2*time.Hour), own, "boot"); err == nil {
-		t.Error("PutCompiled accepted a compiled form of another model")
+	if e.Fingerprint != m.Fingerprint() {
+		t.Errorf("PutCompiled admitted %s, the model it was compiled from is %s", e.Fingerprint, m.Fingerprint())
+	}
+	if got, _, err := r.Get(e.Fingerprint); err != nil || got.Fingerprint() != e.Fingerprint {
+		t.Errorf("stored model %v fingerprints elsewhere than %s (%v)", got, e.Fingerprint, err)
 	}
 }

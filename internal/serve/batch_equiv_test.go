@@ -16,7 +16,6 @@ import (
 	"repro/internal/loggen"
 	"repro/internal/predictor"
 	"repro/internal/recycle"
-	"repro/internal/registry"
 	"repro/internal/wal"
 )
 
@@ -267,9 +266,6 @@ func runEdgePipe(t *testing.T, d *loggen.Dialect, lines []string, shards int, tc
 	if tcpSeed != 0 {
 		cfg.TCPAddr = "127.0.0.1:0"
 	}
-	if shards > 1 {
-		cfg.Model = &registry.Model{Chains: d.Chains(), Templates: d.Inventory()}
-	}
 	s := New(mgr, cfg)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -337,7 +333,7 @@ func withMalformed(lines []string) []string {
 func TestBatchPipelineEquivalence(t *testing.T) {
 	recycle.PoisonForTest(t.Cleanup)
 	dialects := []*loggen.Dialect{
-		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectBGP, loggen.DialectCassandra,
+		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectCassandra, loggen.DialectHadoop,
 	}
 	for di, d := range dialects {
 		d := d
@@ -380,9 +376,6 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 			edgeRef := sequentialRun(t, d, edgeLines)
 			edgeRef.wal = nil // no journal
 			for _, shards := range []int{1, 2} {
-				if shards > 1 && d == loggen.DialectBGP {
-					continue // two shards need Config.Model, and BG/P's inventory fails vet admission
-				}
 				label := fmt.Sprintf("edge shards=%d", shards)
 				queued, want := runEdgePipe(t, d, edgeLines, shards, 0)
 				diffRuns(t, label+" queue path", edgeRef, queued)

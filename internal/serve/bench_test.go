@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/loggen"
 	"repro/internal/predictor"
-	"repro/internal/registry"
 	"repro/internal/wal"
 )
 
@@ -18,9 +17,9 @@ import (
 // variants), sharded scan, parse — in bytes of raw log per second. Lines go
 // in as the transports hand them over: one chunk per 64 KiB framer read,
 // through the function both transports call, so every row but fwd measures
-// the edge dropping lines where they land; the journaled rows carry the model
-// registry, as aarohid does, so their dropped lines are journaled as discard
-// marks and only the kept lines take the queue path:
+// the edge dropping lines where they land; the journaled rows journal their
+// dropped lines as discard marks, and only the kept lines take the queue
+// path:
 //
 //	go test -run '^$' -bench BenchmarkServeIngest -benchmem ./internal/serve
 //
@@ -94,40 +93,35 @@ func BenchmarkServeIngest(b *testing.B) {
 		b.StopTimer()
 	}
 
-	model := &registry.Model{
-		Chains:    loggen.DialectXC30.Chains(),
-		Templates: loggen.DialectXC30.Inventory(),
-		Options:   predictor.Options{},
-	}
 	b.Run("nowal", func(b *testing.B) {
 		run(b, Config{})
 	})
 	b.Run("wal", func(b *testing.B) {
-		run(b, Config{Model: model, DataDir: b.TempDir()})
+		run(b, Config{DataDir: b.TempDir()})
 	})
 	// The journal under the other two sync policies ("wal" is SyncBatch).
 	// Under SyncAlways each chunk's marks commit on the ingest goroutine
 	// and the pump commits the kept lines separately.
 	b.Run("wal-always", func(b *testing.B) {
-		run(b, Config{Model: model, DataDir: b.TempDir(), Fsync: wal.SyncAlways})
+		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncAlways})
 	})
 	b.Run("wal-off", func(b *testing.B) {
-		run(b, Config{Model: model, DataDir: b.TempDir(), Fsync: wal.SyncOff})
+		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncOff})
 	})
 	// The consistent-hash router in front of one local shard, no
 	// persistence: the batch is handed through whole, whose tax should be
 	// nil against nowal.
 	b.Run("shards1", func(b *testing.B) {
-		run(b, Config{Shards: 1, Model: model})
+		run(b, Config{Shards: 1})
 	})
 	// Two shards: the router splits each batch and submits both shares on
 	// the pump.
 	b.Run("shards2", func(b *testing.B) {
-		run(b, Config{Shards: 2, Model: model})
+		run(b, Config{Shards: 2})
 	})
 	// Two shards fsyncing every batch: their syncs run one after the other.
 	b.Run("shards2-wal-always", func(b *testing.B) {
-		run(b, Config{Shards: 2, Model: model, DataDir: b.TempDir(), Fsync: wal.SyncAlways})
+		run(b, Config{Shards: 2, DataDir: b.TempDir(), Fsync: wal.SyncAlways})
 	})
 	// Forwarded hop: cluster mode with a static table that omits this
 	// daemon, so every line makes the one cross-daemon hop — placement

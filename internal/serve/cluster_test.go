@@ -9,7 +9,6 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/loggen"
 	"repro/internal/predictor"
-	"repro/internal/registry"
 	"repro/internal/ring"
 	"repro/internal/serve/shard"
 )
@@ -19,18 +18,15 @@ import (
 // real SIGKILL) lives in scripts/e2e_cluster.sh; these tests cover the same
 // equivalence surface where a debugger can reach it.
 
-// newClusterServer boots one cluster member over the XC30 dialect. The
-// model/registry config mirrors runSharded so prediction equivalence against
-// a plain single-daemon run is exact.
+// newClusterServer boots one cluster member over the XC30 dialect, the
+// model runSharded uses, so prediction equivalence against a plain
+// single-daemon run is exact.
 func newClusterServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	d := loggen.DialectXC30
 	mgr, err := predictor.NewManager(d.Chains(), d.Inventory(), predictor.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Model == nil {
-		cfg.Model = &registry.Model{Chains: d.Chains(), Templates: d.Inventory(), Options: predictor.Options{}}
 	}
 	if cfg.HTTPAddr == "" {
 		cfg.HTTPAddr = "off"

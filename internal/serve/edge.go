@@ -24,10 +24,10 @@ import (
 // snapMu hold; its kept lines are journaled in full by the pump, as before.
 //
 // The edge runs only where no consumer reads a dropped line:
-//   - not at all with an arbiter (every line is a heartbeat), a cluster
-//     (peers may arbitrate, and may run another model mid-rollout) or a
-//     journal without a model registry (replay could not tell which model a
-//     mark was scanned under) — decided once, at Start;
+//   - not at all with an arbiter (every line is a heartbeat) or a cluster
+//     (peers may arbitrate, and may run another model mid-rollout) — decided
+//     once, at Start (a journal records each dropped line as a mark, which
+//     replay attributes to a model through the registry every server runs);
 //   - not for a shard running a shadow (it scans with its own model), checked
 //     per chunk under the shard's snapMu: the shard's lines are then queued;
 //   - not under a model the shard no longer runs: a hot-swap that lands

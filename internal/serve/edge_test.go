@@ -21,21 +21,21 @@ import (
 // time, so a swap or a shadow can be placed between a chunk's scan and its
 // counts.
 
-// edgeServer boots a server over model with the model lifecycle on, no
-// arbiter and no listeners: the edge is on, with or without cfg.DataDir.
+// edgeServer boots a server over model with no arbiter and no listeners:
+// the edge is on, with or without cfg.DataDir.
 func edgeServer(t *testing.T, model registry.Model, cfg Config) *Server {
 	t.Helper()
 	mgr, err := predictor.NewManager(model.Chains, model.Templates, model.Options, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TCPAddr, cfg.HTTPAddr, cfg.Model = "off", "off", &model
+	cfg.TCPAddr, cfg.HTTPAddr = "off", "off"
 	s := New(mgr, cfg)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if !s.edge.on {
-		t.Fatal("edge off on a server with a model registry and no arbiter or cluster")
+		t.Fatal("edge off on a server with no arbiter or cluster")
 	}
 	return s
 }

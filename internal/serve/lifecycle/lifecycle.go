@@ -7,7 +7,6 @@
 package lifecycle
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -19,10 +18,6 @@ import (
 	"repro/internal/serve/shard"
 	"repro/internal/vet"
 )
-
-// ErrModelDisabled is returned by model-lifecycle calls on a daemon built
-// without a model (serve Config.Model unset).
-var ErrModelDisabled = errors.New("serve: model registry disabled (no Config.Model)")
 
 // ModelStatus is the /statusz model block.
 type ModelStatus struct {
@@ -88,7 +83,7 @@ type Group struct {
 	adoptedCh chan struct{}
 	finished  bool
 
-	// reg is the admitted-model store (nil when the daemon has no model).
+	// reg is the admitted-model store, opened by OpenRegistry.
 	// swapMu serializes swaps, shadow starts/stops and reloads.
 	reg      *registry.Registry
 	swapMu   sync.Mutex
@@ -128,26 +123,20 @@ func (g *Group) Shards() []*shard.Local {
 	return all
 }
 
-// Registry exposes the model store (nil when the daemon has no model).
+// Registry exposes the model store.
 func (g *Group) Registry() *registry.Registry { return g.reg }
 
-// OpenRegistry opens the model store and admits the boot model. Called
-// before any shard goroutine launches. Policy: the boot model is always
-// admitted (vet-gated), but auto-activated only when the manifest has no
+// OpenRegistry opens the model store (under dataDir/models, in memory when
+// dataDir is empty) and admits the boot version: the model shard 0's Manager
+// runs. Called before any shard goroutine launches. Policy: the boot model
+// is always admitted (vet-gated: a rejected model fails with
+// registry.ErrRejected), but auto-activated only when the manifest has no
 // active version yet — after that, the persisted manifest (reconciled
 // against the journal by Boot) decides which model serves.
-func (g *Group) OpenRegistry(model *registry.Model, dataDir string) error {
-	if model == nil {
-		return nil
-	}
+func (g *Group) OpenRegistry(dataDir string) error {
 	dir := ""
 	if dataDir != "" {
 		dir = filepath.Join(dataDir, "models")
-	}
-	boot := g.shards[0].Manager().Model()
-	if fp := model.Fingerprint(); fp != boot.FingerprintHex() {
-		return fmt.Errorf("serve: Config.Model fingerprint %s does not match the Manager passed to New (%s)",
-			fp, boot.FingerprintHex())
 	}
 	reg, err := registry.Open(dir)
 	if err != nil {
@@ -155,7 +144,7 @@ func (g *Group) OpenRegistry(model *registry.Model, dataDir string) error {
 	}
 	// Admission keeps the boot manager's compiled form rather than compiling
 	// the same model again.
-	entry, _, err := reg.PutCompiled(*model, boot, "boot")
+	entry, _, err := reg.PutCompiled(g.shards[0].Manager().Model(), "boot")
 	if err != nil {
 		return fmt.Errorf("serve: admitting boot model: %w", err)
 	}
@@ -178,9 +167,6 @@ func (g *Group) Boot() error {
 		if err := sh.Open(g.reg); err != nil {
 			return err
 		}
-	}
-	if g.reg == nil {
-		return nil
 	}
 	model := g.shards[0].Manager().Model()
 	cur := model.FingerprintHex()
@@ -274,9 +260,6 @@ func (g *Group) snapshotLoop() {
 // report) and optionally hot-swaps every shard to it. This is the engine
 // behind POST /model and the SIGHUP/-watch reload path.
 func (g *Group) LoadModel(m registry.Model, source string, activate bool) (registry.Entry, *vet.Report, *shard.SwapReport, error) {
-	if g.reg == nil {
-		return registry.Entry{}, nil, nil, ErrModelDisabled
-	}
 	entry, rep, err := g.reg.Put(m, source)
 	if err != nil {
 		return entry, rep, nil, err
@@ -294,9 +277,6 @@ func (g *Group) LoadModel(m registry.Model, source string, activate bool) (regis
 
 // ActivateModel hot-swaps every shard to an already-admitted version.
 func (g *Group) ActivateModel(fp string) (*shard.SwapReport, error) {
-	if g.reg == nil {
-		return nil, ErrModelDisabled
-	}
 	g.swapMu.Lock()
 	defer g.swapMu.Unlock()
 	return g.swapLocked(fp, "activate", func() error { return g.reg.Activate(fp) })
@@ -304,9 +284,6 @@ func (g *Group) ActivateModel(fp string) (*shard.SwapReport, error) {
 
 // RollbackModel hot-swaps back to the most recently superseded version.
 func (g *Group) RollbackModel() (*shard.SwapReport, error) {
-	if g.reg == nil {
-		return nil, ErrModelDisabled
-	}
 	g.swapMu.Lock()
 	defer g.swapMu.Unlock()
 	fp, ok := g.reg.RollbackTarget()
@@ -418,9 +395,6 @@ func (g *Group) finishSwap(rep *shard.SwapReport) {
 // stream, on every shard. Each shard's shadow adopts its primary's current
 // parse state; predictions pair up in one shared tracker.
 func (g *Group) StartShadow(fp string) (*ShadowStatus, error) {
-	if g.reg == nil {
-		return nil, ErrModelDisabled
-	}
 	g.swapMu.Lock()
 	defer g.swapMu.Unlock()
 	if g.shadowFP != "" {
@@ -458,9 +432,6 @@ func (g *Group) StartShadow(fp string) (*ShadowStatus, error) {
 // final report (each shard flushes its shadow before reporting, so the
 // counters cover every line the shadows received).
 func (g *Group) StopShadow() (*ShadowStatus, error) {
-	if g.reg == nil {
-		return nil, ErrModelDisabled
-	}
 	g.swapMu.Lock()
 	defer g.swapMu.Unlock()
 	if g.shadowFP == "" {
@@ -513,11 +484,8 @@ func (g *Group) shadowStatusLocked() *ShadowStatus {
 	return st
 }
 
-// ModelStatus assembles the /statusz model block (nil when disabled).
+// ModelStatus assembles the /statusz model block.
 func (g *Group) ModelStatus() *ModelStatus {
-	if g.reg == nil {
-		return nil
-	}
 	model := g.shards[0].Manager().Model()
 	return &ModelStatus{
 		Active:           model.FingerprintHex(),

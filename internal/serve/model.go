@@ -10,15 +10,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/predictor"
 	"repro/internal/registry"
-	"repro/internal/serve/lifecycle"
 	"repro/internal/serve/transport"
 	"repro/internal/vet"
 )
 
-// Model lifecycle: when Config.Model is set, the lifecycle Group owns a model
-// registry (persisted under <data-dir>/models, memory-only without a data
-// dir) and the server exposes upload / activate / rollback / shadow over the
-// admin HTTP API. Activation is a zero-loss hot-swap across every shard:
+// Model lifecycle: the lifecycle Group owns a model registry (persisted under
+// <data-dir>/models, memory-only without a data dir) whose boot version is
+// the model of the Manager passed to New, and the server exposes upload /
+// activate / rollback / shadow over the admin HTTP API. Activation is a zero-loss hot-swap across every shard:
 //
 //  1. The new Managers are built cold, off the ingest path, over the
 //     version's one compiled form (registry.Compiled), shared by every shard.
@@ -38,7 +37,7 @@ import (
 // was live when it was written, and the Group aligns shards whose journals
 // diverged (a crash between per-shard swaps). See lifecycle.Group.
 
-// Registry exposes the model store (nil when Config.Model is unset).
+// Registry exposes the model store.
 func (s *Server) Registry() *registry.Registry { return s.group.Registry() }
 
 // LoadModel admits a model version (vet-gated; ErrRejected carries the
@@ -141,18 +140,7 @@ type ModelsList struct {
 	Versions       []registry.Entry `json:"versions"`
 }
 
-func (s *Server) modelAPIEnabled(w http.ResponseWriter) bool {
-	if s.group.Registry() == nil {
-		http.Error(w, lifecycle.ErrModelDisabled.Error(), http.StatusNotFound)
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
-	if !s.modelAPIEnabled(w) {
-		return
-	}
 	body, err := transport.ReadBody(r, 32<<20)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -190,9 +178,6 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
-	if !s.modelAPIEnabled(w) {
-		return
-	}
 	reg := s.group.Registry()
 	list := ModelsList{
 		Active:   reg.Active(),
@@ -209,9 +194,6 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleModelActivate(w http.ResponseWriter, r *http.Request) {
-	if !s.modelAPIEnabled(w) {
-		return
-	}
 	fp, ok := decodeFingerprintBody(w, r)
 	if !ok {
 		return
@@ -229,9 +211,6 @@ func (s *Server) handleModelActivate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModelRollback(w http.ResponseWriter, _ *http.Request) {
-	if !s.modelAPIEnabled(w) {
-		return
-	}
 	sw, err := s.RollbackModel()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
@@ -241,9 +220,6 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
-	if !s.modelAPIEnabled(w) {
-		return
-	}
 	fp, ok := decodeFingerprintBody(w, r)
 	if !ok {
 		return
@@ -261,9 +237,6 @@ func (s *Server) handleShadowStart(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShadowStop(w http.ResponseWriter, _ *http.Request) {
-	if !s.modelAPIEnabled(w) {
-		return
-	}
 	st, err := s.StopShadow()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)

@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,21 +21,16 @@ import (
 	"repro/internal/loggen"
 	"repro/internal/predictor"
 	"repro/internal/registry"
+	"repro/internal/wal"
 )
 
-// newModelTestServer boots a Server with the model lifecycle enabled over the
-// XC30 dialect.
+// newModelTestServer boots a Server over the XC30 dialect.
 func newModelTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	model := registry.Model{
-		Chains:    loggen.DialectXC30.Chains(),
-		Templates: loggen.DialectXC30.Inventory(),
-	}
-	mgr, err := predictor.NewManager(model.Chains, model.Templates, model.Options, 2)
+	mgr, err := predictor.NewManager(loggen.DialectXC30.Chains(), loggen.DialectXC30.Inventory(), predictor.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Model = &model
 	s := New(mgr, cfg)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -546,4 +548,140 @@ func TestModelCompiledOncePerVersion(t *testing.T) {
 		t.Fatalf("rolled back to %s, want %s", sw.To, fpA)
 	}
 	onModel(s2, s2.bootModel, "rollback to the boot version")
+}
+
+// TestBootVersionIsTheManagersModel: every server runs a registry whose boot
+// version is the Manager passed to New — the registry's active compiled form
+// is that Manager's *Model, not a compile of its own, and the chains,
+// templates and options it stores re-fingerprint to it — in memory and
+// under a data dir alike.
+func TestBootVersionIsTheManagersModel(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s := newModelTestServer(t, Config{TCPAddr: "off", DataDir: dir})
+		boot := s.shards[0].Manager().Model()
+		fp := boot.FingerprintHex()
+		reg := s.Registry()
+		if reg.Active() != fp || reg.Base() != fp {
+			t.Fatalf("data dir %q: registry active %s, base %s; the Manager runs %s", dir, reg.Active(), reg.Base(), fp)
+		}
+		if c, err := reg.Compiled(fp); err != nil || c != boot {
+			t.Fatalf("data dir %q: registry's compiled form %p (%v), the Manager's %p", dir, c, err, boot)
+		}
+		stored, entry, err := reg.Get(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains, inventory, opts := boot.Source()
+		if !reflect.DeepEqual(stored.Chains, chains) || !reflect.DeepEqual(stored.Templates, inventory) || stored.Options != opts {
+			t.Fatalf("data dir %q: the registry stores another model than the Manager's", dir)
+		}
+		if got := stored.Fingerprint(); got != fp || entry.Fingerprint != fp || entry.Source != "boot" {
+			t.Fatalf("data dir %q: stored model fingerprints to %s, entry %+v; want %s from boot", dir, got, entry, fp)
+		}
+		if st := s.Status().Model; st == nil || st.Active != fp || st.Versions != 1 {
+			t.Fatalf("data dir %q: model status %+v", dir, st)
+		}
+		if dir != "" {
+			if _, err := os.Stat(filepath.Join(dir, "models", fp+".model.json")); err != nil {
+				t.Fatalf("boot version not stored under the data dir: %v", err)
+			}
+		}
+	}
+}
+
+// TestBootDataDirWrittenWithoutRegistry boots testdata/datadir-no-registry,
+// a data dir written by a release whose in-process servers could run
+// without a model registry: no models/ directory, a snapshot taken inside
+// two failure chains, and a journal tail of whole lines (one of which does
+// not parse). The recovery counters and recovered outputs are the ones
+// that release booted it to.
+func TestBootDataDirWrittenWithoutRegistry(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"wal", "snapshots"} {
+		files, err := filepath.Glob(filepath.Join("testdata", "datadir-no-registry", sub, "*"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("%s: want one committed file, found %v (%v)", sub, files, err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sub, filepath.Base(files[0])), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newPersistentServer(t, Config{DataDir: dir, Fsync: wal.SyncOff})
+	defer shutdownServer(t, s)
+
+	rec := *s.Status().Recovery
+	rec.DurationSeconds, rec.SnapshotLoadSeconds, rec.ReplaySeconds = 0, 0, 0
+	want := RecoveryStatus{
+		Performed: true, SnapshotIndex: 120, ReplayedRecords: 155, ReplayErrors: 1,
+		RecoveredOutputs: 4, ReplayBytes: 12992, ReplayTokens: 19,
+	}
+	if rec != want {
+		t.Errorf("recovery %+v\nwant     %+v", rec, want)
+	}
+	var got []string
+	for _, out := range s.Recovered() {
+		if k := outKey(out); k != "" {
+			got = append(got, k)
+		}
+	}
+	sort.Strings(got)
+	wantOuts := []string{
+		"F/c0-0c0s0n0/1105/1426292575364000000",
+		"F/c0-0c0s0n1/1105/1426292621287000000",
+		"P/c0-0c0s0n0/FC1/1426292374029000000/1426292477205000000/5",
+		"P/c0-0c0s0n1/FC2/1426292454559000000/1426292459603000000/4",
+	}
+	if strings.Join(got, "\n") != strings.Join(wantOuts, "\n") {
+		t.Errorf("recovered outputs\n%v\nwant\n%v", got, wantOuts)
+	}
+	fp := s.shards[0].Manager().FingerprintHex()
+	if reg := s.Registry(); reg.Active() != fp || reg.Base() != fp || len(reg.List()) != 1 {
+		t.Errorf("registry active %s, base %s, %d versions; want the boot model %s only", reg.Active(), reg.Base(), len(reg.List()), fp)
+	}
+}
+
+// TestStartRejectsModelVetRejects: the boot version passes the registry's
+// vet gate like every other version, so Start over BG/P's model — whose
+// inventory shadows two templates — fails with registry.ErrRejected, before
+// any journal opens or goroutine starts.
+func TestStartRejectsModelVetRejects(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
+	}
+	d := loggen.DialectBGP
+	dir := t.TempDir()
+	goroutines, files := runtime.NumGoroutine(), fds()
+	mgr, err := predictor.NewManager(d.Chains(), d.Inventory(), predictor.Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot loop and both listeners would be running had the boot got
+	// past admission.
+	s := New(mgr, Config{DataDir: dir, SnapshotInterval: time.Millisecond})
+	if err := s.Start(); !errors.Is(err, registry.ErrRejected) {
+		t.Fatalf("Start over BG/P = %v, want registry.ErrRejected", err)
+	}
+	if s.TCPAddr() != nil || s.HTTPAddr() != nil {
+		t.Error("a rejected boot bound a listener")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a rejected boot opened a journal (%v)", err)
+	}
+	waitFor(t, 5*time.Second, "the rejected boot's goroutines to exit", func() bool {
+		return runtime.NumGoroutine() <= goroutines
+	})
+	if now := fds(); now > files {
+		t.Errorf("%d open files after the rejected boot, %d before", now, files)
+	}
 }

@@ -161,7 +161,8 @@ func persistLog(t *testing.T, seed int64) []string {
 
 // TestServeGracefulRestartFromSnapshot: a clean shutdown writes a final
 // snapshot; the next boot restores it without replaying anything, and the
-// manager's counters carry over exactly.
+// manager's counters carry over exactly. With no arbiter the edge journaled
+// each line the model dropped as a discard mark.
 func TestServeGracefulRestartFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	lines := persistLog(t, 61)
@@ -192,6 +193,11 @@ func TestServeGracefulRestartFromSnapshot(t *testing.T) {
 	if st.WAL.LastIndex != uint64(len(lines)) {
 		t.Errorf("wal last index %d, want %d", st.WAL.LastIndex, len(lines))
 	}
+	kinds, _ := journalKinds(t, dir)
+	if marks := countKind(kinds, "mark"); marks != aStats.Discarded || marks == 0 || countKind(kinds, "line") != len(lines)-marks {
+		t.Errorf("journal holds %d marks and %d lines; the live run discarded %d of %d lines",
+			marks, countKind(kinds, "line"), aStats.Discarded, len(lines))
+	}
 }
 
 // TestServeCrashRecoveryReplaysWAL: a crash (no final snapshot) loses
@@ -209,6 +215,7 @@ func TestServeCrashRecoveryReplaysWAL(t *testing.T) {
 	a.testSkipFinalSnapshot = true // emulate a crash: journal survives, no snapshot
 	ingestAll(t, a, lines)
 	shutdownServer(t, a)
+	discarded := a.Status().Manager.Discarded
 
 	b := newPersistentServer(t, Config{DataDir: dir, Fsync: wal.SyncAlways})
 	defer shutdownServer(t, b)
@@ -218,6 +225,10 @@ func TestServeCrashRecoveryReplaysWAL(t *testing.T) {
 	}
 	if st.Recovery.ReplayedRecords != uint64(len(lines)) {
 		t.Errorf("replayed %d, want %d (full journal)", st.Recovery.ReplayedRecords, len(lines))
+	}
+	// The edge journaled each line the model dropped as a discard mark.
+	if st.Recovery.ReplayedMarks != uint64(discarded) || discarded == 0 {
+		t.Errorf("replayed %d discard marks; the live run discarded %d lines", st.Recovery.ReplayedMarks, discarded)
 	}
 	var got []string
 	for _, out := range b.Recovered() {
@@ -273,8 +284,9 @@ func TestServeMidStreamSnapshotAndCrash(t *testing.T) {
 	half := len(lines) / 2
 	tail := (len(lines) * 3) / 4
 
-	// Tiny segments so truncation after the snapshot is observable.
-	a := newPersistentServer(t, Config{DataDir: dir, Fsync: wal.SyncOff, WALSegmentSize: 4 << 10})
+	// Tiny segments so truncation after the snapshot is observable: most
+	// lines are 2-byte discard marks, ten bytes a record.
+	a := newPersistentServer(t, Config{DataDir: dir, Fsync: wal.SyncOff, WALSegmentSize: 1 << 10})
 	a.testSkipFinalSnapshot = true
 	subA := a.Subscribe(1 << 16)
 	ingestAll(t, a, lines[:half])
@@ -290,6 +302,7 @@ func TestServeMidStreamSnapshotAndCrash(t *testing.T) {
 	}
 	ingestAll(t, a, lines[half:tail])
 	shutdownServer(t, a) // crash: no final snapshot
+	tailDiscarded := a.Status().Manager.Discarded - stA.Manager.Discarded
 	var seen []string
 	for out := range subA.Out() {
 		if k := outKey(out); k != "" {
@@ -297,13 +310,16 @@ func TestServeMidStreamSnapshotAndCrash(t *testing.T) {
 		}
 	}
 
-	b := newPersistentServer(t, Config{DataDir: dir, Fsync: wal.SyncOff, WALSegmentSize: 4 << 10})
+	b := newPersistentServer(t, Config{DataDir: dir, Fsync: wal.SyncOff, WALSegmentSize: 1 << 10})
 	st := b.Status()
 	if st.Recovery.SnapshotIndex != uint64(half) {
 		t.Errorf("recovered snapshot index %d, want %d", st.Recovery.SnapshotIndex, half)
 	}
 	if st.Recovery.ReplayedRecords != uint64(tail-half) {
 		t.Errorf("replayed %d, want %d (journal tail only)", st.Recovery.ReplayedRecords, tail-half)
+	}
+	if st.Recovery.ReplayedMarks != uint64(tailDiscarded) || tailDiscarded == 0 {
+		t.Errorf("replayed %d discard marks; the live run discarded %d lines after the snapshot", st.Recovery.ReplayedMarks, tailDiscarded)
 	}
 	for _, out := range b.Recovered() {
 		if k := outKey(out); k != "" {

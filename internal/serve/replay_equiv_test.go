@@ -193,7 +193,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 					}
 					s := New(mgr, Config{
 						TCPAddr: "off", Overflow: Block,
-						DataDir: dir, Fsync: wal.SyncOff, Model: &model,
+						DataDir: dir, Fsync: wal.SyncOff,
 						Arbiter: arbCfg, Shards: shards,
 					})
 					if err := s.Start(); err != nil {

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/arbiter"
 	"repro/internal/predictor"
-	"repro/internal/registry"
 	"repro/internal/serve/lifecycle"
 	"repro/internal/serve/pipeline"
 	"repro/internal/serve/shard"
@@ -108,17 +107,17 @@ type Config struct {
 	// shard owns a private Manager, journal and arbiter; lines route to
 	// shards by consistent-hashing the node ID, so one node's lines always
 	// land on the same shard in order. Every shard runs the compiled model
-	// of the Manager passed to New. Shards > 1 requires Model: boot aligns
-	// shards whose journals ended under different versions through the
-	// model registry.
+	// of the Manager passed to New; boot aligns shards whose journals ended
+	// under different versions through the model registry.
 	Shards int
 
 	// DataDir enables durability: a write-ahead journal of every accepted
 	// line plus periodic parse-state snapshots live under it, and Start
-	// recovers from them before opening listeners. With Model set and no
-	// Arbiter or Cluster, a line the active model drops is journaled as a
-	// 2-byte discard mark instead of in full (edge.go). Empty disables
-	// persistence entirely. With Shards > 1 each shard keeps its own
+	// recovers from them before opening listeners; admitted model versions
+	// live under DataDir/models. With no Arbiter or Cluster, a line the
+	// active model drops is journaled as a 2-byte discard mark instead of in
+	// full (edge.go). Empty disables persistence entirely (the model registry
+	// is then kept in memory). With Shards > 1 each shard keeps its own
 	// journal and snapshots under DataDir/shard-<i>; with Shards == 1 the
 	// layout is byte-identical to the pre-sharding daemon.
 	DataDir string
@@ -132,14 +131,6 @@ type Config struct {
 	// WALSegmentSize overrides the journal segment size (default 64 MiB;
 	// mainly for tests).
 	WALSegmentSize int64
-
-	// Model, when non-nil, enables the model lifecycle: a registry of
-	// admitted model versions (persisted under DataDir/models when DataDir is
-	// set), hot-swap activation, rollback and shadow evaluation over the
-	// admin HTTP API. It must describe the same model the Manager passed to
-	// New was built from — the registry admits it as the boot version with
-	// that Manager's compiled form.
-	Model *registry.Model
 
 	// Arbiter, when non-nil, enables failure arbitration: a phi-accrual
 	// heartbeat detector fed by every parsed line, fused with chain-accept
@@ -190,9 +181,6 @@ func (c Config) withDefaults() Config {
 // (after defaulting); exported so cmd/aarohid can fail fast at flag-parse
 // time with the same messages.
 func (c Config) Validate() error {
-	if c.Shards > 1 && c.Model == nil {
-		return fmt.Errorf("serve: Shards = %d requires Model (boot aligns the shards' model versions through the registry)", c.Shards)
-	}
 	if c.Overflow != "" && c.Overflow != Block && c.Overflow != Shed {
 		return fmt.Errorf("serve: Overflow must be %q or %q, got %q", Block, Shed, c.Overflow)
 	}
@@ -209,9 +197,6 @@ func (c Config) Validate() error {
 		gossipMode := c.Cluster.GossipAddr != ""
 		if gossipMode == (len(c.Cluster.Static) > 0) {
 			return fmt.Errorf("serve: Cluster requires exactly one of GossipAddr (live membership) or Static (fixed table)")
-		}
-		if gossipMode && c.Model == nil {
-			return fmt.Errorf("serve: Cluster with gossip requires Model (takeover resolves the dead peer's model versions through the registry)")
 		}
 	}
 	return nil
@@ -241,8 +226,8 @@ type Status struct {
 	// unset.
 	WAL      *WALStatus      `json:"wal,omitempty"`
 	Recovery *RecoveryStatus `json:"recovery,omitempty"`
-	// Model and Shadow describe the model lifecycle; nil when Config.Model is
-	// unset (Model) or no shadow evaluation runs (Shadow).
+	// Model and Shadow describe the model lifecycle; Shadow is nil when no
+	// shadow evaluation runs.
 	Model  *ModelStatus  `json:"model,omitempty"`
 	Shadow *ShadowStatus `json:"shadow,omitempty"`
 	// Arbiter is the live arbitration block (per-node phi, fused scores,
@@ -352,9 +337,10 @@ func (s *Server) Start() error {
 		Logf:             s.cfg.Logf,
 	})
 
-	// The model registry opens next: it admits the boot model and loads the
-	// activation manifest that recovery reconciles against the journal.
-	if err := s.group.OpenRegistry(s.cfg.Model, s.cfg.DataDir); err != nil {
+	// The model registry opens next: it admits (and vets) the boot model and
+	// loads the activation manifest that recovery reconciles against the
+	// journal.
+	if err := s.group.OpenRegistry(s.cfg.DataDir); err != nil {
 		for _, sh := range s.shards {
 			sh.Manager().Close()
 		}
@@ -400,10 +386,9 @@ func (s *Server) Start() error {
 	// Lines the model drops are counted where they land unless something
 	// reads them: an arbiter takes every line as a heartbeat, and peers may
 	// arbitrate or run another model. A journal records each as a discard
-	// mark, which replay can attribute to a model only through the registry.
+	// mark, which replay attributes to a model through the registry.
 	// Shadows and swaps are checked per chunk, at the shard.
-	s.edge = newEdge(s.pipe, s.router, s.shards,
-		(s.cfg.DataDir == "" || s.cfg.Model != nil) && s.cfg.Arbiter == nil && s.cfg.Cluster == nil)
+	s.edge = newEdge(s.pipe, s.router, s.shards, s.cfg.Arbiter == nil && s.cfg.Cluster == nil)
 
 	// On listener failure, unwind what Start already spun up so no
 	// goroutine or journal handle leaks.

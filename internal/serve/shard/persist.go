@@ -121,9 +121,10 @@ func (l *Local) snapDir() string { return filepath.Join(l.cfg.Dir, "snapshots") 
 // and replays the tail. No-op without a data dir. Called by the lifecycle
 // layer before any listener binds; the fan-out must already be running
 // (replay outputs travel through it into the recovered buffer, and the
-// snapshot barrier needs its acks). reg, when non-nil, resolves model
-// fingerprints named by snapshots and epoch records; manifest reconciliation
-// is the caller's job — Open reports what the journal converged on via
+// snapshot barrier needs its acks). reg resolves the model fingerprints
+// that snapshots, the manifest's base and epoch records name (modelFor); a
+// caller that runs one model only may pass nil. Manifest reconciliation is
+// the caller's job — Open reports what the journal converged on via
 // Manager().FingerprintHex().
 func (l *Local) Open(reg *registry.Registry) error {
 	if l.cfg.Dir == "" {
@@ -149,40 +150,33 @@ func (l *Local) Open(reg *registry.Registry) error {
 			return fmt.Errorf("serve: reading snapshot (offset %d): %w", off, err)
 		}
 	}
-	switch {
-	case ok && l.registry != nil:
-		// Registry mode: the snapshot names the model it was taken under —
-		// rebuild that model if it is not the one the shard booted with, so
-		// the state imports into matching tables and the journal tail replays
-		// against the right automaton.
-		st, err := predictor.DecodeSnapshotState(bytes.NewReader(payload))
-		if err != nil {
+	// The journal tail begins under the model the snapshot was taken under,
+	// or, without one, under the manifest's base: switch to it if it is not
+	// the one the shard booted with, so the state imports into matching
+	// tables and the tail replays against the right automaton.
+	var st predictor.State
+	fp := ""
+	if ok {
+		if st, err = predictor.DecodeSnapshotState(bytes.NewReader(payload)); err != nil {
 			return fmt.Errorf("serve: reading snapshot (offset %d): %w", off, err)
 		}
-		fp := registry.FormatFingerprint(st.Fingerprint)
-		if fp != l.Manager().FingerprintHex() {
-			if err := l.bootSwitchModel(fp); err != nil {
-				return fmt.Errorf("serve: snapshot (offset %d) was taken under model %s: %w", off, fp, err)
-			}
-		}
+		fp = registry.FormatFingerprint(st.Fingerprint)
+	}
+	model, err := l.modelFor(fp)
+	switch {
+	case err != nil && ok:
+		return fmt.Errorf("serve: snapshot (offset %d) was taken under model %s: %w", off, fp, err)
+	case err != nil:
+		return fmt.Errorf("serve: the model the journal began under: %w", err)
+	case model != l.Manager().Model():
+		l.bootSwitchModel(model)
+	}
+	if ok {
 		if err := l.Manager().ImportState(st); err != nil {
 			return fmt.Errorf("serve: restoring snapshot (offset %d): %w", off, err)
 		}
 		rec.Performed = true
 		rec.SnapshotIndex = off
-	case ok:
-		if err := l.Manager().Restore(bytes.NewReader(payload)); err != nil {
-			return fmt.Errorf("serve: restoring snapshot (offset %d): %w", off, err)
-		}
-		rec.Performed = true
-		rec.SnapshotIndex = off
-	case l.registry != nil:
-		// No snapshot: the journal begins under the manifest's base model.
-		if base := l.registry.Base(); base != "" && base != l.Manager().FingerprintHex() {
-			if err := l.bootSwitchModel(base); err != nil {
-				return fmt.Errorf("serve: journal began under model %s: %w", base, err)
-			}
-		}
 	}
 	// The arbiter restores before replay for the same reason the manager
 	// does: the journal tail then re-fires its heartbeats and outputs on top
@@ -244,21 +238,34 @@ func (l *Local) Open(reg *registry.Registry) error {
 	return nil
 }
 
-// bootSwitchModel replaces the boot manager with one built from a stored
-// model version, before any state exists to migrate. Boot-time only: the
-// listeners are closed, no submitter is running, and the fan-out hands over
-// generationally when the old manager closes.
-func (l *Local) bootSwitchModel(fp string) error {
-	model, err := l.registry.Compiled(fp)
-	if err != nil {
-		return err
+// modelFor resolves a model fingerprint that a snapshot or a model-epoch
+// record names to its compiled form; "" names the manifest's base, the model
+// the journal began under. It is the one place that says what a shard
+// opened without a registry can do: run only the model it was built with.
+func (l *Local) modelFor(fp string) (*predictor.Model, error) {
+	if fp == "" && l.registry != nil {
+		fp = l.registry.Base()
 	}
+	cur := l.Manager().Model()
+	if fp == "" || fp == cur.FingerprintHex() {
+		return cur, nil
+	}
+	if l.registry == nil {
+		return nil, fmt.Errorf("model %s is not the shard's own and the shard has no model registry", fp)
+	}
+	return l.registry.Compiled(fp)
+}
+
+// bootSwitchModel replaces the boot manager with one over model, before any
+// state exists to migrate. Boot-time only: the listeners are closed, no
+// submitter is running, and the fan-out hands over generationally when the
+// old manager closes.
+func (l *Local) bootSwitchModel(model *predictor.Model) {
 	old := l.Manager()
 	next := model.NewManager(old.Workers())
 	l.attachArbiter(next)
 	l.setManager(next)
 	old.Close()
-	return nil
 }
 
 // Snapshot checkpoints the Manager's state, stamps it with the WAL offset it

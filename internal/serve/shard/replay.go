@@ -329,11 +329,8 @@ func (l *Local) replayRecord(r *replay, idx uint64, kind int, body []byte, rec *
 	case recKindEpoch:
 		// A model hot-swap happened here: re-execute it so the rest of the
 		// journal replays against the model it was written under.
-		if l.registry == nil {
-			return fmt.Errorf("journal holds a model-epoch record at %d but the server has no model registry (Config.Model unset)", idx)
-		}
 		if fp := string(body); fp != r.model.FingerprintHex() {
-			model, err := l.registry.Compiled(fp)
+			model, err := l.modelFor(fp)
 			if err != nil {
 				return fmt.Errorf("re-executing model swap at %d: %w", idx, err)
 			}

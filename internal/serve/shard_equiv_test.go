@@ -8,7 +8,6 @@ import (
 	"repro/internal/loggen"
 	"repro/internal/predictor"
 	"repro/internal/recycle"
-	"repro/internal/registry"
 )
 
 // Sharding must be invisible to prediction consumers: routing lines to N
@@ -25,7 +24,7 @@ type shardRun struct {
 	perNode map[string][]string // output keys in arrival order, per node
 }
 
-// runSharded boots a model-enabled in-memory server with the given shard
+// runSharded boots an in-memory server with the given shard
 // count, streams lines through the ingest pipeline (over the TCP line
 // listener, torn at seeded random write boundaries, when tcpSeed is non-zero),
 // and captures every published output.
@@ -42,9 +41,6 @@ func runSharded(t *testing.T, d *loggen.Dialect, lines []string, shards int, tcp
 	s := New(mgr, Config{
 		TCPAddr: tcpAddr, HTTPAddr: "off",
 		Shards: shards,
-		Model: &registry.Model{
-			Chains: d.Chains(), Templates: d.Inventory(), Options: predictor.Options{},
-		},
 	})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -81,9 +77,9 @@ func runSharded(t *testing.T, d *loggen.Dialect, lines []string, shards int, tcp
 // outputs, order per node).
 func TestShardedPredictionEquivalence(t *testing.T) {
 	recycle.PoisonForTest(t.Cleanup)
-	// Four dialect families that pass the vet admission gate (Shards > 1
-	// requires Config.Model, and models are vetted on boot; BG/P's inventory
-	// deliberately carries shadowed templates, so it cannot be admitted).
+	// Four dialect families that pass the vet admission gate (every boot
+	// model is vetted; BG/P's inventory deliberately carries shadowed
+	// templates, so it cannot be admitted).
 	dialects := []*loggen.Dialect{
 		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectCassandra, loggen.DialectHadoop,
 	}

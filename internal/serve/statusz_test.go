@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/arbiter"
-	"repro/internal/loggen"
 	"repro/internal/predictor"
-	"repro/internal/registry"
 	"repro/internal/serve/lifecycle"
 	"repro/internal/serve/shard"
 )
@@ -220,10 +218,6 @@ func TestStatuszPerShard(t *testing.T) {
 		TCPAddr: "off",
 		Shards:  4,
 		DataDir: t.TempDir(),
-		Model: &registry.Model{
-			Chains:    loggen.DialectXC30.Chains(),
-			Templates: loggen.DialectXC30.Inventory(),
-		},
 		Arbiter: &arbiter.Config{AlertThreshold: 1e-9, Horizon: 20 * time.Minute},
 	}
 	lines := genTestLog(t, 7, 1).Lines()

@@ -76,6 +76,13 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # moves the count through a snapshot, a restore and a model migration; the
 # line-parser and prediction-encoder tests hold the date-caching parser to
 # ParseLine and the stream encoder to encoding/json, at 0 allocations.
+# Every server runs a model registry whose boot version is the Manager's
+# model: the boot tests check that the registry keeps that compiled form and
+# stores what it was compiled from (TestModelSourceFingerprints,
+# TestCompiledFormsBounded), boot a data dir written before that rule, and
+# hold a boot model the vet gate rejects to a failed Start that leaves no
+# goroutine or open file behind. Every in-process Start vets its model, so
+# each of these suites pays one vet per boot.
 # The equivalence and order tests turn on recycle.TestHookPoison themselves:
 # every recycled line store (framer buffer, pipeline slab, manager batch) is
 # overwritten as it is released, so a line kept past its lifetime fails them
@@ -83,9 +90,10 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
 PARSE_TESTS='TestProcessScannedCountOnly|TestParseLineAllocFree|FuzzLineParser|TestAppendJSON|FuzzOutputJSON'
 JOURNAL_TESTS='TestDecodeRecordBytes|TestReplayJournalFixtures|TestReplayCountsUnknownRecords|TestCountDiscardedNeedsRegistry|TestReplayRuns|TestRunCopy|TestSegmentReader'
-echo "==> serve replay, equivalence, edge, swap and shadow tests, per-node order, journal-format and journal-run, count-only, parser and encoder tests (race, -count=5, poisoned line stores)"
-go test -race -count=5 -run 'TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|TestEdge|Swap|Shadow' ./internal/serve
-go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS|$PARSE_TESTS" ./internal/serve/shard ./internal/predictor ./internal/lexgen ./internal/wal
+echo "==> serve replay, equivalence, edge, swap, shadow and boot tests, per-node order, journal-format and journal-run, count-only, parser and encoder tests (race, -count=5, poisoned line stores)"
+BOOT_TESTS='TestBootVersionIsTheManagersModel|TestBootDataDirWrittenWithoutRegistry|TestStartRejectsModelVetRejects'
+go test -race -count=5 -run "TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|TestEdge|Swap|Shadow|$BOOT_TESTS" ./internal/serve
+go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS|$PARSE_TESTS|TestModelSourceFingerprints|TestCompiledFormsBounded" ./internal/serve/shard ./internal/predictor ./internal/lexgen ./internal/wal ./internal/registry
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
 # one after another, several finish chunks out of journal order. The default
