@@ -1,7 +1,9 @@
 package rex
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Subset construction from the NFA to a dense DFA. Accept priorities follow
@@ -21,108 +23,246 @@ type dfaState struct {
 type dfa struct {
 	states []dfaState
 	// reps holds one byte per input class of the NFA the automaton was built
-	// from (see nfa.byteReps): bytes of one class take the same transition
+	// from (see nfa.byteClasses): bytes of one class take the same transition
 	// out of every state, so a pass over reps sees every distinct column.
-	reps []byte
+	// classOf maps each byte to its class, an index into reps.
+	reps    []byte
+	classOf [256]uint8
+	// accepts[acceptAt[s]:acceptAt[s+1]] lists every pattern that accepts in
+	// state s, ascending; accept is its first. Only the subset construction
+	// records them: minimization merges states by accept alone, so a
+	// minimized automaton has none.
+	accepts, acceptAt []int32
 }
 
-// buildDFA determinizes n via subset construction.
+// acceptSet returns the patterns that accept in state s, ascending.
+func (d *dfa) acceptSet(s int32) []int32 { return d.accepts[d.acceptAt[s]:d.acceptAt[s+1]] }
+
+// buildDFA determinizes n by subset construction over its byte classes: all
+// bytes of a class move the same way out of every subset, so a state takes
+// one move per class, one ε-closure per distinct move, and a row of one
+// target per class. States are found breadth first; the rows expand into
+// [256]int32 tables once, at the end, renumbered depth first from the start
+// with children in the order of their smallest byte — the numbering of a
+// construction that visits the 256 bytes of each state in order and descends
+// into every new subset at once.
 func buildDFA(n *nfa) *dfa {
-	mark := make([]int, len(n.states))
-	for i := range mark {
-		mark[i] = -1
+	classOf, reps := n.byteClasses()
+	b := newSubsetBuilder(n, reps)
+	b.intern(b.closure([]int32{int32(n.start)}))
+	for s := int32(0); s < b.numStates(); s++ {
+		b.expand(s)
 	}
-	gen := 0
-
-	startSet := n.closure([]int{n.start}, mark, gen)
-	gen++
-
-	d := &dfa{reps: n.byteReps()}
-	index := map[string]int32{}
-
-	var intern func(set []int) int32
-	intern = func(set []int) int32 {
-		key := setKey(set)
-		if id, ok := index[key]; ok {
-			return id
-		}
-		id := int32(len(d.states))
-		st := dfaState{accept: noMatch}
-		for i := range st.next {
-			st.next[i] = noMatch
-		}
-		for _, s := range set {
-			if a := n.states[s].accept; a >= 0 && (st.accept == noMatch || int32(a) < st.accept) {
-				st.accept = int32(a)
-			}
-		}
-		d.states = append(d.states, st)
-		index[key] = id
-
-		// Group the byte alphabet by target set to avoid recomputing the
-		// closure 256 times when many bytes behave identically.
-		var moved []int
-		for b := 0; b < 256; b++ {
-			if d.states[id].next[b] != noMatch {
-				continue
-			}
-			moved = moved[:0]
-			for _, s := range set {
-				ns := &n.states[s]
-				if ns.out >= 0 && ns.cls.has(byte(b)) {
-					moved = append(moved, ns.out)
-				}
-			}
-			if len(moved) == 0 {
-				continue
-			}
-			closed := n.closure(moved, mark, gen)
-			gen++
-			target := intern(closed)
-			// Fill every later byte with the identical move set in one pass.
-			d.states[id].next[b] = target
-			for b2 := b + 1; b2 < 256; b2++ {
-				if d.states[id].next[b2] != noMatch {
-					continue
-				}
-				if sameMove(n, set, byte(b), byte(b2)) {
-					d.states[id].next[b2] = target
-				}
-			}
-		}
-		return id
-	}
-
-	intern(startSet)
-	return d
+	return b.finish(classOf, reps)
 }
 
-// sameMove reports whether bytes b1 and b2 lead out of exactly the same NFA
-// states within set.
-func sameMove(n *nfa, set []int, b1, b2 byte) bool {
-	for _, s := range set {
-		ns := &n.states[s]
-		if ns.out < 0 {
+// subsetBuilder holds one subset construction: the NFA state set, the row
+// and the accepting patterns of every DFA state found so far, and scratch
+// space the steps reuse.
+type subsetBuilder struct {
+	n *nfa
+	k int // byte classes
+	// moveOn[q] lists the classes NFA state q moves on; states with equal
+	// byte classes share one list.
+	moveOn [][]uint8
+	// DFA state s has the sorted NFA state set sets[setAt[s]:setAt[s+1]], the
+	// targets rows[s*k:(s+1)*k] (noMatch for none) and the accepting
+	// patterns accepts[acceptAt[s]:acceptAt[s+1]], ascending.
+	sets, setAt       []int32
+	rows              []int32
+	accepts, acceptAt []int32
+	index             map[string]int32 // key of a state's set -> state
+	noRow             []int32          // k noMatch targets: a new state's row
+
+	moves         [][]int32 // per class: the NFA states its move reaches
+	first         []uint8   // classes that opened a distinct move, in order
+	mark          []uint32  // closure generation that last reached a state
+	gen           uint32
+	stack, closed []int32
+	key           []byte
+}
+
+func newSubsetBuilder(n *nfa, reps []byte) *subsetBuilder {
+	b := &subsetBuilder{
+		n:        n,
+		k:        len(reps),
+		moveOn:   make([][]uint8, len(n.states)),
+		setAt:    []int32{0},
+		acceptAt: []int32{0},
+		index:    map[string]int32{},
+		moves:    make([][]int32, len(reps)),
+		mark:     make([]uint32, len(n.states)),
+		noRow:    make([]int32, len(reps)),
+	}
+	for c := range b.noRow {
+		b.noRow[c] = noMatch
+	}
+	shared := map[class][]uint8{}
+	for q := range n.states {
+		st := &n.states[q]
+		if st.out < 0 {
 			continue
 		}
-		if ns.cls.has(b1) != ns.cls.has(b2) {
-			return false
+		cs, ok := shared[st.cls]
+		if !ok {
+			for c, r := range reps {
+				if st.cls.has(r) {
+					cs = append(cs, uint8(c))
+				}
+			}
+			shared[st.cls] = cs
 		}
+		b.moveOn[q] = cs
 	}
-	return true
+	return b
 }
 
-// setKey builds a map key from a sorted state set.
-func setKey(set []int) string {
-	buf := make([]byte, 0, len(set)*3)
-	for _, s := range set {
-		for s >= 0x80 {
-			buf = append(buf, byte(s)|0x80)
-			s >>= 7
+func (b *subsetBuilder) numStates() int32 { return int32(len(b.setAt) - 1) }
+
+// closure returns the ε-closure of seed, sorted, in scratch space the next
+// call reuses.
+func (b *subsetBuilder) closure(seed []int32) []int32 {
+	b.gen++
+	stack, out := b.stack[:0], b.closed[:0]
+	for _, q := range seed {
+		if b.mark[q] != b.gen {
+			b.mark[q] = b.gen
+			stack = append(stack, q)
 		}
-		buf = append(buf, byte(s))
 	}
-	return string(buf)
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out = append(out, q)
+		for _, t := range b.n.states[q].eps {
+			if b.mark[t] != b.gen {
+				b.mark[t] = b.gen
+				stack = append(stack, int32(t))
+			}
+		}
+	}
+	slices.Sort(out)
+	b.stack, b.closed = stack, out
+	return out
+}
+
+// intern returns the DFA state of a sorted NFA state set, adding it with an
+// empty row when it is new.
+func (b *subsetBuilder) intern(set []int32) int32 {
+	// The key is the set's gaps as uvarints: sorted sets have small ones.
+	key, prev := b.key[:0], int32(0)
+	for _, q := range set {
+		key = binary.AppendUvarint(key, uint64(q-prev))
+		prev = q
+	}
+	b.key = key
+	if s, ok := b.index[string(key)]; ok {
+		return s
+	}
+	s := b.numStates()
+	b.index[string(key)] = s
+	b.sets = append(b.sets, set...)
+	b.setAt = append(b.setAt, int32(len(b.sets)))
+	b.rows = append(b.rows, b.noRow...)
+	for _, q := range set {
+		if a := b.n.states[q].accept; a >= 0 {
+			b.accepts = append(b.accepts, int32(a))
+		}
+	}
+	slices.Sort(b.accepts[b.acceptAt[s]:])
+	b.acceptAt = append(b.acceptAt, int32(len(b.accepts)))
+	return s
+}
+
+// expand fills state s's row. Classes whose moves reach the same NFA states
+// share the first one's closure and target.
+func (b *subsetBuilder) expand(s int32) {
+	for c := range b.moves {
+		b.moves[c] = b.moves[c][:0]
+	}
+	for _, q := range b.sets[b.setAt[s]:b.setAt[s+1]] {
+		for _, c := range b.moveOn[q] {
+			b.moves[c] = append(b.moves[c], int32(b.n.states[q].out))
+		}
+	}
+	row, first := int(s)*b.k, b.first[:0]
+	for c, m := range b.moves {
+		if len(m) == 0 {
+			continue
+		}
+		t := int32(noMatch)
+		for _, f := range first {
+			if slices.Equal(b.moves[f], m) {
+				t = b.rows[row+int(f)]
+				break
+			}
+		}
+		if t == noMatch {
+			t = b.intern(b.closure(m))
+			first = append(first, uint8(c))
+		}
+		b.rows[row+c] = t
+	}
+	b.first = first
+}
+
+// finish renumbers the states depth first from the start, children in class
+// order, and expands each row into a 256-entry table.
+func (b *subsetBuilder) finish(classOf [256]uint8, reps []byte) *dfa {
+	n, k := int(b.numStates()), b.k
+	newID := make([]int32, n)
+	for i := range newID {
+		newID[i] = noMatch
+	}
+	order := make([]int32, 1, n) // order[i] is the state numbered i; the start keeps 0
+	newID[0] = 0
+	type frame struct {
+		s int32
+		c int
+	}
+	stack := []frame{{0, 0}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.c == k {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		t := b.rows[int(f.s)*k+f.c]
+		f.c++
+		if t != noMatch && newID[t] == noMatch {
+			newID[t] = int32(len(order))
+			order = append(order, t)
+			stack = append(stack, frame{t, 0})
+		}
+	}
+
+	d := &dfa{
+		states:   make([]dfaState, n),
+		reps:     reps,
+		classOf:  classOf,
+		accepts:  make([]int32, 0, len(b.accepts)),
+		acceptAt: make([]int32, 1, n+1),
+	}
+	for i, old := range order {
+		row := b.rows[int(old)*k : int(old+1)*k]
+		for c, t := range row {
+			if t != noMatch {
+				row[c] = newID[t]
+			}
+		}
+		st := &d.states[i]
+		for x, c := range classOf {
+			st.next[x] = row[c]
+		}
+		acc := b.accepts[b.acceptAt[old]:b.acceptAt[old+1]]
+		st.accept = noMatch
+		if len(acc) > 0 {
+			st.accept = acc[0]
+		}
+		d.accepts = append(d.accepts, acc...)
+		d.acceptAt = append(d.acceptAt, int32(len(d.accepts)))
+	}
+	return d
 }
 
 // dfaRun scans input from the start and returns the pattern ID and length of

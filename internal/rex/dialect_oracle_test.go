@@ -24,6 +24,18 @@ func inventoryPatterns(d *loggen.Dialect) []string {
 	return patterns
 }
 
+// TestBuildMatchesOracleOnDialects: the class-indexed subset construction
+// yields exactly the 256-column construction's states, accept values and
+// reps on every built-in dialect's inventory and on each of its templates
+// alone, and records in each state exactly the templates that accept there.
+func TestBuildMatchesOracleOnDialects(t *testing.T) {
+	for _, d := range dialects {
+		if err := rex.CheckBuildOracle(inventoryPatterns(d)); err != nil {
+			t.Errorf("%s: %v", d.Name, err)
+		}
+	}
+}
+
 // TestMinimizeMatchesOracleOnDialects: per-class refinement yields exactly
 // the 256-column refinement's tables on every built-in dialect's scanner
 // inventory.

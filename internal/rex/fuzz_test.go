@@ -7,8 +7,8 @@ import (
 
 // FuzzCompileAndMatch feeds arbitrary pattern/input pairs. The fuzz pattern
 // is split at NUL bytes into one to three patterns of one set. Compile must
-// either fail cleanly or produce a matcher that never panics, whose minimized
-// tables equal the 256-column oracle's, and whose minimized, packed scan gives
+// either fail cleanly or produce a matcher that never panics, whose tables
+// before and after minimizing equal the 256-column oracles', and whose minimized, packed scan gives
 // the unminimized dense DFA's (id, length) on the input, as a string and as a
 // []byte.
 func FuzzCompileAndMatch(f *testing.F) {
@@ -54,6 +54,9 @@ func FuzzCompileAndMatch(f *testing.F) {
 		re, err := Compile(patterns[0])
 		if err != nil {
 			t.Fatalf("Compile failed where CompileSet succeeded: %v", err)
+		}
+		if err := CheckBuildOracle(patterns); err != nil {
+			t.Fatalf("patterns %q: %v", patterns, err)
 		}
 		if err := checkMinimizeOracle(set.d); err != nil {
 			t.Fatalf("patterns %q: %v", patterns, err)

@@ -1,10 +1,19 @@
 package rex
 
-// Language analysis over compiled pattern sets: pairwise intersection and
-// containment via the product construction, and dead-state detection. These
-// back the aarohivet scanner-overlap check — two templates whose languages
-// overlap are resolved by priority online, so the loser may never produce its
-// token; the product DFA yields a concrete witness string for the report.
+import "slices"
+
+// Language analysis over compiled pattern sets: which patterns' languages
+// meet or contain one another, and dead-state detection. These back the
+// aarohivet scanner-overlap check — two templates whose languages overlap are
+// resolved by priority online, so the loser may never produce its token; a
+// concrete witness string goes into the report.
+//
+// Overlaps answers for every pair at once from the set's own DFA: each state
+// of the subset construction records the patterns that accept there, so two
+// patterns meet iff some state holds both, and pattern i's language contains
+// pattern j's iff every state that holds j holds i. Intersects and Covers
+// answer for one pair through the product of the two single-pattern DFAs;
+// they are the reference Overlaps is tested against.
 
 // searchByteOrder ranks bytes for witness construction: printable ASCII
 // first (space last among them, so words form before padding), then the
@@ -134,26 +143,158 @@ func (s *Set) Covers(i, j int) (counter string, covers bool) {
 	return string(w), false
 }
 
+// Overlap is a pair of patterns I < J whose languages meet, or whose earlier
+// pattern's language contains the later one's.
+type Overlap struct {
+	I, J int
+	// Covers reports that every string J matches, I matches too, as
+	// Covers(I, J) does.
+	Covers bool
+	// Witness is the string Intersects(I, J) returns: the shortest string
+	// both match, least in searchByteOrder among those, or "" when they
+	// share none (J matches nothing, and I covers it vacuously).
+	Witness string
+}
+
+// Overlaps returns, ordered by I then J, every pair that Intersects or
+// Covers reports on, from one breadth-first walk of the set's DFA. The walk
+// visits each state's successors in searchByteOrder, so it reaches every
+// state first by that state's least string, shortest first and then in
+// searchByteOrder, and it reaches states in the order of those strings. The
+// least string that two patterns both match therefore leads to the first
+// state reached that holds both: the same string the product search for the
+// pair finds, since a language has one least string. It needs the accepting
+// sets the subset construction records, so it panics on a minimized set.
+func (s *Set) Overlaps() []Overlap {
+	d := s.d
+	if d.acceptAt == nil {
+		panic("rex: Overlaps on a minimized Set")
+	}
+	// One byte per input class, the class's first in searchByteOrder: the
+	// later bytes of a class reach the same state.
+	var order []byte
+	var seen [256]bool
+	for _, b := range searchByteOrder {
+		if c := d.classOf[b]; !seen[c] {
+			seen[c] = true
+			order = append(order, b)
+		}
+	}
+
+	np := len(s.patterns)
+	// cover[j] holds, once j has accepted somewhere (met[j]), the patterns
+	// below j that have accepted in every state where j has.
+	cover, met := make([][]int32, np), make([]bool, np)
+	firstMet := map[[2]int32]int32{} // pair -> first state holding both
+	from := make([]int32, len(d.states))
+	via := make([]byte, len(d.states))
+	for i := range from {
+		from[i] = noMatch
+	}
+	queue := []int32{0}
+	from[0] = 0
+	for qi := 0; qi < len(queue); qi++ {
+		st := queue[qi]
+		acc := d.acceptSet(st)
+		for x, j := range acc {
+			for _, i := range acc[:x] {
+				if _, ok := firstMet[[2]int32{i, j}]; !ok {
+					firstMet[[2]int32{i, j}] = st
+				}
+			}
+			if !met[j] {
+				met[j], cover[j] = true, slices.Clone(acc[:x])
+			} else {
+				cover[j] = intersectSorted(cover[j], acc[:x])
+			}
+		}
+		for _, b := range order {
+			if t := d.states[st].next[b]; t != noMatch && from[t] == noMatch {
+				from[t], via[t] = st, b
+				queue = append(queue, t)
+			}
+		}
+	}
+
+	witness := func(st int32) string {
+		var rev []byte
+		for ; st != 0; st = from[st] {
+			rev = append(rev, via[st])
+		}
+		slices.Reverse(rev)
+		return string(rev)
+	}
+	var out []Overlap
+	for pair, st := range firstMet {
+		i, j := pair[0], pair[1]
+		_, covers := slices.BinarySearch(cover[j], i)
+		out = append(out, Overlap{I: int(i), J: int(j), Covers: covers, Witness: witness(st)})
+	}
+	for j := range np {
+		if !met[j] {
+			for i := range j {
+				out = append(out, Overlap{I: i, J: j, Covers: true})
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b Overlap) int {
+		if a.I != b.I {
+			return a.I - b.I
+		}
+		return a.J - b.J
+	})
+	return out
+}
+
+// intersectSorted keeps the elements of a that are also in b; both ascend.
+func intersectSorted(a, b []int32) []int32 {
+	out, k := a[:0], 0
+	for _, v := range a {
+		for k < len(b) && b[k] < v {
+			k++
+		}
+		if k < len(b) && b[k] == v {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // DeadStates returns the states of the combined DFA from which no accepting
 // state is reachable (the implicit error sink is not counted). The subset
 // construction only creates states for viable pattern prefixes, so a
 // non-empty result indicates a defective pattern (e.g. an empty character
 // class) whose matches can never complete.
 func (s *Set) DeadStates() []int {
-	n := len(s.d.states)
-	// Reverse reachability from accepting states.
-	rev := make([][]int32, n)
-	for si := range s.d.states {
-		for b := 0; b < 256; b++ {
-			if t := s.d.states[si].next[b]; t != noMatch {
-				rev[t] = append(rev[t], int32(si))
+	d := s.d
+	n := len(d.states)
+	// Reverse edges, read one column per input class: from[at[t]:at[t+1]]
+	// are the states with an edge into t.
+	at := make([]int32, n+1)
+	for si := range d.states {
+		for _, b := range d.reps {
+			if t := d.states[si].next[b]; t != noMatch {
+				at[t+1]++
 			}
 		}
 	}
+	for t := 0; t < n; t++ {
+		at[t+1] += at[t]
+	}
+	from, fill := make([]int32, at[n]), slices.Clone(at[:n])
+	for si := range d.states {
+		for _, b := range d.reps {
+			if t := d.states[si].next[b]; t != noMatch {
+				from[fill[t]] = int32(si)
+				fill[t]++
+			}
+		}
+	}
+	// Reverse reachability from accepting states.
 	alive := make([]bool, n)
 	var stack []int32
-	for si, st := range s.d.states {
-		if st.accept != noMatch {
+	for si := range d.states {
+		if d.states[si].accept != noMatch {
 			alive[si] = true
 			stack = append(stack, int32(si))
 		}
@@ -161,7 +302,7 @@ func (s *Set) DeadStates() []int {
 	for len(stack) > 0 {
 		si := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range rev[si] {
+		for _, p := range from[at[si]:at[si+1]] {
 			if !alive[p] {
 				alive[p] = true
 				stack = append(stack, p)

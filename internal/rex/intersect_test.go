@@ -1,6 +1,7 @@
 package rex
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -119,5 +120,73 @@ func TestDeadStates(t *testing.T) {
 	s := mustSet(t, `abc.*`, `ab`, `[xy]z`)
 	if dead := s.DeadStates(); len(dead) != 0 {
 		t.Errorf("DeadStates = %v, want none", dead)
+	}
+}
+
+// TestDeadStatesDefective: on sets with unsatisfiable tails, DeadStates lists
+// exactly the states from which a forward walk over all 256 columns reaches
+// no accepting state.
+func TestDeadStatesDefective(t *testing.T) {
+	for _, patterns := range [][]string{
+		{`ab[^\d\D]c`, `xy`},
+		{`DVS: .*[^\d\D]`, `DVS: verify .*`, `LNet: [^\d\D]+`},
+		{`[^\d\D]`},
+	} {
+		s := mustSet(t, patterns...)
+		var want []int
+		for si := range s.d.states {
+			seen := map[int32]bool{int32(si): true}
+			stack, alive := []int32{int32(si)}, false
+			for len(stack) > 0 && !alive {
+				st := &s.d.states[stack[len(stack)-1]]
+				stack = stack[:len(stack)-1]
+				alive = st.accept != noMatch
+				for _, next := range st.next {
+					if next != noMatch && !seen[next] {
+						seen[next] = true
+						stack = append(stack, next)
+					}
+				}
+			}
+			if !alive {
+				want = append(want, si)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%q: no dead states to find", patterns)
+		}
+		if got := s.DeadStates(); !slices.Equal(got, want) {
+			t.Errorf("%q: DeadStates = %v, want %v", patterns, got, want)
+		}
+	}
+}
+
+// TestOverlapsMatchPairwise: Overlaps lists, in (I, J) order, exactly the
+// pairs where Intersects or Covers reports, with Covers' verdict and
+// Intersects' witness — also for patterns that match nothing, which every
+// earlier pattern covers without a witness.
+func TestOverlapsMatchPairwise(t *testing.T) {
+	for _, patterns := range [][]string{
+		{`ab.*z`, `.*z`, `abz`, `a[bc]z`, `q`},
+		{`LNet: .*`, `LNet: critical .*`, `LNet: critical .*`, `.*`, `DVS.*`, `DVS: verify .*`},
+		{`x`, `[^\d\D]`, `x.*`, `y[^\d\D]`, ``},
+		// Equal-length witnesses that searchByteOrder ranks: "x " before
+		// " x", and '!' first for a byte any class holds.
+		{`.* .*`, `.*x.*`, `a.b`, `a[^x]b`, `.*\x00.*`, `.*\x01.*`},
+	} {
+		s := mustSet(t, patterns...)
+		var want []Overlap
+		for i := range patterns {
+			for j := i + 1; j < len(patterns); j++ {
+				_, covers := s.Covers(i, j)
+				w, meet := s.Intersects(i, j)
+				if covers || meet {
+					want = append(want, Overlap{I: i, J: j, Covers: covers, Witness: w})
+				}
+			}
+		}
+		if got := s.Overlaps(); !slices.Equal(got, want) {
+			t.Errorf("%q:\n got %+v\nwant %+v", patterns, got, want)
+		}
 	}
 }

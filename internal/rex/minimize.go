@@ -8,63 +8,99 @@ package rex
 // benchmarks quantify the table-size effect).
 
 // minimize returns an equivalent DFA with the minimal number of reachable
-// states. The start state keeps index 0.
+// states. The start state keeps index 0; the others are numbered in the order
+// of their first member state.
 func (d *dfa) minimize() *dfa {
-	n := len(d.states)
+	n, k := len(d.states), len(d.reps)
 	if n == 0 {
 		return d
 	}
-	// Initial partition: by accept value. Class IDs are dense from 0.
+	// Successors read one column per input class: the other bytes of a
+	// class repeat its column, so they cannot split a block it does not.
+	succ := make([]int32, n*k)
+	for i := range d.states {
+		st := &d.states[i] // by pointer: a state is a 1 KiB table
+		for c, b := range d.reps {
+			succ[i*k+c] = st.next[b]
+		}
+	}
+	// Initial partition: by accept value. Block IDs are dense from 0.
 	part := make([]int32, n)
-	classOf := map[int32]int32{}
+	blockOf := map[int32]int32{}
 	for i, st := range d.states {
-		id, ok := classOf[st.accept]
+		id, ok := blockOf[st.accept]
 		if !ok {
-			id = int32(len(classOf))
-			classOf[st.accept] = id
+			id = int32(len(blockOf))
+			blockOf[st.accept] = id
 		}
 		part[i] = id
 	}
-	numClasses := len(classOf)
+	numBlocks := len(blockOf)
 
-	// Refine until stable. The dead state (-1) is its own implicit class.
-	// Signatures read one column per input class: the other bytes of a class
-	// repeat its column, so they cannot split a partition it does not.
-	sigBuf := make([]byte, 0, (len(d.reps)+1)*4)
-	for {
-		index := map[string]int32{}
-		next := make([]int32, n)
-		for i := range d.states {
-			st := &d.states[i] // by pointer: a state is a 1 KiB table
-			sigBuf = sigBuf[:0]
-			sigBuf = appendInt32(sigBuf, part[i])
-			for _, b := range d.reps {
-				t := st.next[b]
-				cls := int32(-1)
-				if t != noMatch {
-					cls = part[t]
-				}
-				sigBuf = appendInt32(sigBuf, cls)
-			}
-			key := string(sigBuf)
-			id, ok := index[key]
-			if !ok {
-				id = int32(len(index))
-				index[key] = id
-			}
-			next[i] = id
+	// Refine until stable. Each round numbers the new blocks in the order of
+	// their first state and finds a state's block through an open-addressing
+	// table of signature hashes, each slot holding a block whose first state
+	// is compared with the state in full. The dead state (-1) is its own
+	// implicit block.
+	block := func(t int32) int32 {
+		if t == noMatch {
+			return noMatch
 		}
-		if len(index) == numClasses {
-			part = next
+		return part[t]
+	}
+	same := func(i, j int) bool {
+		if part[i] != part[j] {
+			return false
+		}
+		for c := 0; c < k; c++ {
+			if block(succ[i*k+c]) != block(succ[j*k+c]) {
+				return false
+			}
+		}
+		return true
+	}
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	slots := make([]int32, size)
+	next := make([]int32, n)
+	var first []int // first state of each new block
+	for {
+		for i := range slots {
+			slots[i] = noMatch
+		}
+		first = first[:0]
+		for i := 0; i < n; i++ {
+			h := uint64(part[i])*0x9e3779b97f4a7c15 + 1
+			for c := 0; c < k; c++ {
+				h = (h ^ uint64(uint32(block(succ[i*k+c])))) * 0x100000001b3
+			}
+			slot := int(h^h>>29) & (size - 1)
+			for {
+				b := slots[slot]
+				if b == noMatch {
+					b = int32(len(first))
+					first = append(first, i)
+					slots[slot] = b
+				} else if !same(i, first[b]) {
+					slot = (slot + 1) & (size - 1)
+					continue
+				}
+				next[i] = b
+				break
+			}
+		}
+		part, next = next, part
+		if len(first) == numBlocks {
 			break
 		}
-		numClasses = len(index)
-		part = next
+		numBlocks = len(first)
 	}
 
-	// Renumber classes so the start state's class becomes 0, preserving
-	// first-seen order otherwise.
-	remap := make([]int32, numClasses)
+	// Block IDs already follow first-seen order; make the start state's
+	// block 0 and keep the others in that order.
+	remap := make([]int32, numBlocks)
 	for i := range remap {
 		remap[i] = -1
 	}
@@ -77,29 +113,28 @@ func (d *dfa) minimize() *dfa {
 		}
 	}
 
-	out := &dfa{states: make([]dfaState, numClasses), reps: d.reps}
-	built := make([]bool, numClasses)
-	for i, st := range d.states {
-		cls := remap[part[i]]
-		if built[cls] {
+	out := &dfa{states: make([]dfaState, numBlocks), reps: d.reps, classOf: d.classOf}
+	built := make([]bool, numBlocks)
+	row := make([]int32, k)
+	for i := range d.states {
+		b := remap[part[i]]
+		if built[b] {
 			continue
 		}
-		built[cls] = true
-		ns := dfaState{accept: st.accept}
-		for b := 0; b < 256; b++ {
-			if t := st.next[b]; t != noMatch {
-				ns.next[b] = remap[part[t]]
-			} else {
-				ns.next[b] = noMatch
+		built[b] = true
+		for c := range row {
+			row[c] = noMatch
+			if t := succ[i*k+c]; t != noMatch {
+				row[c] = remap[part[t]]
 			}
 		}
-		out.states[cls] = ns
+		ns := &out.states[b]
+		ns.accept = d.states[i].accept
+		for x, c := range d.classOf {
+			ns.next[x] = row[c]
+		}
 	}
 	return out
-}
-
-func appendInt32(b []byte, v int32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // Minimize replaces the set's DFA with its minimal equivalent. It is

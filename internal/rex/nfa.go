@@ -111,12 +111,13 @@ func buildNFA(asts []*node) *nfa {
 	return &nfa{states: b.states, start: start}
 }
 
-// byteReps partitions the byte alphabet into the classes no transition of n
-// tells apart — two bytes share a class when every state's byte class holds
-// both or neither — and returns the smallest byte of each class, ascending.
-// Subset construction moves on a byte only by which state classes hold it, so
-// all bytes of one class have identical DFA columns.
-func (n *nfa) byteReps() []byte {
+// byteClasses partitions the byte alphabet into the classes no transition of
+// n tells apart — two bytes share a class when every state's byte class holds
+// both or neither. It returns each byte's class and the smallest byte of each
+// class, ascending; classes are numbered in that order. Subset construction
+// moves on a byte only by which state classes hold it, so all bytes of one
+// class have identical DFA columns.
+func (n *nfa) byteClasses() (classOf [256]uint8, reps []byte) {
 	var id [256]int32 // class of each byte; all start in class 0
 	classes := int32(1)
 	seen := map[class]bool{}
@@ -146,44 +147,13 @@ func (n *nfa) byteReps() []byte {
 		}
 		classes = next
 	}
-	reps := make([]byte, 0, classes)
+	// The last split numbered classes in order of their smallest byte.
+	reps = make([]byte, 0, classes)
 	for b := 0; b < 256; b++ {
 		if id[b] == int32(len(reps)) {
 			reps = append(reps, byte(b))
 		}
+		classOf[b] = uint8(id[b])
 	}
-	return reps
-}
-
-// closure expands set (a sorted list of state IDs) with everything reachable
-// by ε-transitions, returning a sorted, deduplicated list. mark is scratch
-// space of length len(states), holding generation tags to avoid reallocation.
-func (n *nfa) closure(set []int, mark []int, gen int) []int {
-	stack := append([]int(nil), set...)
-	var out []int
-	for _, s := range set {
-		mark[s] = gen
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, s)
-		for _, t := range n.states[s].eps {
-			if mark[t] != gen {
-				mark[t] = gen
-				stack = append(stack, t)
-			}
-		}
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: closure sets are small and mostly ordered.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return classOf, reps
 }

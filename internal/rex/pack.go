@@ -57,27 +57,36 @@ type packedDFA struct {
 func (d *dfa) pack() *packedDFA {
 	n := len(d.states)
 	p := &packedDFA{}
-	// Group bytes by their full column signature.
+	// Group bytes by their full column signature. Bytes of one input class
+	// of the NFA share a column, so each class's column is read once, at its
+	// smallest byte.
 	index := map[string]uint8{}
 	sig := make([]byte, n*4)
 	var reps []byte // representative byte per class
 	var size []int  // bytes per class
+	packed := make([]int, len(d.reps))
+	for c := range packed {
+		packed[c] = -1
+	}
 	for b := 0; b < 256; b++ {
-		for i := range d.states {
-			v := d.states[i].next[b] // not a by-value range: a state is a 1 KiB table
-			sig[i*4] = byte(v)
-			sig[i*4+1] = byte(v >> 8)
-			sig[i*4+2] = byte(v >> 16)
-			sig[i*4+3] = byte(v >> 24)
+		if c := d.classOf[b]; packed[c] < 0 {
+			for i := range d.states {
+				v := d.states[i].next[b] // not a by-value range: a state is a 1 KiB table
+				sig[i*4] = byte(v)
+				sig[i*4+1] = byte(v >> 8)
+				sig[i*4+2] = byte(v >> 16)
+				sig[i*4+3] = byte(v >> 24)
+			}
+			cls, ok := index[string(sig)]
+			if !ok {
+				cls = uint8(len(index))
+				index[string(sig)] = cls
+				reps = append(reps, byte(b))
+				size = append(size, 0)
+			}
+			packed[c] = int(cls)
 		}
-		key := string(sig)
-		cls, ok := index[key]
-		if !ok {
-			cls = uint8(len(index))
-			index[key] = cls
-			reps = append(reps, byte(b))
-			size = append(size, 0)
-		}
+		cls := uint8(packed[d.classOf[b]])
 		p.classOf[b] = cls
 		size[cls]++
 	}

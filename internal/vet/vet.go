@@ -8,8 +8,9 @@
 //     prefix of a longer chain (which eager acceptance pre-empts forever).
 //   - inventory: dead templates (inventoried phrases in no chain) and orphan
 //     phrases (chain phrases missing from the inventory).
-//   - overlap: scanner-level template overlap, found by product-DFA
-//     intersection with a concrete witness message for every collision.
+//   - overlap: scanner-level template overlap, found in one walk of the
+//     combined template DFA with a concrete witness message for every
+//     collision.
 //   - deltat: ΔT consistency — non-positive gap annotations, gaps the reset
 //     timeout makes unsatisfiable, and lead times below a configured floor.
 //   - grammar: LALR(1) conflicts mapped back to the implicated chains,

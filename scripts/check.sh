@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Full local check: build, the frozen bench/ module, gofmt, vet,
 # repo-invariant lint, race-enabled tests, one-iteration smokes of the
-# scanner and boot-replay benchmarks, and a short fuzz smoke over every
-# fuzz target. This is what CI runs; run it before pushing.
+# scanner, vet, model-compile and boot-replay benchmarks, and a short fuzz
+# smoke over every fuzz target. This is what CI runs; run it before pushing.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target fuzzing budget (default 10s; "0" skips fuzzing)
@@ -42,6 +42,12 @@ go test -race ./...
 # running; for numbers, run it with -count and compare parent and change.
 echo "==> scanner benchmark smoke (BenchmarkScanDialect, -benchtime 1x)"
 go test -run '^$' -bench BenchmarkScanDialect -benchtime 1x ./internal/lexgen
+
+# Likewise the boot-time benchmarks: the whole vet gate (XC30, XE6, and XC30
+# with 1 000 synthetic templates) and the model compile that follows it.
+echo "==> vet and compile benchmark smoke (BenchmarkVet, BenchmarkCompile, -benchtime 1x)"
+go test -run '^$' -bench BenchmarkVet -benchtime 1x ./internal/vet
+go test -run '^$' -bench BenchmarkCompile -benchtime 1x ./internal/predictor
 
 # Likewise the boot-replay benchmark (plain journal with and without the
 # arbiter, and the edge's marked journal).
@@ -108,6 +114,7 @@ if [ "$FUZZTIME" != "0" ]; then
     # One pkg:target entry per line.
     FUZZ_TARGETS="
         ./internal/rex:FuzzCompileAndMatch
+        ./internal/vet:FuzzOverlapOnePass
         ./internal/lexgen:FuzzParseLine
         ./internal/lexgen:FuzzLineParser
         ./internal/lexgen:FuzzScan
