@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -454,44 +455,55 @@ func longestCommonSubchain(rules [][]lalr.Symbol, minLen int) []lalr.Symbol {
 			maxLen = len(r)
 		}
 	}
+	type subchain struct {
+		key   string
+		count int
+		syms  []lalr.Symbol
+	}
+	var buf []byte
 	for length := maxLen; length >= minLen; length-- {
-		counts := map[string]int{}
-		reps := map[string][]lalr.Symbol{}
+		index := map[string]int{} // key -> position in subs
+		var subs []subchain
 		for _, r := range rules {
 			// Count non-overlapping occurrences per rule position set; a
 			// subchain must appear at ≥ 2 positions overall to be worth a
 			// non-terminal.
 			for i := 0; i+length <= len(r); i++ {
 				sub := r[i : i+length]
-				key := symKey(sub)
-				counts[key]++
-				if _, ok := reps[key]; !ok {
-					reps[key] = append([]lalr.Symbol(nil), sub...)
+				buf = appendSymKey(buf[:0], sub)
+				if j, ok := index[string(buf)]; ok {
+					subs[j].count++
+					continue
 				}
+				key := string(buf)
+				index[key] = len(subs)
+				subs = append(subs, subchain{key: key, count: 1, syms: append([]lalr.Symbol(nil), sub...)})
 			}
 		}
-		var bestKey string
-		for key, c := range counts {
-			if c < 2 {
+		best := -1
+		for j, sc := range subs {
+			if sc.count < 2 {
 				continue
 			}
-			if bestKey == "" || c > counts[bestKey] || (c == counts[bestKey] && key < bestKey) {
-				bestKey = key
+			if best < 0 || sc.count > subs[best].count || (sc.count == subs[best].count && sc.key < subs[best].key) {
+				best = j
 			}
 		}
-		if bestKey != "" {
-			return reps[bestKey]
+		if best >= 0 {
+			return subs[best].syms
 		}
 	}
 	return nil
 }
 
-func symKey(syms []lalr.Symbol) string {
-	var sb strings.Builder
+// appendSymKey appends the key of a symbol sequence: each symbol in decimal,
+// followed by a comma. Ties between subchains break on these strings.
+func appendSymKey(dst []byte, syms []lalr.Symbol) []byte {
 	for _, s := range syms {
-		fmt.Fprintf(&sb, "%d,", s)
+		dst = strconv.AppendInt(dst, int64(s), 10)
+		dst = append(dst, ',')
 	}
-	return sb.String()
+	return dst
 }
 
 // replaceAll substitutes every non-overlapping occurrence of sub in rhs with

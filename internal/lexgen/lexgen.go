@@ -41,9 +41,9 @@ type Options struct {
 	// SkipMinimization keeps the raw subset-construction DFA instead of the
 	// minimized one — for the table-size ablation only.
 	SkipMinimization bool
-	// SkipPacking keeps the dense 256-way tables instead of the packed scan
-	// table (byte classes, literal runs, accelerated wildcards) — for the
-	// table-size ablation only.
+	// SkipPacking keeps the automaton's rows, one target per input class,
+	// instead of the packed scan table (merged classes, literal runs,
+	// accelerated wildcards) — for the table-size ablation only.
 	SkipPacking bool
 }
 
@@ -136,8 +136,8 @@ func (s *Scanner) NumTemplates() int { return s.set.Size() }
 func (s *Scanner) NumStates() int { return s.set.NumStates() }
 
 // TableBytes reports the scan-table footprint: the packed table (rows,
-// literal runs and the byte-class map), or the dense 256-way tables when
-// SkipPacking kept them.
+// literal runs and the byte-class map), or the automaton's class-width rows
+// when SkipPacking kept them.
 func (s *Scanner) TableBytes() int { return s.set.TableBytes() }
 
 // NumClasses reports the input equivalence classes (0 when unpacked).

@@ -182,23 +182,38 @@ func Compile(chains []core.FailureChain, inventory []core.Template, opts Options
 		ruleChains = append(ruleChains, rule)
 	}
 
+	// The scanner recognizes every rule phrase plus the terminal failed
+	// messages; everything else is discarded without tokenization. The rule
+	// phrases are the ones rs.Relevant reports, so the scanner is built from
+	// the rule chains beside the grammar and its tables.
+	inRule := map[core.PhraseID]bool{}
+	for _, fc := range ruleChains {
+		for _, p := range fc.Phrases {
+			inRule[p] = true
+		}
+	}
+	var scanTemplates []core.Template
+	added := map[core.PhraseID]bool{}
+	for _, t := range inventory {
+		if (inRule[t.ID] || terminal[t.ID]) && !added[t.ID] {
+			added[t.ID] = true
+			scanTemplates = append(scanTemplates, t)
+		}
+	}
+	var scanner *lexgen.Scanner
+	var scanErr error
+	scanned := make(chan struct{})
+	go func() {
+		defer close(scanned)
+		scanner, scanErr = lexgen.NewScanner(scanTemplates)
+	}()
 	rs, err := core.TranslateFCs(ruleChains, core.Options{
 		Timeout:          opts.Timeout,
 		DisableFactoring: opts.DisableFactoring,
 	})
+	<-scanned
 	if err != nil {
 		return nil, fmt.Errorf("predictor: translating chains: %w", err)
-	}
-
-	// The scanner recognizes every rule phrase plus the terminal failed
-	// messages; everything else is discarded without tokenization.
-	var scanTemplates []core.Template
-	added := map[core.PhraseID]bool{}
-	for _, t := range inventory {
-		if (rs.Relevant(t.ID) || terminal[t.ID]) && !added[t.ID] {
-			added[t.ID] = true
-			scanTemplates = append(scanTemplates, t)
-		}
 	}
 	for id := range terminal {
 		if !added[id] {
@@ -212,9 +227,8 @@ func Compile(chains []core.FailureChain, inventory []core.Template, opts Options
 			}
 		}
 	}
-	scanner, err := lexgen.NewScanner(scanTemplates)
-	if err != nil {
-		return nil, fmt.Errorf("predictor: building scanner: %w", err)
+	if scanErr != nil {
+		return nil, fmt.Errorf("predictor: building scanner: %w", scanErr)
 	}
 
 	fp := modelFingerprint(chains, inventory, opts)

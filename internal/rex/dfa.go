@@ -3,29 +3,28 @@ package rex
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
-// Subset construction from the NFA to a dense DFA. Accept priorities follow
-// flex semantics: when a DFA state contains accept states of several
-// patterns, the lowest pattern ID wins.
+// Subset construction from the NFA to a DFA over byte classes. Accept
+// priorities follow flex semantics: when a DFA state contains accept states
+// of several patterns, the lowest pattern ID wins.
 
 const noMatch = -1
 
-// dfaState has a dense 256-way transition table plus the accepted pattern ID
-// (or noMatch).
-type dfaState struct {
-	next   [256]int32
-	accept int32
-}
-
-// dfa is a deterministic automaton over bytes.
+// dfa is a deterministic automaton over bytes, stored in class-width rows:
+// bytes of one input class take the same transition out of every state, so
+// a state keeps one target per class.
 type dfa struct {
-	states []dfaState
-	// reps holds one byte per input class of the NFA the automaton was built
-	// from (see nfa.byteClasses): bytes of one class take the same transition
-	// out of every state, so a pass over reps sees every distinct column.
-	// classOf maps each byte to its class, an index into reps.
+	// next[s*len(reps)+c] is state s's target on class c, noMatch for none.
+	next []int32
+	// accept[s] is the pattern state s accepts, noMatch for none; its length
+	// is the number of states.
+	accept []int32
+	// reps holds the smallest byte of each input class of the NFA the
+	// automaton was built from (see nfa.byteClasses); classOf maps each byte
+	// to its class, an index into reps.
 	reps    []byte
 	classOf [256]uint8
 	// accepts[acceptAt[s]:acceptAt[s+1]] lists every pattern that accepts in
@@ -35,17 +34,29 @@ type dfa struct {
 	accepts, acceptAt []int32
 }
 
+func (d *dfa) numStates() int { return len(d.accept) }
+
+// row returns state s's targets, one per class.
+func (d *dfa) row(s int32) []int32 {
+	k := len(d.reps)
+	return d.next[int(s)*k : int(s+1)*k]
+}
+
+// step returns state s's target on byte b.
+func (d *dfa) step(s int32, b byte) int32 {
+	return d.next[int(s)*len(d.reps)+int(d.classOf[b])]
+}
+
 // acceptSet returns the patterns that accept in state s, ascending.
 func (d *dfa) acceptSet(s int32) []int32 { return d.accepts[d.acceptAt[s]:d.acceptAt[s+1]] }
 
 // buildDFA determinizes n by subset construction over its byte classes: all
 // bytes of a class move the same way out of every subset, so a state takes
 // one move per class, one ε-closure per distinct move, and a row of one
-// target per class. States are found breadth first; the rows expand into
-// [256]int32 tables once, at the end, renumbered depth first from the start
-// with children in the order of their smallest byte — the numbering of a
-// construction that visits the 256 bytes of each state in order and descends
-// into every new subset at once.
+// target per class. States are found breadth first and renumbered at the
+// end, depth first from the start with children in the order of their
+// smallest byte — the numbering of a construction that visits the 256 bytes
+// of each state in order and descends into every new subset at once.
 func buildDFA(n *nfa) *dfa {
 	classOf, reps := n.byteClasses()
 	b := newSubsetBuilder(n, reps)
@@ -66,10 +77,11 @@ type subsetBuilder struct {
 	// byte classes share one list.
 	moveOn [][]uint8
 	// DFA state s has the sorted NFA state set sets[setAt[s]:setAt[s+1]], the
-	// targets rows[s*k:(s+1)*k] (noMatch for none) and the accepting
-	// patterns accepts[acceptAt[s]:acceptAt[s+1]], ascending.
+	// targets row(s) (noMatch for none) and the accepting patterns
+	// accepts[acceptAt[s]:acceptAt[s+1]], ascending. The rows live in pages
+	// that double in size, so a row never moves and no growth copies them.
 	sets, setAt       []int32
-	rows              []int32
+	pages             [][]int32
 	accepts, acceptAt []int32
 	index             map[string]int32 // key of a state's set -> state
 	noRow             []int32          // k noMatch targets: a new state's row
@@ -119,6 +131,21 @@ func newSubsetBuilder(n *nfa, reps []byte) *subsetBuilder {
 
 func (b *subsetBuilder) numStates() int32 { return int32(len(b.setAt) - 1) }
 
+// firstPageRows is the number of rows in each of the first two pages; every
+// later page holds as many rows as all the pages before it.
+const firstPageRows = 8
+
+// row returns state s's targets.
+func (b *subsetBuilder) row(s int32) []int32 {
+	p, base := 0, int32(0)
+	if s >= firstPageRows {
+		p = bits.Len32(uint32(s / firstPageRows))
+		base = firstPageRows << (p - 1)
+	}
+	o := int(s-base) * b.k
+	return b.pages[p][o : o+b.k]
+}
+
 // closure returns the ε-closure of seed, sorted, in scratch space the next
 // call reuses.
 func (b *subsetBuilder) closure(seed []int32) []int32 {
@@ -163,7 +190,10 @@ func (b *subsetBuilder) intern(set []int32) int32 {
 	b.index[string(key)] = s
 	b.sets = append(b.sets, set...)
 	b.setAt = append(b.setAt, int32(len(b.sets)))
-	b.rows = append(b.rows, b.noRow...)
+	if s == 0 || s >= firstPageRows && s&(s-1) == 0 { // the pages so far are full
+		b.pages = append(b.pages, make([]int32, max(s, firstPageRows)*int32(b.k)))
+	}
+	copy(b.row(s), b.noRow)
 	for _, q := range set {
 		if a := b.n.states[q].accept; a >= 0 {
 			b.accepts = append(b.accepts, int32(a))
@@ -185,7 +215,7 @@ func (b *subsetBuilder) expand(s int32) {
 			b.moves[c] = append(b.moves[c], int32(b.n.states[q].out))
 		}
 	}
-	row, first := int(s)*b.k, b.first[:0]
+	row, first := b.row(s), b.first[:0]
 	for c, m := range b.moves {
 		if len(m) == 0 {
 			continue
@@ -193,7 +223,7 @@ func (b *subsetBuilder) expand(s int32) {
 		t := int32(noMatch)
 		for _, f := range first {
 			if slices.Equal(b.moves[f], m) {
-				t = b.rows[row+int(f)]
+				t = row[f]
 				break
 			}
 		}
@@ -201,13 +231,13 @@ func (b *subsetBuilder) expand(s int32) {
 			t = b.intern(b.closure(m))
 			first = append(first, uint8(c))
 		}
-		b.rows[row+c] = t
+		row[c] = t
 	}
 	b.first = first
 }
 
 // finish renumbers the states depth first from the start, children in class
-// order, and expands each row into a 256-entry table.
+// order.
 func (b *subsetBuilder) finish(classOf [256]uint8, reps []byte) *dfa {
 	n, k := int(b.numStates()), b.k
 	newID := make([]int32, n)
@@ -227,7 +257,7 @@ func (b *subsetBuilder) finish(classOf [256]uint8, reps []byte) *dfa {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		t := b.rows[int(f.s)*k+f.c]
+		t := b.row(f.s)[f.c]
 		f.c++
 		if t != noMatch && newID[t] == noMatch {
 			newID[t] = int32(len(order))
@@ -237,27 +267,25 @@ func (b *subsetBuilder) finish(classOf [256]uint8, reps []byte) *dfa {
 	}
 
 	d := &dfa{
-		states:   make([]dfaState, n),
+		next:     make([]int32, n*k),
+		accept:   make([]int32, n),
 		reps:     reps,
 		classOf:  classOf,
 		accepts:  make([]int32, 0, len(b.accepts)),
 		acceptAt: make([]int32, 1, n+1),
 	}
 	for i, old := range order {
-		row := b.rows[int(old)*k : int(old+1)*k]
-		for c, t := range row {
+		row := d.next[i*k : (i+1)*k]
+		for c, t := range b.row(old) {
 			if t != noMatch {
-				row[c] = newID[t]
+				t = newID[t]
 			}
-		}
-		st := &d.states[i]
-		for x, c := range classOf {
-			st.next[x] = row[c]
+			row[c] = t
 		}
 		acc := b.accepts[b.acceptAt[old]:b.acceptAt[old+1]]
-		st.accept = noMatch
+		d.accept[i] = noMatch
 		if len(acc) > 0 {
-			st.accept = acc[0]
+			d.accept[i] = acc[0]
 		}
 		d.accepts = append(d.accepts, acc...)
 		d.acceptAt = append(d.acceptAt, int32(len(d.accepts)))
@@ -274,17 +302,18 @@ func (b *subsetBuilder) finish(classOf [256]uint8, reps []byte) *dfa {
 //
 //aarohi:hotpath
 func dfaRun[T ~string | ~[]byte](d *dfa, input T) (id, length int) {
+	next, accept, k := d.next, d.accept, len(d.reps)
 	st := int32(0)
 	id, length = noMatch, 0
-	if a := d.states[0].accept; a != noMatch {
+	if a := accept[0]; a != noMatch {
 		id, length = int(a), 0
 	}
 	for i := 0; i < len(input); i++ {
-		st = d.states[st].next[input[i]]
+		st = next[int(st)*k+int(d.classOf[input[i]])]
 		if st == noMatch {
 			return id, length
 		}
-		if a := d.states[st].accept; a != noMatch {
+		if a := accept[st]; a != noMatch {
 			id, length = int(a), i+1
 		}
 	}
@@ -346,7 +375,7 @@ func (re *Regexp) MatchPrefix(b []byte) int {
 }
 
 // NumStates reports the DFA size; exposed for tests and ablation benchmarks.
-func (re *Regexp) NumStates() int { return len(re.d.states) }
+func (re *Regexp) NumStates() int { return re.d.numStates() }
 
 // Set is a prioritized union of patterns compiled into a single DFA — the
 // combined scanner automaton. Pattern IDs are their indices in the slice
@@ -375,7 +404,7 @@ func CompileSet(patterns []string) (*Set, error) {
 func (s *Set) Size() int { return len(s.patterns) }
 
 // NumStates reports the combined DFA size.
-func (s *Set) NumStates() int { return len(s.d.states) }
+func (s *Set) NumStates() int { return s.d.numStates() }
 
 // Match scans input from the start and returns the ID of the matching
 // pattern and the match length. The longest match wins; among patterns

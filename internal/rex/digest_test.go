@@ -6,16 +6,18 @@ import (
 	"encoding/hex"
 )
 
-// TableDigests returns SHA-256 digests of the set's dense tables (reps, then
-// each state's accept value and 256 targets) and, when it has been packed, of
-// the packed scan table (every field, in declaration order; "" otherwise).
+// TableDigests returns SHA-256 digests of the set's automaton written out to
+// 256 columns (reps, then each state's accept value and 256 targets) and,
+// when it has been packed, of the packed scan table (every field, in
+// declaration order; "" otherwise).
 // Exported to the external tests, which pin them in a golden file.
 func TableDigests(s *Set) (dense, packed string) {
 	h := sha256.New()
-	h.Write(s.d.reps)
+	d := s.d.expand256()
+	h.Write(d.reps)
 	var buf []byte
-	for i := range s.d.states {
-		st := &s.d.states[i]
+	for i := range d.states {
+		st := &d.states[i]
 		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(st.accept))
 		for _, t := range st.next {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(t))

@@ -8,9 +8,10 @@ import (
 // FuzzCompileAndMatch feeds arbitrary pattern/input pairs. The fuzz pattern
 // is split at NUL bytes into one to three patterns of one set. Compile must
 // either fail cleanly or produce a matcher that never panics, whose tables
-// before and after minimizing equal the 256-column oracles', and whose minimized, packed scan gives
-// the unminimized dense DFA's (id, length) on the input, as a string and as a
-// []byte.
+// equal the 256-column construction's, whose minimized tables equal both
+// Moore refinements' (class columns and 256 columns), and whose minimized,
+// packed scan gives the unminimized DFA's (id, length) on the input, as a
+// string and as a []byte.
 func FuzzCompileAndMatch(f *testing.F) {
 	seeds := []struct{ pattern, input string }{
 		{"abc", "abc"},

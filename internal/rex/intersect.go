@@ -63,10 +63,10 @@ func productSearch(a, b *dfa, wantB bool) ([]byte, bool) {
 		c    byte
 	}
 	accepts := func(p productPair) bool {
-		if a.states[p.a].accept == noMatch {
+		if a.accept[p.a] == noMatch {
 			return false
 		}
-		inB := p.b != sinkState && b.states[p.b].accept != noMatch
+		inB := p.b != sinkState && b.accept[p.b] != noMatch
 		return inB == wantB
 	}
 	reconstruct := func(prev map[productPair]step, end productPair) []byte {
@@ -93,14 +93,14 @@ func productSearch(a, b *dfa, wantB bool) ([]byte, bool) {
 		p := queue[0]
 		queue = queue[1:]
 		for _, c := range searchByteOrder {
-			na := a.states[p.a].next[c]
+			na := a.step(p.a, c)
 			if na == noMatch {
 				// a's dead state can never reach an accept of a; prune.
 				continue
 			}
 			nb := sinkState
 			if p.b != sinkState {
-				nb = b.states[p.b].next[c]
+				nb = b.step(p.b, c)
 			}
 			np := productPair{na, nb}
 			if seen[np] {
@@ -186,8 +186,8 @@ func (s *Set) Overlaps() []Overlap {
 	// below j that have accepted in every state where j has.
 	cover, met := make([][]int32, np), make([]bool, np)
 	firstMet := map[[2]int32]int32{} // pair -> first state holding both
-	from := make([]int32, len(d.states))
-	via := make([]byte, len(d.states))
+	from := make([]int32, d.numStates())
+	via := make([]byte, d.numStates())
 	for i := range from {
 		from[i] = noMatch
 	}
@@ -209,7 +209,7 @@ func (s *Set) Overlaps() []Overlap {
 			}
 		}
 		for _, b := range order {
-			if t := d.states[st].next[b]; t != noMatch && from[t] == noMatch {
+			if t := d.step(st, b); t != noMatch && from[t] == noMatch {
 				from[t], via[t] = st, b
 				queue = append(queue, t)
 			}
@@ -267,24 +267,21 @@ func intersectSorted(a, b []int32) []int32 {
 // class) whose matches can never complete.
 func (s *Set) DeadStates() []int {
 	d := s.d
-	n := len(d.states)
-	// Reverse edges, read one column per input class: from[at[t]:at[t+1]]
-	// are the states with an edge into t.
+	n := d.numStates()
+	// Reverse edges: from[at[t]:at[t+1]] are the states with an edge into t.
 	at := make([]int32, n+1)
-	for si := range d.states {
-		for _, b := range d.reps {
-			if t := d.states[si].next[b]; t != noMatch {
-				at[t+1]++
-			}
+	for _, t := range d.next {
+		if t != noMatch {
+			at[t+1]++
 		}
 	}
 	for t := 0; t < n; t++ {
 		at[t+1] += at[t]
 	}
 	from, fill := make([]int32, at[n]), slices.Clone(at[:n])
-	for si := range d.states {
-		for _, b := range d.reps {
-			if t := d.states[si].next[b]; t != noMatch {
+	for si := range n {
+		for _, t := range d.row(int32(si)) {
+			if t != noMatch {
 				from[fill[t]] = int32(si)
 				fill[t]++
 			}
@@ -293,8 +290,8 @@ func (s *Set) DeadStates() []int {
 	// Reverse reachability from accepting states.
 	alive := make([]bool, n)
 	var stack []int32
-	for si := range d.states {
-		if d.states[si].accept != noMatch {
+	for si, a := range d.accept {
+		if a != noMatch {
 			alive[si] = true
 			stack = append(stack, int32(si))
 		}

@@ -133,12 +133,13 @@ func TestDeadStatesDefective(t *testing.T) {
 		{`[^\d\D]`},
 	} {
 		s := mustSet(t, patterns...)
+		d := s.d.expand256()
 		var want []int
-		for si := range s.d.states {
+		for si := range d.states {
 			seen := map[int32]bool{int32(si): true}
 			stack, alive := []int32{int32(si)}, false
 			for len(stack) > 0 && !alive {
-				st := &s.d.states[stack[len(stack)-1]]
+				st := &d.states[stack[len(stack)-1]]
 				stack = stack[:len(stack)-1]
 				alive = st.accept != noMatch
 				for _, next := range st.next {

@@ -135,3 +135,58 @@ func BenchmarkMinimizeTemplateSet(b *testing.B) {
 		s.Minimize()
 	}
 }
+
+// classDFA builds an automaton over three input classes — every other byte,
+// 'a' and 'b' — from rows of targets in that class order.
+func classDFA(accept []int32, rows ...[3]int32) *dfa {
+	d := &dfa{accept: accept, reps: []byte{0, 'a', 'b'}}
+	d.classOf['a'], d.classOf['b'] = 1, 2
+	for _, r := range rows {
+		d.next = append(d.next, r[:]...)
+	}
+	return d
+}
+
+// TestMinimizeOracleMissingTransitions holds minimize to both oracles on
+// automata built by hand around the implicit dead state, and checks the
+// states each is expected to keep.
+func TestMinimizeOracleMissingTransitions(t *testing.T) {
+	const x = noMatch
+	for _, tc := range []struct {
+		name string
+		d    *dfa
+		want int // states after minimizing
+	}{
+		// 1 and 2 accept and differ only in that 1 moves on 'a' to 3, a
+		// state that accepts nothing and moves nowhere, where 2 has no
+		// move: a move into a dead state is still a move.
+		{"move into a dead state", classDFA([]int32{x, 0, 0, x},
+			[3]int32{x, 1, 2}, [3]int32{x, 3, x}, [3]int32{x, x, x}, [3]int32{x, x, x}), 4},
+		// 1 and 2 differ only by 1's move on 'b' back to the start.
+		{"missing move", classDFA([]int32{x, 0, 0},
+			[3]int32{x, 1, 2}, [3]int32{x, x, 0}, [3]int32{x, x, x}), 3},
+		// 1, 2 and 3 have equal rows; 2 and 3 accept the same pattern.
+		{"several accept labels", classDFA([]int32{x, 1, 0, 0},
+			[3]int32{3, 1, 2}, [3]int32{x, 1, x}, [3]int32{x, 2, x}, [3]int32{x, 3, x}), 3},
+		// Two equivalent loops through the start: 1 and 2 merge.
+		{"equivalent loop", classDFA([]int32{0, x, x},
+			[3]int32{x, 1, 2}, [3]int32{0, x, x}, [3]int32{0, x, x}), 2},
+		{"one state", classDFA([]int32{0}, [3]int32{0, 0, x}), 1},
+		{"one state, no moves", classDFA([]int32{x}, [3]int32{x, x, x}), 1},
+	} {
+		if err := checkMinimizeOracle(tc.d); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if got := tc.d.minimize().numStates(); got != tc.want {
+			t.Errorf("%s: minimized to %d states, want %d", tc.name, got, tc.want)
+		}
+	}
+	// The empty language, compiled: one state with no accept and no moves.
+	s := mustSet(t, `[^\d\D]`)
+	if err := checkMinimizeOracle(s.d); err != nil {
+		t.Errorf("empty language: %v", err)
+	}
+	if s.Minimize(); s.NumStates() != 1 {
+		t.Errorf("empty language minimized to %d states, want 1", s.NumStates())
+	}
+}

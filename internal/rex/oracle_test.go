@@ -6,11 +6,51 @@ import (
 	"slices"
 )
 
-// minimize256 is the reference refinement: the same Moore partition
-// refinement as dfa.minimize, but with signatures over all 256 byte columns
-// instead of one column per input class. minimize must produce exactly its
-// tables.
-func (d *dfa) minimize256() *dfa {
+// dfa256 is the reference layout: every state a dense 256-way table. The
+// oracles below build and minimize in it, and a class-width dfa expands into
+// it to be compared with them.
+type dfa256 struct {
+	states []state256
+	reps   []byte
+}
+
+type state256 struct {
+	next   [256]int32
+	accept int32
+}
+
+// expand256 writes d's rows out to 256 targets a state.
+func (d *dfa) expand256() *dfa256 {
+	out := &dfa256{states: make([]state256, d.numStates()), reps: d.reps}
+	for s := range out.states {
+		st, row := &out.states[s], d.row(int32(s))
+		st.accept = d.accept[s]
+		for b, c := range d.classOf {
+			st.next[b] = row[c]
+		}
+	}
+	return out
+}
+
+func (d *dfa256) equal(o *dfa256) error {
+	if !bytes.Equal(d.reps, o.reps) {
+		return fmt.Errorf("reps %q, oracle %q", d.reps, o.reps)
+	}
+	if len(d.states) != len(o.states) {
+		return fmt.Errorf("%d states, oracle %d", len(d.states), len(o.states))
+	}
+	for i := range d.states {
+		if d.states[i] != o.states[i] {
+			return fmt.Errorf("state %d differs from the oracle's (accept %d vs %d)", i, d.states[i].accept, o.states[i].accept)
+		}
+	}
+	return nil
+}
+
+// minimize256 is the reference refinement: Moore rounds with signatures
+// over all 256 byte columns instead of one column per input class.
+// minimize must produce exactly its tables.
+func (d *dfa256) minimize256() *dfa256 {
 	n := len(d.states)
 	if n == 0 {
 		return d
@@ -68,7 +108,7 @@ func (d *dfa) minimize256() *dfa {
 			nextID++
 		}
 	}
-	out := &dfa{states: make([]dfaState, numClasses), reps: d.reps}
+	out := &dfa256{states: make([]state256, numClasses), reps: d.reps}
 	built := make([]bool, numClasses)
 	for i, st := range d.states {
 		cls := remap[part[i]]
@@ -76,7 +116,7 @@ func (d *dfa) minimize256() *dfa {
 			continue
 		}
 		built[cls] = true
-		ns := dfaState{accept: st.accept}
+		ns := state256{accept: st.accept}
 		for b := 0; b < 256; b++ {
 			if t := st.next[b]; t != noMatch {
 				ns.next[b] = remap[part[t]]
@@ -89,10 +129,121 @@ func (d *dfa) minimize256() *dfa {
 	return out
 }
 
+// minimizeMoore is the class-column refinement minimize used before the
+// partition refinement: Moore rounds, states split by (accept, successor
+// blocks) until a round splits nothing, with the dead state (-1) as an
+// implicit block of its own and a state's block found through an
+// open-addressing table of signature hashes. minimize must produce exactly
+// its tables.
+func (d *dfa) minimizeMoore() *dfa {
+	n, k := d.numStates(), len(d.reps)
+	if n == 0 {
+		return d
+	}
+	succ := d.next
+	part := make([]int32, n)
+	blockOf := map[int32]int32{}
+	for i, a := range d.accept {
+		id, ok := blockOf[a]
+		if !ok {
+			id = int32(len(blockOf))
+			blockOf[a] = id
+		}
+		part[i] = id
+	}
+	numBlocks := len(blockOf)
+	block := func(t int32) int32 {
+		if t == noMatch {
+			return noMatch
+		}
+		return part[t]
+	}
+	same := func(i, j int) bool {
+		if part[i] != part[j] {
+			return false
+		}
+		for c := 0; c < k; c++ {
+			if block(succ[i*k+c]) != block(succ[j*k+c]) {
+				return false
+			}
+		}
+		return true
+	}
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	slots := make([]int32, size)
+	next := make([]int32, n)
+	var first []int // first state of each new block
+	for {
+		for i := range slots {
+			slots[i] = noMatch
+		}
+		first = first[:0]
+		for i := 0; i < n; i++ {
+			h := uint64(part[i])*0x9e3779b97f4a7c15 + 1
+			for c := 0; c < k; c++ {
+				h = (h ^ uint64(uint32(block(succ[i*k+c])))) * 0x100000001b3
+			}
+			slot := int(h^h>>29) & (size - 1)
+			for {
+				b := slots[slot]
+				if b == noMatch {
+					b = int32(len(first))
+					first = append(first, i)
+					slots[slot] = b
+				} else if !same(i, first[b]) {
+					slot = (slot + 1) & (size - 1)
+					continue
+				}
+				next[i] = b
+				break
+			}
+		}
+		part, next = next, part
+		if len(first) == numBlocks {
+			break
+		}
+		numBlocks = len(first)
+	}
+
+	remap := make([]int32, numBlocks)
+	for i := range remap {
+		remap[i] = -1
+	}
+	remap[part[0]] = 0
+	nextID := int32(1)
+	for i := 0; i < n; i++ {
+		if remap[part[i]] == -1 {
+			remap[part[i]] = nextID
+			nextID++
+		}
+	}
+	out := &dfa{next: make([]int32, numBlocks*k), accept: make([]int32, numBlocks), reps: d.reps, classOf: d.classOf}
+	built := make([]bool, numBlocks)
+	for i := 0; i < n; i++ {
+		b := remap[part[i]]
+		if built[b] {
+			continue
+		}
+		built[b] = true
+		out.accept[b] = d.accept[i]
+		for c := 0; c < k; c++ {
+			t := succ[i*k+c]
+			if t != noMatch {
+				t = remap[part[t]]
+			}
+			out.next[int(b)*k+c] = t
+		}
+	}
+	return out
+}
+
 // CheckMinimizeOracle compiles patterns into one set and reports an error
-// unless minimizing it yields exactly the tables of the 256-column
-// refinement. Exported to the external tests, which feed it inventories from
-// packages that import rex.
+// unless minimizing it yields exactly the tables of the Moore refinement,
+// over class columns and over all 256 byte columns. Exported to the external
+// tests, which feed it inventories from packages that import rex.
 func CheckMinimizeOracle(patterns []string) error {
 	s, err := CompileSet(patterns)
 	if err != nil {
@@ -102,14 +253,12 @@ func CheckMinimizeOracle(patterns []string) error {
 }
 
 func checkMinimizeOracle(d *dfa) error {
-	got, want := d.minimize(), d.minimize256()
-	if len(got.states) != len(want.states) {
-		return fmt.Errorf("minimized to %d states, oracle %d", len(got.states), len(want.states))
+	got, moore := d.minimize(), d.minimizeMoore()
+	if !slices.Equal(got.accept, moore.accept) || !slices.Equal(got.next, moore.next) || !bytes.Equal(got.reps, moore.reps) || got.classOf != moore.classOf {
+		return fmt.Errorf("minimized to %d states, not the Moore refinement's %d", got.numStates(), moore.numStates())
 	}
-	for i := range got.states {
-		if got.states[i] != want.states[i] {
-			return fmt.Errorf("state %d differs from the oracle's (accept %d vs %d)", i, got.states[i].accept, want.states[i].accept)
-		}
+	if err := got.expand256().equal(d.expand256().minimize256()); err != nil {
+		return fmt.Errorf("minimized against the 256-column refinement: %w", err)
 	}
 	return nil
 }
@@ -141,7 +290,7 @@ func NewPackedOracle(patterns []string) (func(input string) error, error) {
 // numbers each new subset as it meets it, visits the 256 bytes of every state
 // in order, and fills the later bytes that leave the same NFA states in one
 // pass. buildDFA must produce exactly its states.
-func buildDFA256(n *nfa) *dfa {
+func buildDFA256(n *nfa) *dfa256 {
 	mark := make([]int, len(n.states))
 	for i := range mark {
 		mark[i] = -1
@@ -149,7 +298,7 @@ func buildDFA256(n *nfa) *dfa {
 	gen := 0
 	startSet := closure256(n, []int{n.start}, mark, gen)
 	gen++
-	d := &dfa{reps: reps256(n)}
+	d := &dfa256{reps: reps256(n)}
 	index := map[string]int32{}
 
 	var intern func(set []int) int32
@@ -159,7 +308,7 @@ func buildDFA256(n *nfa) *dfa {
 			return id
 		}
 		id := int32(len(d.states))
-		st := dfaState{accept: noMatch}
+		st := state256{accept: noMatch}
 		for i := range st.next {
 			st.next[i] = noMatch
 		}
@@ -298,34 +447,23 @@ func CheckBuildOracle(patterns []string) error {
 }
 
 func checkBuildOracle(n *nfa) (*dfa, error) {
-	got, want := buildDFA(n), buildDFA256(n)
-	if !bytes.Equal(got.reps, want.reps) {
-		return nil, fmt.Errorf("reps %q, oracle %q", got.reps, want.reps)
-	}
+	got := buildDFA(n)
 	for b, c := range got.classOf {
 		if got.reps[c] > byte(b) || !sameMove256All(n, got.reps[c], byte(b)) {
 			return nil, fmt.Errorf("byte %#x in the class of %#x", b, got.reps[c])
 		}
 	}
-	if len(got.states) != len(want.states) {
-		return nil, fmt.Errorf("%d states, oracle %d", len(got.states), len(want.states))
-	}
-	for i := range got.states {
-		if got.states[i] != want.states[i] {
-			return nil, fmt.Errorf("state %d differs from the oracle's (accept %d vs %d)", i, got.states[i].accept, want.states[i].accept)
-		}
-	}
-	return got, nil
+	return got, got.expand256().equal(buildDFA256(n))
 }
 
 // checkAcceptSets holds every state's accepting set to the patterns, each
 // compiled alone, that fully match one string leading to the state: all the
 // strings that lead to a state are matched by the same patterns.
 func checkAcceptSets(d *dfa, alone []*dfa) error {
-	if len(d.acceptAt) != len(d.states)+1 {
-		return fmt.Errorf("%d accepting sets for %d states", len(d.acceptAt)-1, len(d.states))
+	if len(d.acceptAt) != d.numStates()+1 {
+		return fmt.Errorf("%d accepting sets for %d states", len(d.acceptAt)-1, d.numStates())
 	}
-	path := make([][]byte, len(d.states))
+	path := make([][]byte, d.numStates())
 	path[0] = []byte{}
 	queue := []int32{0}
 	for len(queue) > 0 {
@@ -340,12 +478,12 @@ func checkAcceptSets(d *dfa, alone []*dfa) error {
 		if got := d.acceptSet(s); !slices.Equal(got, want) {
 			return fmt.Errorf("state %d (reached by %q) records accepting patterns %v, want %v", s, path[s], got, want)
 		}
-		if a := d.states[s].accept; len(want) > 0 && a != want[0] || len(want) == 0 && a != noMatch {
+		if a := d.accept[s]; len(want) > 0 && a != want[0] || len(want) == 0 && a != noMatch {
 			return fmt.Errorf("state %d accepts %d, accepting set %v", s, a, want)
 		}
-		for _, b := range d.reps {
-			if t := d.states[s].next[b]; t != noMatch && path[t] == nil {
-				path[t] = append(append([]byte{}, path[s]...), b)
+		for c, t := range d.row(s) {
+			if t != noMatch && path[t] == nil {
+				path[t] = append(append([]byte{}, path[s]...), d.reps[c])
 				queue = append(queue, t)
 			}
 		}

@@ -7,9 +7,11 @@ import (
 
 // Equivalence-class table packing (flex's ECS): bytes whose transition
 // columns are identical across every DFA state collapse into one input
-// class, shrinking the per-state row from 256 entries to one per class.
-// Log-template alphabets are tiny (letters, digits, a handful of
-// punctuation), so the reduction is typically 5–10×.
+// class. The automaton's rows already hold one column per input class of
+// the NFA (bytes no template tells apart); packing also merges the classes
+// that minimization left with identical columns. Log-template alphabets are
+// tiny (letters, digits, a handful of punctuation), so a row holds tens of
+// entries, not 256.
 //
 // The packed table is also laid out for the scan loop: the premultiplied
 // state IDs and match-state ordering of Rust's regex-automata, plus two
@@ -55,38 +57,35 @@ type packedDFA struct {
 
 // pack computes byte equivalence classes and lays out the scan table.
 func (d *dfa) pack() *packedDFA {
-	n := len(d.states)
+	n, k := d.numStates(), len(d.reps)
 	p := &packedDFA{}
-	// Group bytes by their full column signature. Bytes of one input class
-	// of the NFA share a column, so each class's column is read once, at its
-	// smallest byte.
+	// Group the input classes by their full column signature, in the order
+	// of their smallest byte.
 	index := map[string]uint8{}
 	sig := make([]byte, n*4)
-	var reps []byte // representative byte per class
-	var size []int  // bytes per class
-	packed := make([]int, len(d.reps))
+	var reps []byte // representative byte per packed class
+	var col []int   // the input class whose column each packed class reads
+	packed := make([]uint8, k)
 	for c := range packed {
-		packed[c] = -1
-	}
-	for b := 0; b < 256; b++ {
-		if c := d.classOf[b]; packed[c] < 0 {
-			for i := range d.states {
-				v := d.states[i].next[b] // not a by-value range: a state is a 1 KiB table
-				sig[i*4] = byte(v)
-				sig[i*4+1] = byte(v >> 8)
-				sig[i*4+2] = byte(v >> 16)
-				sig[i*4+3] = byte(v >> 24)
-			}
-			cls, ok := index[string(sig)]
-			if !ok {
-				cls = uint8(len(index))
-				index[string(sig)] = cls
-				reps = append(reps, byte(b))
-				size = append(size, 0)
-			}
-			packed[c] = int(cls)
+		for s := 0; s < n; s++ {
+			v := d.next[s*k+c]
+			sig[s*4] = byte(v)
+			sig[s*4+1] = byte(v >> 8)
+			sig[s*4+2] = byte(v >> 16)
+			sig[s*4+3] = byte(v >> 24)
 		}
-		cls := uint8(packed[d.classOf[b]])
+		cls, ok := index[string(sig)]
+		if !ok {
+			cls = uint8(len(index))
+			index[string(sig)] = cls
+			reps = append(reps, d.reps[c])
+			col = append(col, c)
+		}
+		packed[c] = cls
+	}
+	size := make([]int, len(reps)) // bytes per class
+	for b := 0; b < 256; b++ {
+		cls := packed[d.classOf[b]]
 		p.classOf[b] = cls
 		size[cls]++
 	}
@@ -98,13 +97,13 @@ func (d *dfa) pack() *packedDFA {
 	// one other byte, escape[s] (-1 if none); accel[s] marks it. '\n' is set
 	// apart only when it is a class of its own.
 	litByte, escape, accel := make([]int, n), make([]int32, n), make([]bool, n)
-	for s := range d.states {
-		st := &d.states[s]
+	for s := 0; s < n; s++ {
+		row := d.row(int32(s))
 		litByte[s], escape[s] = -1, -1
 		live, nLive, nLeave := 0, 0, 0
 		leaveOK := true
 		for c, rep := range reps {
-			t := st.next[rep]
+			t := row[col[c]]
 			if t != noMatch {
 				live, nLive = c, nLive+1
 			}
@@ -114,7 +113,7 @@ func (d *dfa) pack() *packedDFA {
 			}
 		}
 		switch {
-		case st.accept == noMatch && nLive == 1 && size[live] == 1:
+		case d.accept[s] == noMatch && nLive == 1 && size[live] == 1:
 			litByte[s] = int(reps[live])
 		case leaveOK && nLeave <= 1:
 			accel[s] = true
@@ -134,7 +133,7 @@ func (d *dfa) pack() *packedDFA {
 	done := make([]bool, n)
 	var lits []byte
 	var path []int32
-	for s := range d.states {
+	for s := range litByte {
 		if litByte[s] < 0 || done[s] {
 			continue
 		}
@@ -145,7 +144,7 @@ func (d *dfa) pack() *packedDFA {
 			done[t] = true
 			path = append(path, t)
 			lits = append(lits, byte(litByte[t]))
-			t = d.states[t].next[litByte[t]]
+			t = d.step(t, byte(litByte[t]))
 		}
 		total := len(lits) - base
 		for j, q := range path {
@@ -160,7 +159,7 @@ func (d *dfa) pack() *packedDFA {
 	pos := int32(1)
 	place := func(keep func(s int) bool, width int32) int32 {
 		lo := pos
-		for s := range d.states {
+		for s := range off {
 			if keep(s) {
 				off[s] = pos
 				pos += width
@@ -168,7 +167,7 @@ func (d *dfa) pack() *packedDFA {
 		}
 		return lo
 	}
-	accepts := func(s int) bool { return d.states[s].accept != noMatch }
+	accepts := func(s int) bool { return d.accept[s] != noMatch }
 	place(func(s int) bool { return litByte[s] >= 0 }, 3)
 	p.plainLo = place(func(s int) bool { return litByte[s] < 0 && !accel[s] && !accepts(s) }, nc)
 	p.accelLo = place(func(s int) bool { return accel[s] && !accepts(s) }, nc+2)
@@ -183,18 +182,18 @@ func (d *dfa) pack() *packedDFA {
 		return off[t]
 	}
 	p.tab = make([]int32, pos)
-	for s := range d.states {
-		st, o := &d.states[s], off[s]
+	for s, o := range off {
 		if litByte[s] >= 0 {
 			r := runs[s]
 			p.tab[o], p.tab[o+1], p.tab[o+2] = r.off, r.n, target(r.next)
 			continue
 		}
-		for c, rep := range reps {
-			p.tab[o+int32(c)] = target(st.next[rep])
+		row := d.row(int32(s))
+		for c := range reps {
+			p.tab[o+int32(c)] = target(row[col[c]])
 		}
 		if o >= p.accelLo {
-			p.tab[o+nc], p.tab[o+nc+1] = st.accept, escape[s]
+			p.tab[o+nc], p.tab[o+nc+1] = d.accept[s], escape[s]
 		}
 	}
 	return p
@@ -281,8 +280,10 @@ func (p *packedDFA) tableBytes() int {
 	return len(p.tab)*4 + len(p.lits) + 256
 }
 
+// tableBytes reports the class-width rows, the accept values and the
+// byte-to-class map.
 func (d *dfa) tableBytes() int {
-	return len(d.states) * (256*4 + 4)
+	return d.numStates()*(len(d.reps)*4+4) + 256
 }
 
 // Pack switches the set to the packed scan table. Match results are

@@ -1,10 +1,10 @@
 // Package rex implements the small regular-expression engine underlying the
 // Aarohi scanner generator. It is the reproduction's substitute for the
 // lexical-analysis core of flex: patterns are parsed into an AST, compiled to
-// a Thompson NFA, and determinized into a dense DFA. Multiple patterns can be
-// combined into a single prioritized DFA (a Set), which is how the generated
-// scanner recognizes every phrase template of the failure chains in one pass
-// over each log message.
+// a Thompson NFA, and determinized into a DFA over byte classes. Multiple
+// patterns can be combined into a single prioritized DFA (a Set), which is
+// how the generated scanner recognizes every phrase template of the failure
+// chains in one pass over each log message.
 //
 // Supported syntax: literal bytes, '.', postfix '*', '+', '?', alternation
 // '|', grouping '(...)', character classes '[...]' (with ranges and '^'

@@ -254,6 +254,23 @@ func Run(m Model, cfg Config) (*Report, error) {
 		suite = sel
 	}
 
+	// The grammar and the scanner compile side by side. The scanner's half
+	// reports its failure once both are done, after the grammar's, as a
+	// sequential run would.
+	p := newPass(m, cfg)
+	var scanFailed []Finding
+	scanned := make(chan struct{})
+	go func() {
+		defer close(scanned)
+		scanFailed = p.compileScanner()
+	}()
+	p.compileGrammar()
+	<-scanned
+	p.findings = append(p.findings, scanFailed...)
+	return p.analyze(suite), nil
+}
+
+func newPass(m Model, cfg Config) *Pass {
 	p := &Pass{
 		Model:   m,
 		Config:  cfg,
@@ -264,12 +281,16 @@ func Run(m Model, cfg Config) (*Report, error) {
 		p.classOf[t.ID] = t.Class
 		p.tmplOf[t.ID] = t
 	}
+	return p
+}
 
-	// Compile the grammar-side artifacts. A compile failure is itself an
-	// error finding; chain-level analyzers still run and pinpoint the cause.
-	rs, conflicts, err := core.GrammarConflicts(m.Chains, core.Options{
-		Timeout:          cfg.Timeout,
-		DisableFactoring: cfg.DisableFactoring,
+// compileGrammar compiles the grammar-side artifacts. A compile failure is
+// itself an error finding; chain-level analyzers still run and pinpoint the
+// cause.
+func (p *Pass) compileGrammar() {
+	rs, conflicts, err := core.GrammarConflicts(p.Model.Chains, core.Options{
+		Timeout:          p.Config.Timeout,
+		DisableFactoring: p.Config.DisableFactoring,
 	})
 	if err != nil {
 		p.Report(Finding{
@@ -280,29 +301,36 @@ func Run(m Model, cfg Config) (*Report, error) {
 		p.RuleSet = rs
 		p.Conflicts = conflicts
 	}
+}
 
-	// Compile the scanner-side artifact: the combined template DFA, without
-	// minimization so dead states remain observable.
-	if len(m.Templates) > 0 {
-		patterns := make([]string, len(m.Templates))
-		for i, t := range m.Templates {
-			patterns[i] = lexgen.TemplatePattern(t.Pattern)
-		}
-		set, err := rex.CompileSet(patterns)
-		if err != nil {
-			p.Report(Finding{
-				Check: "compile", Severity: Error, Subject: "scanner",
-				Message: fmt.Sprintf("compiling template patterns: %v", err),
-			})
-		} else {
-			p.Scanner = set
-		}
+// compileScanner compiles the scanner-side artifact, the combined template
+// DFA, without minimization so dead states remain observable. It sets only
+// p.Scanner and returns its compile failure instead of reporting it.
+func (p *Pass) compileScanner() []Finding {
+	if len(p.Model.Templates) == 0 {
+		return nil
 	}
+	patterns := make([]string, len(p.Model.Templates))
+	for i, t := range p.Model.Templates {
+		patterns[i] = lexgen.TemplatePattern(t.Pattern)
+	}
+	set, err := rex.CompileSet(patterns)
+	if err != nil {
+		return []Finding{{
+			Check: "compile", Severity: Error, Subject: "scanner",
+			Message: fmt.Sprintf("compiling template patterns: %v", err),
+		}}
+	}
+	p.Scanner = set
+	return nil
+}
 
+// analyze runs the suite over the compiled pass and orders the findings,
+// most severe first.
+func (p *Pass) analyze(suite []Analyzer) *Report {
 	for _, a := range suite {
 		a.Analyze(p)
 	}
-
 	sort.SliceStable(p.findings, func(i, j int) bool {
 		a, b := p.findings[i], p.findings[j]
 		if a.Severity != b.Severity {
@@ -316,7 +344,7 @@ func Run(m Model, cfg Config) (*Report, error) {
 		}
 		return a.Message < b.Message
 	})
-	return &Report{Findings: p.findings}, nil
+	return &Report{Findings: p.findings}
 }
 
 func checkNames() []string {

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Full local check: build, the frozen bench/ module, gofmt, vet,
 # repo-invariant lint, race-enabled tests, one-iteration smokes of the
-# scanner, vet, model-compile and boot-replay benchmarks, and a short fuzz
-# smoke over every fuzz target. This is what CI runs; run it before pushing.
+# scanner, vet, model-compile, minimization and boot-replay benchmarks, and
+# a short fuzz smoke over every fuzz target. This is what CI runs; run it
+# before pushing.
 #
 # Usage: scripts/check.sh [fuzztime]
 #   fuzztime  per-target fuzzing budget (default 10s; "0" skips fuzzing)
@@ -44,10 +45,12 @@ echo "==> scanner benchmark smoke (BenchmarkScanDialect, -benchtime 1x)"
 go test -run '^$' -bench BenchmarkScanDialect -benchtime 1x ./internal/lexgen
 
 # Likewise the boot-time benchmarks: the whole vet gate (XC30, XE6, and XC30
-# with 1 000 synthetic templates) and the model compile that follows it.
-echo "==> vet and compile benchmark smoke (BenchmarkVet, BenchmarkCompile, -benchtime 1x)"
+# with 1 000 synthetic templates), the model compile that follows it, and
+# the scanner minimization inside that compile.
+echo "==> vet, compile and minimization benchmark smoke (BenchmarkVet, BenchmarkCompile, BenchmarkMinimizeTemplateSet, -benchtime 1x)"
 go test -run '^$' -bench BenchmarkVet -benchtime 1x ./internal/vet
 go test -run '^$' -bench BenchmarkCompile -benchtime 1x ./internal/predictor
+go test -run '^$' -bench BenchmarkMinimizeTemplateSet -benchtime 1x ./internal/rex
 
 # Likewise the boot-replay benchmark (plain journal with and without the
 # arbiter, and the edge's marked journal).
@@ -88,7 +91,10 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 # TestCompiledFormsBounded), boot a data dir written before that rule, and
 # hold a boot model the vet gate rejects to a failed Start that leaves no
 # goroutine or open file behind. Every in-process Start vets its model, so
-# each of these suites pays one vet per boot.
+# each of these suites pays one vet per boot. Compile builds the scanner
+# beside the grammar and vet.Run compiles the inventory beside the grammar's
+# conflicts: the halves tests hold both, on every dialect, to a sequential
+# run (and Compile's errors to their sequential order).
 # The equivalence and order tests turn on recycle.TestHookPoison themselves:
 # every recycled line store (framer buffer, pipeline slab, manager batch) is
 # overwritten as it is released, so a line kept past its lifetime fails them
@@ -96,10 +102,11 @@ go test -count=3 -cpu 1,2 -run 'TestServe.*(Crash|Snapshot|Recover)' ./internal/
 ORDER_TESTS='TestArbiterRestartInOneBatch|TestArbiterChainLedgerUnderLag|TestManagerObserverOrder'
 PARSE_TESTS='TestProcessScannedCountOnly|TestParseLineAllocFree|FuzzLineParser|TestAppendJSON|FuzzOutputJSON'
 JOURNAL_TESTS='TestDecodeRecordBytes|TestReplayJournalFixtures|TestReplayCountsUnknownRecords|TestCountDiscardedNeedsRegistry|TestReplayRuns|TestRunCopy|TestSegmentReader'
-echo "==> serve replay, equivalence, edge, swap, shadow and boot tests, per-node order, journal-format and journal-run, count-only, parser and encoder tests (race, -count=5, poisoned line stores)"
+echo "==> serve replay, equivalence, edge, swap, shadow and boot tests, per-node order, journal-format and journal-run, count-only, parser, encoder and compile/vet halves tests (race, -count=5, poisoned line stores)"
 BOOT_TESTS='TestBootVersionIsTheManagersModel|TestBootDataDirWrittenWithoutRegistry|TestStartRejectsModelVetRejects'
 go test -race -count=5 -run "TestServeArbiterCrashRecovery|TestReplayMatchesLiveRun|TestBatchPipelineEquivalence|TestShardedPredictionEquivalence|TestEdge|Swap|Shadow|$BOOT_TESTS" ./internal/serve
-go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS|$PARSE_TESTS|TestModelSourceFingerprints|TestCompiledFormsBounded" ./internal/serve/shard ./internal/predictor ./internal/lexgen ./internal/wal ./internal/registry
+HALVES_TESTS='TestCompileMatchesSequential|TestCompileErrorOrder|TestRunMatchesSequential'
+go test -race -count=5 -run "$ORDER_TESTS|TestDriverKeysDoNotAliasChunk|$JOURNAL_TESTS|$PARSE_TESTS|TestModelSourceFingerprints|TestCompiledFormsBounded|$HALVES_TESTS" ./internal/serve/shard ./internal/predictor ./internal/lexgen ./internal/wal ./internal/registry ./internal/vet
 
 # Boot replay sizes its scan stage from GOMAXPROCS: one P runs the scanners
 # one after another, several finish chunks out of journal order. The default
