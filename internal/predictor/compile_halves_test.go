@@ -9,8 +9,8 @@ import (
 )
 
 // TestCompileMatchesSequential: on every built-in dialect, factored and
-// with DisableFactoring, the model Compile builds with its scanner beside
-// the grammar equals one built a step at a time — the rule set and LALR
+// with DisableFactoring, the model Compile builds equals one built a step at
+// a time from the rule chains Compile selected — the rule set and LALR
 // tables of TranslateFCs, then the scanner of the inventory templates
 // rs.Relevant or a terminal phrase selects — and the scanner's rule phrases,
 // taken from the rule chains, are exactly the ones rs.Relevant reports.
@@ -61,9 +61,9 @@ func TestCompileMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCompileErrorOrder: with the scanner built beside the grammar, Compile
-// still reports the first failure in its sequential order — translating the
-// chains, then a chain phrase missing from the inventory, then the scanner.
+// TestCompileErrorOrder: Compile reports the first failure in its order —
+// translating the chains, then a chain phrase missing from the inventory,
+// then the scanner.
 func TestCompileErrorOrder(t *testing.T) {
 	inv := []core.Template{
 		{ID: 1, Pattern: "alpha *", Class: core.Benign},

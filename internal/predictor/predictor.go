@@ -184,8 +184,8 @@ func Compile(chains []core.FailureChain, inventory []core.Template, opts Options
 
 	// The scanner recognizes every rule phrase plus the terminal failed
 	// messages; everything else is discarded without tokenization. The rule
-	// phrases are the ones rs.Relevant reports, so the scanner is built from
-	// the rule chains beside the grammar and its tables.
+	// phrases are the ones rs.Relevant reports, so the scanner's templates
+	// are chosen from the rule chains.
 	inRule := map[core.PhraseID]bool{}
 	for _, fc := range ruleChains {
 		for _, p := range fc.Phrases {
@@ -200,18 +200,10 @@ func Compile(chains []core.FailureChain, inventory []core.Template, opts Options
 			scanTemplates = append(scanTemplates, t)
 		}
 	}
-	var scanner *lexgen.Scanner
-	var scanErr error
-	scanned := make(chan struct{})
-	go func() {
-		defer close(scanned)
-		scanner, scanErr = lexgen.NewScanner(scanTemplates)
-	}()
 	rs, err := core.TranslateFCs(ruleChains, core.Options{
 		Timeout:          opts.Timeout,
 		DisableFactoring: opts.DisableFactoring,
 	})
-	<-scanned
 	if err != nil {
 		return nil, fmt.Errorf("predictor: translating chains: %w", err)
 	}
@@ -227,8 +219,9 @@ func Compile(chains []core.FailureChain, inventory []core.Template, opts Options
 			}
 		}
 	}
-	if scanErr != nil {
-		return nil, fmt.Errorf("predictor: building scanner: %w", scanErr)
+	scanner, err := lexgen.NewScanner(scanTemplates)
+	if err != nil {
+		return nil, fmt.Errorf("predictor: building scanner: %w", err)
 	}
 
 	fp := modelFingerprint(chains, inventory, opts)

@@ -101,7 +101,11 @@ func (b *nfaBuilder) build(n *node) frag {
 // buildNFA compiles the given ASTs into one NFA whose accept states carry the
 // index of the pattern they belong to.
 func buildNFA(asts []*node) *nfa {
-	b := &nfaBuilder{}
+	size := 1
+	for _, ast := range asts {
+		size += nfaStates(ast)
+	}
+	b := &nfaBuilder{states: make([]nfaState, 0, size)}
 	start := b.newState()
 	for id, ast := range asts {
 		f := b.build(ast)
@@ -109,6 +113,23 @@ func buildNFA(asts []*node) *nfa {
 		b.states[f.end].accept = id
 	}
 	return &nfa{states: b.states, start: start}
+}
+
+// nfaStates returns the number of states build makes for n, so that
+// buildNFA allocates the state slice once: two per node but a concatenation
+// (none) and a plus (one).
+func nfaStates(n *node) int {
+	c := 2
+	switch n.kind {
+	case opConcat:
+		c = 0
+	case opPlus:
+		c = 1
+	}
+	for _, sub := range n.subs {
+		c += nfaStates(sub)
+	}
+	return c
 }
 
 // byteClasses partitions the byte alphabet into the classes no transition of

@@ -451,3 +451,23 @@ func BenchmarkSetMatch(b *testing.B) {
 		set.Match(input)
 	}
 }
+
+// TestNFAStatesExact: buildNFA's one allocation of the state slice is
+// exactly the states the construction makes, for every operator.
+func TestNFAStatesExact(t *testing.T) {
+	var asts []*node
+	for _, p := range []string{"", "a", "abc", "a|bc|", "(ab)*c", "x+y?", "[a-f]{2,4}z", "(a|b+)*(c?d)+"} {
+		ast, err := parsePattern(p)
+		if err != nil {
+			t.Fatalf("%q: %v", p, err)
+		}
+		n := buildNFA([]*node{ast})
+		if len(n.states) != cap(n.states) {
+			t.Errorf("%q: %d states in a slice sized for %d", p, len(n.states), cap(n.states))
+		}
+		asts = append(asts, ast)
+	}
+	if n := buildNFA(asts); len(n.states) != cap(n.states) {
+		t.Errorf("all patterns: %d states in a slice sized for %d", len(n.states), cap(n.states))
+	}
+}

@@ -190,25 +190,19 @@ func (l *Local) Open(reg *registry.Registry) error {
 	rec.SnapshotLoadSeconds = time.Since(began).Seconds()
 	replayBegan := time.Now()
 
-	wl, err := wal.Open(l.walDir(), wal.Options{
-		Sync:        l.cfg.Fsync,
-		SegmentSize: l.cfg.WALSegmentSize,
-	})
+	// Open the journal and replay its tail in one read of it (replay.go). The
+	// listeners are not open yet, so the only producer is the replay; outputs
+	// are captured in the recovered buffer by the fan-out for
+	// /predictions?replay=recovered. A journal that ends before the snapshot
+	// replays nothing, so it is refused only now.
+	l.recoveryActive.Store(true)
+	wl, err := l.replayJournal(off+1, &rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: replaying journal: %w", err)
 	}
 	if last := wl.LastIndex(); last < off {
 		_ = wl.Close() // unwinding: the consistency error below is the one to surface
 		return fmt.Errorf("serve: snapshot covers WAL offset %d but journal ends at %d: data dir is inconsistent", off, last)
-	}
-
-	// Replay the tail (replay.go). The listeners are not open yet, so the only
-	// producer is the replay; outputs are captured in the recovered buffer by
-	// the fan-out for /predictions?replay=recovered.
-	l.recoveryActive.Store(true)
-	if err := l.replayJournal(wl, off+1, &rec); err != nil {
-		_ = wl.Close() // unwinding: the replay error is the one to surface
-		return fmt.Errorf("serve: replaying journal: %w", err)
 	}
 	if rec.ReplayedRecords > 0 {
 		rec.Performed = true

@@ -14,7 +14,7 @@ import (
 // Boot replay runs in three stages, so that the scanner discards a benign
 // line where it was read instead of after the whole daemon has handled it:
 //
-//   - The reader — wal.ReplayRuns's callback, on the Open goroutine,
+//   - The reader — wal.OpenReplay's callback, on the Open goroutine,
 //     checksums verified as it reads — copies line records into a fixed pool
 //     of reused chunks, cutting one at replayChunkLines lines or
 //     replayChunkBytes bytes and at every model-epoch record, whose model it
@@ -291,12 +291,15 @@ func (r *replay) apply(c *replayChunk) error {
 	return err
 }
 
-// replayJournal replays the journal from index from through the pipeline
-// above, adding what it did to rec. A run of identical marks is counted in
-// one step; every other record is handled one at a time.
-func (l *Local) replayJournal(wl *wal.Log, from uint64, rec *RecoveryStatus) error {
+// replayJournal opens the shard's journal and, in the same read of it,
+// replays it from index from through the pipeline above (wal.OpenReplay),
+// adding what it did to rec. A run of identical marks is counted in one step;
+// every other record is handled one at a time. On error no journal is
+// returned.
+func (l *Local) replayJournal(from uint64, rec *RecoveryStatus) (*wal.Log, error) {
 	r := newReplay(l)
-	err := wl.ReplayRuns(from, func(idx uint64, payload []byte, n uint64) error {
+	opts := wal.Options{Sync: l.cfg.Fsync, SegmentSize: l.cfg.WALSegmentSize}
+	wl, err := wal.OpenReplay(l.walDir(), opts, from, func(idx uint64, payload []byte, n uint64) error {
 		rec.ReplayedRecords += n
 		rec.ReplayBytes += n * uint64(len(payload))
 		kind, body := decodeRecordBytes(payload)
@@ -318,7 +321,13 @@ func (l *Local) replayJournal(wl *wal.Log, from uint64, rec *RecoveryStatus) err
 	// again now.
 	rec.ReplayErrors += r.parseErrors
 	rec.ReplayTokens = r.toks
-	return err
+	if err != nil {
+		if wl != nil {
+			_ = wl.Close() // unwinding: the replay error is the one to surface
+		}
+		return nil, err
+	}
+	return wl, nil
 }
 
 // replayRecord hands one journaled record other than a mark to the replay.

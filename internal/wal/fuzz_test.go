@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -222,5 +223,45 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("accepted snapshot does not round-trip (%d vs %d bytes)", re.Len(), len(data))
 		}
+	})
+}
+
+// FuzzOpenReplay holds OpenReplay to Open followed by ReplayRuns (see
+// checkOnePass) on a journal of two segments: an arbitrary first file and,
+// when second is not empty, a final segment with a valid header whose base
+// follows the first file's intact records and arbitrary records after it.
+func FuzzOpenReplay(f *testing.F) {
+	recs := appendRecord(markRun(appendRecord(nil, []byte("a kept line")), 40), []byte("another kept line"))
+	first := append(segHeader(1), recs...)
+	f.Add(first, recs, uint8(1))
+	f.Add(first, recs[:len(recs)-5], uint8(0))
+	f.Add(first, recs, uint8(45))
+	f.Add(first, recs[:len(recs)-5], uint8(60))
+	f.Add(first[:len(first)-3], recs, uint8(1))
+	f.Add(first, []byte{}, uint8(30))
+	f.Add(first[:len(first)-9], []byte{}, uint8(30))
+	flipped := bytes.Clone(first)
+	flipped[headerSize+40] ^= 0x02 // inside the run of marks
+	f.Add(flipped, recs, uint8(2))
+	f.Add(first, flipped[headerSize:], uint8(50))
+	f.Add(segHeader(1), []byte{}, uint8(0))
+	f.Add([]byte{}, recs, uint8(1))
+
+	f.Fuzz(func(t *testing.T, first, second []byte, from uint8) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if len(second) > 0 {
+			next := uint64(2) // a segment name must not repeat
+			if bytes.HasPrefix(first, segHeader(1)) {
+				recs, _, _ := readerScan(t, first, 1, 64, math.MaxUint64)
+				next = max(next, 1+uint64(len(recs)))
+			}
+			if err := os.WriteFile(filepath.Join(dir, segName(next)), append(segHeader(next), second...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkOnePass(t, dir, uint64(from))
 	})
 }
